@@ -37,6 +37,7 @@ from qstruct.families import (
 from qstruct.structure import (
     FiveTermExpansion,
     StructureFit,
+    fit_auto,
     fit_structure,
     five_term,
     verify_structure,
@@ -87,6 +88,7 @@ __all__ = [
     "StructureFit",
     "FiveTermExpansion",
     "fit_structure",
+    "fit_auto",
     "verify_structure",
     "five_term",
     "AuxSequences",

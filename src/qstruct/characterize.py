@@ -41,7 +41,7 @@ from qstruct.families import (
 from qstruct.poly import Poly
 from qstruct.report import Check, Report
 from qstruct.scalar import QContext, format_rational, gamma_n, qpow
-from qstruct.structure import StructureFit, fit_structure
+from qstruct.structure import StructureFit, fit_auto, padded
 
 __all__ = [
     "RecurrenceViolated",
@@ -63,7 +63,6 @@ __all__ = [
     "classify",
     "FAMILY_QHERMITE",
     "FAMILY_ASC",
-    "FAMILY_ASC_SYMMETRIC",
     "FAMILY_CHEBYSHEV_T",
     "FAMILY_CQ_JACOBI",
     "FAMILY_NOT_CHARACTERIZED",
@@ -71,7 +70,6 @@ __all__ = [
 
 FAMILY_QHERMITE = "q-hermite"
 FAMILY_ASC = "alsalam-chihara"
-FAMILY_ASC_SYMMETRIC = "alsalam-chihara-symmetric"
 FAMILY_CHEBYSHEV_T = "chebyshev-t"
 FAMILY_CQ_JACOBI = "continuous-q-jacobi"
 FAMILY_NOT_CHARACTERIZED = "not-characterized"
@@ -110,8 +108,8 @@ class ConstraintViolated(Exception):
 
 
 class IrrationalRoots(Exception):
-    """A recovery quadratic does not split over the rationals; carries the
-    symmetric functions so classification can still proceed on those."""
+    """A recovery quadratic does not split over the rationals; carries its
+    sum, product and discriminant."""
 
     def __init__(self, sum_: Fraction, product: Fraction, discriminant: Fraction):
         self.sum = sum_
@@ -156,9 +154,6 @@ class PredicateRecord:
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": dict(sorted(self.witness.items()))}
-
-
-PredicateLedger = dict
 
 
 @dataclass
@@ -292,29 +287,9 @@ def verify_difference_system(
         raise ValueError("verify_difference_system requires an exact fit")
     N = fit.horizon
     alpha = ctx.alpha
-    zero = Fraction(0)
-
-    def a(n):
-        return fit.a[n] if n >= 0 else zero
-
-    def b(n):
-        return fit.b[n] if n >= 0 else zero
-
-    def c(n):
-        return fit.c[n] if n >= 0 else zero
-
-    def B(n):
-        return ttrr.B(n)
-
-    def C(n):
-        return ttrr.C(n)
-
-    def t(n):
-        return aux.t[n]
-
-    def r(n):
-        return aux.r[n]
-
+    a, b, c = padded(fit.a), padded(fit.b), padded(fit.c)
+    B, C = padded(ttrr.b), padded((Fraction(0),) + ttrr.c)
+    t, r = padded(aux.t), padded(aux.r)
     quarter = Fraction(1, 4)
 
     def reduced_1(n):
@@ -522,7 +497,7 @@ def recover_asc_params(
     (with q replaced by 1/q for the inverse-base reading). The pair must
     satisfy c**2 + d**2 = 2 alpha c d, equivalently c/d = q**(+-1/2);
     otherwise ConstraintViolated. Under that constraint the splitting
-    quadratic always has a rational root, so IrrationalRoots is defensive.
+    quadratic always has a rational root, given in closed form below.
     Returned in ascending (numerator, denominator) order; compare as a set.
     """
     if not fit.is_exact:
@@ -538,10 +513,10 @@ def recover_asc_params(
             f"(c+d)^2 = {format_rational(sum_cd ** 2)} but "
             f"2(alpha+1)cd = {format_rational(2 * (ctx.alpha + 1) * prod_cd)}"
         )
-    disc = sum_cd**2 - 4 * prod_cd
-    root = _sqrt_exact(disc)
-    if root is None:
-        raise IrrationalRoots(sum_cd, prod_cd, disc)
+    # 2 (alpha + 1) = (t + 1/t)**2 with t = q**(1/4), so the discriminant
+    # (c+d)**2 - 4 c d is ((c+d) (t - 1/t) / (t + 1/t))**2: a rational square.
+    t2 = ctx.t**2
+    root = sum_cd * (t2 - 1) / (t2 + 1)
     c = (sum_cd + root) / 2
     d = (sum_cd - root) / 2
     pair = sorted((c, d), key=lambda v: (v.numerator, v.denominator))
@@ -684,18 +659,12 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     ledger: dict[str, PredicateRecord] = {}
     ops = generate_ops(ttrr, N)
 
-    chosen: tuple[int, StructureFit] | None = None
-    last_fit: StructureFit | None = None
-    for d in (0, 1, 2):
-        f = fit_structure(ctx, ops, d, N)
+    fits = fit_auto(ctx, ops, N)
+    for d, f in enumerate(fits):
         _record_fit(ledger, d, f)
-        last_fit = f
-        if f.is_exact:
-            chosen = (d, f)
-            break
-    if chosen is None:
-        return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, last_fit)
-    deg, fit = chosen
+    deg, fit = len(fits) - 1, fits[-1]
+    if not fit.is_exact:
+        return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, fit)
 
     def not_characterized(reason: str, detail: str) -> Classification:
         ledger[reason] = PredicateRecord(holds=False, witness={"detail": detail})
@@ -745,24 +714,6 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
                     holds=False, witness={"detail": str(exc)}
                 )
                 continue
-            except IrrationalRoots as exc:
-                # The constraint holds on the symmetric functions; regenerate
-                # from those directly (the recurrence only needs c+d and cd).
-                try:
-                    candidate = _asc_from_symmetric(
-                        ctx, exc.sum, exc.product, inverse=inverse, n_max=N
-                    )
-                except IrregularParameters:
-                    continue
-                if regen_matches(candidate, f"asc-symmetric-{base}"):
-                    return Classification(
-                        FAMILY_ASC_SYMMETRIC,
-                        {"c_plus_d": exc.sum, "cd": exc.product},
-                        base,
-                        ledger,
-                        fit,
-                    )
-                continue
             try:
                 candidate = ttrr_alsalam_chihara(
                     ctx, c, d_param, inverse=inverse, n_max=N
@@ -798,25 +749,3 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         )
     return not_characterized("qjacobi-recovery", "no base matched")
 
-
-def _asc_from_symmetric(
-    ctx: QContext, sum_cd: Fraction, prod_cd: Fraction, *, inverse: bool, n_max: int
-) -> TTRRSpec:
-    """Al-Salam-Chihara recurrence directly from c + d and c d (the
-    coefficients only depend on the parameters through those)."""
-    sign = -1 if inverse else 1
-
-    def qq(k: int) -> Fraction:
-        return qpow(ctx, sign * k)
-
-    for n in range(1, n_max + 1):
-        if 1 - prod_cd * qq(4 * (n - 1)) == 0:
-            raise IrregularParameters(
-                f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
-            )
-    return TTRRSpec(
-        lambda n: sum_cd * qq(4 * n) / 2,
-        lambda n: (1 - prod_cd * qq(4 * (n - 1))) * (1 - qq(4 * n)) / 4,
-        n_max=n_max,
-        label="alsalam-chihara-symmetric" + ("-qinv" if inverse else ""),
-    )

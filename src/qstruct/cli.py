@@ -27,7 +27,6 @@ from qstruct.characterize import (
 )
 from qstruct.families import (
     FamilySpec,
-    IrregularParameters,
     generate_ops,
     ops_to_json,
     ttrr_from_json,
@@ -38,6 +37,7 @@ from qstruct.scalar import QContext, parse_rational
 from qstruct.structure import (
     ExpansionMismatch,
     ResidualNonzero,
+    fit_auto,
     fit_structure,
     five_term,
     verify_structure,
@@ -62,14 +62,27 @@ def _dump(payload, out_path: str | None) -> None:
 
 def _capped_n(requested: int) -> int:
     cap = os.environ.get("QSTRUCT_NMAX")
-    if cap:
+    if not cap:
+        return requested
+    try:
         return min(requested, int(cap))
-    return requested
+    except ValueError:
+        raise ValueError(f"QSTRUCT_NMAX must be an integer, got {cap!r}") from None
 
 
 def _load_ttrr(path: str):
+    """Read and schema-check a TTRR document: an object with a rational
+    string q_quarter and lists of rational strings B and C."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    if not isinstance(data.get("q_quarter"), str):
+        raise ValueError(f'{path}: "q_quarter" must be a rational string')
+    for key in ("B", "C"):
+        values = data.get(key)
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f'{path}: "{key}" must be a list of rational strings')
     return ttrr_from_json(data), data
 
 
@@ -88,18 +101,10 @@ def _family_spec(args) -> FamilySpec:
 
 def cmd_generate(args) -> int:
     N = _capped_n(args.N)
-    try:
-        if N < 1:
-            raise ValueError("generation horizon must be at least 1")
-        ctx = QContext(parse_rational(args.q_quarter))
-        spec = _family_spec(args)
-        # the regularity scan covers exactly the materialized range 1..N
-        ttrr = spec.to_ttrr(ctx, n_max=N)
-        ttrr.b_list(N)
-        ttrr.c_list(N)
-    except (IrregularParameters, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if N < 1:
+        raise ValueError("generation horizon must be at least 1")
+    ctx = QContext(parse_rational(args.q_quarter))
+    ttrr = _family_spec(args).to_ttrr(ctx, n_max=N)
     _dump(ttrr_to_json(ctx, ttrr, N), args.out)
     if args.ops_out:
         ops = generate_ops(ttrr, N)
@@ -108,26 +113,22 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        (ctx, ttrr), _ = _load_ttrr(args.ttrr)
-    except (OSError, ValueError, KeyError, IrregularParameters) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
     if N < 3:
-        print("error: need a recurrence materialized to at least n = 3", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("need a recurrence materialized to at least n = 3")
     ops = generate_ops(ttrr, N)
-    degrees = (0, 1, 2) if args.deg_pi == "auto" else (int(args.deg_pi),)
-    attempts = {}
-    for d in degrees:
-        fit = fit_structure(ctx, ops, d, N)
-        attempts[str(d)] = fit.to_json()["status"]
-        if fit.is_exact:
-            print(f"deg pi = {d}: pi = {fit.pi}", file=sys.stderr)
-            _dump(fit.to_json(), args.out)
-            return EXIT_OK
     if args.deg_pi == "auto":
+        fits = fit_auto(ctx, ops, N)
+    else:
+        fits = [fit_structure(ctx, ops, int(args.deg_pi), N)]
+    fit = fits[-1]
+    if fit.is_exact:
+        print(f"deg pi = {fit.pi.degree}: pi = {fit.pi}", file=sys.stderr)
+        _dump(fit.to_json(), args.out)
+        return EXIT_OK
+    if args.deg_pi == "auto":
+        attempts = {str(d): f.to_json()["status"] for d, f in enumerate(fits)}
         _dump({"error": "no-exact-fit", "attempts": attempts}, args.out)
     else:
         _dump(fit.to_json(), args.out)
@@ -135,15 +136,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        (ctx, ttrr), _ = _load_ttrr(args.ttrr)
-    except (OSError, ValueError, KeyError, IrregularParameters) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
     if N < 6:
-        print("error: classification needs n_max >= 6", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("classification needs n_max >= 6")
     result = classify(ctx, ttrr, N)
     _dump(result.to_json(), args.out)
     return EXIT_OK if result.characterized else EXIT_NOT_CHARACTERIZED
@@ -152,13 +148,8 @@ def cmd_classify(args) -> int:
 def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
     ops = generate_ops(ttrr, min(N + 2, ttrr.n_max))
     report = Report()
-    fit = None
-    for d in (0, 1, 2):
-        candidate = fit_structure(ctx, ops, d, N)
-        if candidate.is_exact:
-            fit = candidate
-            break
-    if fit is None:
+    fit = fit_auto(ctx, ops, N)[-1]
+    if not fit.is_exact:
         return Report(
             (Check("structure", None, False, "no exact fit for deg pi in {0, 1, 2}"),)
         )
@@ -200,18 +191,10 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
 
 
 def cmd_verify(args) -> int:
-    try:
-        (ctx, ttrr), echo = _load_ttrr(args.ttrr)
-    except (OSError, ValueError, KeyError, IrregularParameters) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    (ctx, ttrr), echo = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max - 2)
     if N < 3:
-        print(
-            "error: recurrence must be materialized to at least n = 5 for verification",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        raise ValueError("recurrence must be materialized to at least n = 5 for verification")
     started = time.monotonic()
     report = _verify_checks(ctx, ttrr, N, args.checks)
     payload = {
@@ -275,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        # unreadable or malformed input, invalid or irregular parameters
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

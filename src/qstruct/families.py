@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from qstruct.poly import Poly, poly_to_json
-from qstruct.scalar import QContext, as_fraction, format_rational, parse_rational, qpow
+from qstruct.scalar import QContext, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -53,47 +53,42 @@ class IrregularParameters(ValueError):
     """Some C_n vanishes, so the recurrence does not define an OPS."""
 
 
+@dataclass(frozen=True)
 class TTRRSpec:
-    """Recurrence coefficients of a monic OPS, materialized on demand.
+    """Recurrence coefficients of a monic OPS, tabulated up to the horizon.
 
-    B(n) is defined for n >= 0 and C(n) for n >= 1, with C(0) = 0 by
-    convention. Values are memoized up to the horizon n_max; every access
-    beyond materialization recomputes through the pure generator functions,
-    so concurrent readers always observe the same values.
+    An immutable value with no laziness: b holds B_0..B_{n_max} and c holds
+    C_1..C_{n_max}. B(n) is defined for 0 <= n <= n_max and C(n) for
+    1 <= n <= n_max, with C(0) = 0 by convention; any other index raises
+    IndexError. A vanishing C_n raises IrregularParameters on construction.
     """
 
-    def __init__(
-        self,
-        b_fn: Callable[[int], Fraction],
-        c_fn: Callable[[int], Fraction],
-        n_max: int = DEFAULT_N_MAX,
-        label: str = "ttrr",
-    ):
-        self._b_fn = b_fn
-        self._c_fn = c_fn
-        self._b_cache: dict[int, Fraction] = {}
-        self._c_cache: dict[int, Fraction] = {}
-        self.n_max = n_max
-        self.label = label
+    b: tuple[Fraction, ...]
+    c: tuple[Fraction, ...]
+    label: str = "ttrr"
+
+    def __post_init__(self) -> None:
+        if len(self.b) != len(self.c) + 1:
+            raise ValueError("need B_0..B_n and C_1..C_n for one horizon n")
+        for n, value in enumerate(self.c, 1):
+            if value == 0:
+                raise IrregularParameters(f"C_{n} = 0 in {self.label}")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.c)
 
     def B(self, n: int) -> Fraction:
         if n < 0 or n > self.n_max:
             raise IndexError(f"B_{n} outside materialized horizon 0..{self.n_max}")
-        if n not in self._b_cache:
-            self._b_cache[n] = as_fraction(self._b_fn(n))
-        return self._b_cache[n]
+        return self.b[n]
 
     def C(self, n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
         if n < 0 or n > self.n_max:
             raise IndexError(f"C_{n} outside materialized horizon 1..{self.n_max}")
-        if n not in self._c_cache:
-            value = as_fraction(self._c_fn(n))
-            if value == 0:
-                raise IrregularParameters(f"C_{n} = 0 in {self.label}")
-            self._c_cache[n] = value
-        return self._c_cache[n]
+        return self.c[n - 1]
 
     def b_list(self, upto: int) -> list[Fraction]:
         return [self.B(n) for n in range(upto + 1)]
@@ -106,33 +101,25 @@ class TTRRSpec:
         cls, b_values: Sequence, c_values: Sequence, label: str = "explicit"
     ) -> "TTRRSpec":
         """Explicit recurrence: b_values holds B_0.., c_values holds C_1..."""
-        bs = [as_fraction(v) for v in b_values]
-        cs = [as_fraction(v) for v in c_values]
-        n_max = min(len(bs) - 1, len(cs))
+        n_max = min(len(b_values) - 1, len(c_values))
         if n_max < 1:
             raise ValueError("need at least B_0, B_1 and C_1")
-        spec = cls(lambda n: bs[n], lambda n: cs[n - 1], n_max=n_max, label=label)
-        for n in range(1, n_max + 1):
-            spec.C(n)  # raises IrregularParameters on a zero entry
-        return spec
-
-    def replaced(self, *, b_overrides=None, c_overrides=None, label=None) -> "TTRRSpec":
-        """Copy with selected entries overridden; used for perturbation tests."""
-        b_over = {k: as_fraction(v) for k, v in (b_overrides or {}).items()}
-        c_over = {k: as_fraction(v) for k, v in (c_overrides or {}).items()}
-        return TTRRSpec(
-            lambda n: b_over[n] if n in b_over else self.B(n),
-            lambda n: c_over[n] if n in c_over else self.C(n),
-            n_max=self.n_max,
-            label=label or f"{self.label}-perturbed",
+        return cls(
+            tuple(as_fraction(v) for v in b_values[: n_max + 1]),
+            tuple(as_fraction(v) for v in c_values[:n_max]),
+            label,
         )
 
-
-def _qq(ctx: QContext, inverse: bool) -> Callable[[int], Fraction]:
-    """Quarter-power accessor: qq(k) = q**(k/4), or q**(-k/4) for the
-    inverse-base variant."""
-    sign = -1 if inverse else 1
-    return lambda k: qpow(ctx, sign * k)
+    def replaced(self, *, b_overrides=None, c_overrides=None, label=None) -> "TTRRSpec":
+        """Copy with selected entries overridden; used for perturbation tests.
+        Overrides outside the horizon are ignored."""
+        b_over = b_overrides or {}
+        c_over = c_overrides or {}
+        return TTRRSpec(
+            tuple(as_fraction(b_over.get(n, v)) for n, v in enumerate(self.b)),
+            tuple(as_fraction(c_over.get(n, v)) for n, v in enumerate(self.c, 1)),
+            label or f"{self.label}-perturbed",
+        )
 
 
 def ttrr_qhermite(
@@ -140,13 +127,12 @@ def ttrr_qhermite(
 ) -> TTRRSpec:
     """Rogers q-Hermite: B_n = 0 and C_n = (1 - q**n)/4, the c = d = 0
     special case of Al-Salam-Chihara. Regular for every n when 0 < q < 1."""
-    qq = _qq(ctx, inverse)
+    q = 1 / ctx.q if inverse else ctx.q
     label = "q-hermite-qinv" if inverse else "q-hermite"
     return TTRRSpec(
-        lambda n: Fraction(0),
-        lambda n: (1 - qq(4 * n)) / 4,
-        n_max=n_max,
-        label=label,
+        (Fraction(0),) * (n_max + 1),
+        tuple((1 - q**n) / 4 for n in range(1, n_max + 1)),
+        label,
     )
 
 
@@ -156,20 +142,20 @@ def ttrr_alsalam_chihara(
     """Al-Salam-Chihara: B_n = (c + d) q**n / 2 and
     C_n = (1 - c d q**(n-1)) (1 - q**n) / 4."""
     c, d = as_fraction(c), as_fraction(d)
-    qq = _qq(ctx, inverse)
+    q = 1 / ctx.q if inverse else ctx.q
+    cs = []
     for n in range(1, n_max + 1):
-        if 1 - c * d * qq(4 * (n - 1)) == 0:
+        factor = 1 - c * d * q ** (n - 1)
+        if factor == 0:
             raise IrregularParameters(
                 f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
             )
+        cs.append(factor * (1 - q**n) / 4)
     label = f"alsalam-chihara({format_rational(c)},{format_rational(d)})" + (
         "-qinv" if inverse else ""
     )
     return TTRRSpec(
-        lambda n: (c + d) * qq(4 * n) / 2,
-        lambda n: (1 - c * d * qq(4 * (n - 1))) * (1 - qq(4 * n)) / 4,
-        n_max=n_max,
-        label=label,
+        tuple((c + d) * q**n / 2 for n in range(n_max + 1)), tuple(cs), label
     )
 
 
@@ -177,10 +163,9 @@ def ttrr_chebyshev_t(*, n_max: int = DEFAULT_N_MAX) -> TTRRSpec:
     """Monic Chebyshev of the first kind: B_n = 0, C_1 = 1/2, C_n = 1/4 for
     n >= 2. No q enters, so the inverse-base variant is the same recurrence."""
     return TTRRSpec(
-        lambda n: Fraction(0),
-        lambda n: Fraction(1, 2) if n == 1 else Fraction(1, 4),
-        n_max=n_max,
-        label="chebyshev-t",
+        (Fraction(0),) * (n_max + 1),
+        tuple(Fraction(1, 2) if n == 1 else Fraction(1, 4) for n in range(1, n_max + 1)),
+        "chebyshev-t",
     )
 
 
@@ -193,25 +178,25 @@ def cq_jacobi_yz(
     against their product closed forms.
     """
     p_a, p_b = as_fraction(p_a), as_fraction(p_b)
-    qq = _qq(ctx, inverse)
+    t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
     pp = p_a * p_a * p_b * p_b  # q**(a+b)
     ab = p_a * p_b  # q**((a+b)/2)
     y_num = (
-        (1 - qq(4 * n + 4) * p_a * p_a)
-        * (1 - qq(4 * n + 4) * pp)
-        * (1 + qq(4 * n + 2) * ab)
-        * (1 + qq(4 * n + 4) * ab)
+        (1 - t ** (4 * n + 4) * p_a * p_a)
+        * (1 - t ** (4 * n + 4) * pp)
+        * (1 + t ** (4 * n + 2) * ab)
+        * (1 + t ** (4 * n + 4) * ab)
     )
-    y_den = p_a * qq(1) * (1 - qq(8 * n + 4) * pp) * (1 - qq(8 * n + 8) * pp)
+    y_den = p_a * t * (1 - t ** (8 * n + 4) * pp) * (1 - t ** (8 * n + 8) * pp)
     z_num = (
         p_a
-        * qq(1)
-        * (1 - qq(4 * n))
-        * (1 - qq(4 * n) * p_b * p_b)
-        * (1 + qq(4 * n) * ab)
-        * (1 + qq(4 * n + 2) * ab)
+        * t
+        * (1 - t ** (4 * n))
+        * (1 - t ** (4 * n) * p_b * p_b)
+        * (1 + t ** (4 * n) * ab)
+        * (1 + t ** (4 * n + 2) * ab)
     )
-    z_den = (1 - qq(8 * n) * pp) * (1 - qq(8 * n + 4) * pp)
+    z_den = (1 - t ** (8 * n) * pp) * (1 - t ** (8 * n + 4) * pp)
     return y_num / y_den, z_num / z_den
 
 
@@ -231,7 +216,7 @@ def ttrr_cq_jacobi(
     p_a, p_b = as_fraction(p_a), as_fraction(p_b)
     if p_a <= 0 or p_b <= 0:
         raise ValueError("p_a and p_b must be positive (they are real powers of q)")
-    qq = _qq(ctx, inverse)
+    t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
     pp = p_a * p_a * p_b * p_b
     ab = p_a * p_b
 
@@ -240,35 +225,27 @@ def ttrr_cq_jacobi(
         raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
     for n in range(0, n_max + 2):
         for shift, text in ((0, "(1 - q^(2n+a+b))"), (4, "(1 - q^(2n+a+b+1))"), (8, "(1 - q^(2n+a+b+2))")):
-            if 1 - qq(8 * n + shift) * pp == 0:
+            if 1 - t ** (8 * n + shift) * pp == 0:
                 raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
     for n in range(0, n_max + 1):
         for factor, text in (
-            (1 - qq(4 * n + 4) * p_a * p_a, "(1 - q^(n+a+1))"),
-            (1 - qq(4 * n + 4) * p_b * p_b, "(1 - q^(n+b+1))"),
-            (1 - qq(4 * n + 4) * pp, "(1 - q^(n+a+b+1))"),
+            (1 - t ** (4 * n + 4) * p_a * p_a, "(1 - q^(n+a+1))"),
+            (1 - t ** (4 * n + 4) * p_b * p_b, "(1 - q^(n+b+1))"),
+            (1 - t ** (4 * n + 4) * pp, "(1 - q^(n+a+b+1))"),
         ):
             if factor == 0:
                 raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
 
-    edge = p_a * qq(1) + 1 / (p_a * qq(1))  # q**((2a+1)/4) + q**(-(2a+1)/4)
-
-    def b_fn(n: int) -> Fraction:
-        y_n, z_n = cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse)
-        return (edge - y_n - z_n) / 2
-
-    def c_fn(n: int) -> Fraction:
-        y_prev, _ = cq_jacobi_yz(ctx, p_a, p_b, n - 1, inverse=inverse)
-        _, z_n = cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse)
-        return y_prev * z_n / 4
-
+    edge = p_a * t + 1 / (p_a * t)  # q**((2a+1)/4) + q**(-(2a+1)/4)
+    yz = [cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse) for n in range(n_max + 1)]
     label = f"cq-jacobi({format_rational(p_a)},{format_rational(p_b)})" + (
         "-qinv" if inverse else ""
     )
-    spec = TTRRSpec(b_fn, c_fn, n_max=n_max, label=label)
-    for n in range(1, n_max + 1):
-        spec.C(n)  # surfaces any residual C_n = 0 as IrregularParameters
-    return spec
+    return TTRRSpec(
+        tuple((edge - y_n - z_n) / 2 for y_n, z_n in yz),
+        tuple(yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1)),
+        label,
+    )
 
 
 @dataclass(frozen=True)

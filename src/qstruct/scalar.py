@@ -34,8 +34,12 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or plain "p") into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" (or plain "p") into an exact rational. A zero
+    denominator is a ValueError like any other malformed text."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -8,7 +8,9 @@ with pi fixed each n contributes a small independent system for
 (a_n, b_n, c_n). The fitter first solves the identities for n = 1..3
 jointly to pin pi (joining further blocks only in the rare case those leave
 pi underdetermined), then extends index by index, reporting the first n
-whose system is inconsistent when no fit exists.
+whose system is inconsistent when no fit exists. `fit_structure` fits one
+degree; `fit_auto` tries 0, 1, 2 in order on one shared set of D_q P_n
+images and stops at the first exact fit.
 
 Normalizing pi monic removes the scale freedom of the relation: any valid
 (pi, a, b, c) stays valid under simultaneous scaling by a nonzero rational,
@@ -35,6 +37,8 @@ __all__ = [
     "ResidualNonzero",
     "ExpansionMismatch",
     "fit_structure",
+    "fit_auto",
+    "padded",
     "verify_structure",
     "structure_residual",
     "five_term",
@@ -120,6 +124,13 @@ class FiveTermExpansion:
     horizon: int
 
 
+def padded(seq):
+    """Accessor n -> seq[n] that reads zero at every negative n, the
+    convention for sequences such as a_n, B_n or C_n (with C_0 = 0)."""
+    zero = Fraction(0)
+    return lambda n: seq[n] if n >= 0 else zero
+
+
 def _solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Gauss-Jordan elimination over Fractions.
 
@@ -175,6 +186,15 @@ def _partial_fit(pi: Poly, a, b, c, failure_n: int, N: int) -> StructureFit:
     )
 
 
+def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> list[Poly]:
+    """D_q P_n for n = 0..N, after checking the horizon."""
+    if N < 3:
+        raise ValueError("fit horizon must be at least 3")
+    if ops.degree < N:
+        raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+    return [dq_apply(ctx, p) for p in ops.polys[: N + 1]]
+
+
 def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
     """Fit monic pi of degree deg_pi and sequences (a_n, b_n, c_n) over
     n = 1..N (index 0 entries are forced to zero by the n = 0 identity).
@@ -185,14 +205,25 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     """
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
-    if N < 3:
-        raise ValueError("fit horizon must be at least 3")
-    if ops.degree < N:
-        raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+    return _fit(ops, _dq_images(ctx, ops, N), deg_pi, N)
 
+
+def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
+    """The fits for deg pi = 0, 1, 2 in order, up to and including the first
+    exact one. Each entry equals fit_structure(ctx, ops, d, N); the D_q P_n
+    images are computed once and shared by every attempt."""
+    dq = _dq_images(ctx, ops, N)
+    fits = []
+    for d in (0, 1, 2):
+        fits.append(_fit(ops, dq, d, N))
+        if fits[-1].is_exact:
+            break
+    return fits
+
+
+def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
+    """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
     P = ops.polys
-    dq = [dq_apply(ctx, P[n]) for n in range(N + 1)]
-    d = deg_pi
 
     def block_rows(n: int, ncols: int, base: int):
         """Coefficient-wise equations of identity n over the joint unknowns.
@@ -253,24 +284,14 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
             return _partial_fit(pi, a[:n], b[:n], c[:n], n, N)
         a[n], b[n], c[n] = x
 
-    for n in range(1, N + 1):
-        if c[n] == 0:
-            return StructureFit(
-                pi=pi,
-                a=tuple(a),
-                b=tuple(b),
-                c=tuple(c),
-                status=STATUS_DEGENERATE_C,
-                failure_n=n,
-                horizon=N,
-            )
+    zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     return StructureFit(
         pi=pi,
         a=tuple(a),
         b=tuple(b),
         c=tuple(c),
-        status=STATUS_EXACT,
-        failure_n=None,
+        status=STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C,
+        failure_n=zero_c,
         horizon=N,
     )
 
@@ -320,27 +341,14 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     alpha = ctx.alpha
     ttrr = ops.ttrr
     zero = Fraction(0)
-
-    def a(n):
-        return fit.a[n] if n >= 0 else zero
-
-    def b(n):
-        return fit.b[n] if n >= 0 else zero
-
-    def c(n):
-        return fit.c[n] if n >= 0 else zero
-
-    def B(n):
-        return ttrr.B(n) if n >= 0 else zero
-
-    def C(n):
-        return ttrr.C(n) if n >= 1 else zero
+    a, b, c = padded(fit.a), padded(fit.b), padded(fit.c)
+    B, C = padded(ttrr.b), padded((zero,) + ttrr.c)
 
     def g(n):
-        return b(n) + a(n) * B(n) if n >= 0 else zero
+        return b(n) + a(n) * B(n)
 
     def s(n):
-        return c(n) + a(n) * C(n) if n >= 0 else zero
+        return c(n) + a(n) * C(n)
 
     horizon = min(N - 1, ops.degree - 2)
     if horizon < 0:

@@ -324,7 +324,7 @@ def test_classify_rejected_branch_recurrence():
     # B_n = 0, C_n = 1/4 for every n: a valid OPS. Observed outcome: it fits
     # deg pi = 2 exactly (pi = x^2 - alpha^2) and is the symmetric continuous
     # q-Jacobi with p_a = p_b = q^{1/4}; recorded here as a regression anchor.
-    u_like = TTRRSpec(lambda n: F(0), lambda n: F(1, 4), n_max=32, label="u-like")
+    u_like = TTRRSpec.from_lists([0] * 33, [F(1, 4)] * 32, label="u-like")
     result = classify(CTX, u_like, N)
     assert result.family == FAMILY_CQ_JACOBI
     assert result.params == {"p_a": CTX.t, "p_b": CTX.t}

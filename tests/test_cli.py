@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from qstruct.cli import main
 
 
@@ -228,3 +230,66 @@ def test_inverse_base_generation_classifies(tmp_path, capsys):
     data = json.loads(out)
     assert data["family"] == "q-hermite"
     assert data["base"] == "q-inverse"
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_bad_input(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1  # one error line, no traceback
+
+
+CHEB_DOC = {"q_quarter": "1/2", "B": ["0"] * 9, "C": ["1/2"] + ["1/4"] * 7}
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_numbers_in_b_or_c_exit_2(tmp_path, capsys, command):
+    doc = dict(CHEB_DOC, C=[0.5] + [0.25] * 7)
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc))
+    assert_bad_input(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_top_level_list_exits_2(tmp_path, capsys, command):
+    code, _, err = run(capsys, command, write_doc(tmp_path, [CHEB_DOC]))
+    assert_bad_input(code, err)
+
+
+def test_generate_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "generate", "--family", "q-hermite", "--q-quarter", "1/0")
+    assert_bad_input(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_file_zero_denominator_exits_2(tmp_path, capsys, command):
+    doc = dict(CHEB_DOC, q_quarter="1/0")
+    code, _, err = run(capsys, command, write_doc(tmp_path, doc))
+    assert_bad_input(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--family", "chebyshev-t"], ["classify"], ["fit"], ["verify"]],
+)
+def test_non_integer_nmax_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("QSTRUCT_NMAX", "abc")
+    if argv[0] != "generate":
+        argv = argv + [write_doc(tmp_path, CHEB_DOC)]
+    code, _, err = run(capsys, *argv)
+    assert_bad_input(code, err)
+    assert "QSTRUCT_NMAX" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_string_instead_of_list_exits_2(tmp_path, capsys, command):
+    doc = dict(CHEB_DOC, B="000000000")
+    code, _, err = run(capsys, command, write_doc(tmp_path, doc))
+    assert_bad_input(code, err)
+    assert '"B"' in err
