@@ -46,7 +46,6 @@ from qstruct.structure import StructureFit, fit_auto, padded
 __all__ = [
     "RecurrenceViolated",
     "DegenerateR1",
-    "PearsonViolated",
     "ConstraintViolated",
     "IrrationalRoots",
     "AuxSequences",
@@ -88,19 +87,6 @@ class RecurrenceViolated(Exception):
 
 class DegenerateR1(Exception):
     """a_1 C_1 + c_1 = 0, impossible for a regular functional."""
-
-
-class PearsonViolated(Exception):
-    """The distributional Pearson identity fails at moment order n."""
-
-    def __init__(self, n: int, lhs: Fraction, rhs: Fraction):
-        self.n = n
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(
-            f"Pearson identity fails at n = {n}: "
-            f"{format_rational(lhs)} != {format_rational(rhs)}"
-        )
 
 
 class ConstraintViolated(Exception):
@@ -257,18 +243,19 @@ def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonDat
 
 
 def pearson_check(ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int) -> Report:
-    """Assert -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
-    exact moments (needed to order N + 2). Raises PearsonViolated at the
-    first failing order; the returned report lists every order checked."""
+    """Check -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
+    exact moments (needed to order N + 2). The report holds one pearson
+    check per order; a failing one carries both sides as its witness."""
+    fr = format_rational
     mom = moments(ttrr, N + 2)
     checks = []
     for n in range(N + 1):
         xn = Poly.monomial(n)
         lhs = -mom.apply(pd.phi * dq_apply(ctx, xn))
         rhs = mom.apply(pd.psi * sq_apply(ctx, xn))
-        if lhs != rhs:
-            raise PearsonViolated(n, lhs, rhs)
-        checks.append(Check("pearson", n, True))
+        fails = lhs != rhs
+        witness = f"Pearson identity fails at n = {n}: {fr(lhs)} != {fr(rhs)}" if fails else ""
+        checks.append(Check("pearson", n, not fails, witness))
     return Report(tuple(checks))
 
 
@@ -679,12 +666,10 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     except DegenerateR1 as exc:
         return not_characterized("pearson-regularity", str(exc))
     ledger.update(lemma_predicates(ctx, aux, pd, deg))
-    try:
-        pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2))
-        ledger["pearson"] = PredicateRecord(holds=True)
-    except PearsonViolated as exc:
-        ledger["pearson"] = PredicateRecord(holds=False, witness={"detail": str(exc)})
-        return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, fit)
+    failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)).failures()
+    if failures:
+        return not_characterized("pearson", failures[0].witness)
+    ledger["pearson"] = PredicateRecord(holds=True)
 
     def regen_matches(candidate: TTRRSpec, name: str) -> bool:
         mismatch = ttrr_equal(ttrr, candidate, N)

@@ -17,7 +17,6 @@ import time
 from qstruct import __version__
 from qstruct.characterize import (
     DegenerateR1,
-    PearsonViolated,
     RecurrenceViolated,
     aux_sequences,
     classify,
@@ -35,8 +34,6 @@ from qstruct.families import (
 from qstruct.report import Check, Report
 from qstruct.scalar import QContext, parse_rational
 from qstruct.structure import (
-    ExpansionMismatch,
-    ResidualNonzero,
     fit_auto,
     fit_structure,
     five_term,
@@ -155,12 +152,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
         )
     wants = lambda name: which in ("all", name)
     if wants("structure"):
-        try:
-            report = report.merged(verify_structure(ctx, ops, fit))
-        except ResidualNonzero as exc:
-            report = report.merged(
-                Report((Check("structure-residual", exc.n, False, str(exc.residual)),))
-            )
+        report = report.merged(verify_structure(ctx, ops, fit))
     if wants("system"):
         try:
             aux = aux_sequences(ctx, ttrr, fit)
@@ -168,25 +160,13 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
         except RecurrenceViolated as exc:
             report = report.merged(Report((Check("system:aux", exc.n, False, str(exc)),)))
     if wants("pearson"):
-        order = min(N, ttrr.n_max - 2)
         try:
             pd = pearson_data(ctx, ttrr, fit)
-            report = report.merged(pearson_check(ctx, ttrr, pd, order))
-        except (DegenerateR1, PearsonViolated) as exc:
-            n = exc.n if isinstance(exc, PearsonViolated) else None
-            report = report.merged(Report((Check("pearson", n, False, str(exc)),)))
+            report = report.merged(pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)))
+        except DegenerateR1 as exc:
+            report = report.merged(Report((Check("pearson", None, False, str(exc)),)))
     if wants("five-term"):
-        try:
-            ft = five_term(ctx, ops, fit)
-            report = report.merged(
-                Report(
-                    tuple(
-                        Check("five-term", n, True) for n in range(ft.horizon + 1)
-                    )
-                )
-            )
-        except ExpansionMismatch as exc:
-            report = report.merged(Report((Check("five-term", exc.n, False, str(exc)),)))
+        report = report.merged(five_term(ctx, ops, fit).report)
     return report.sorted()
 
 

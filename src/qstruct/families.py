@@ -100,13 +100,13 @@ class TTRRSpec:
     def from_lists(
         cls, b_values: Sequence, c_values: Sequence, label: str = "explicit"
     ) -> "TTRRSpec":
-        """Explicit recurrence: b_values holds B_0.., c_values holds C_1..."""
-        n_max = min(len(b_values) - 1, len(c_values))
-        if n_max < 1:
+        """Explicit recurrence: b_values holds B_0..B_n, c_values holds
+        C_1..C_n; lists of any other lengths raise ValueError."""
+        if not c_values:
             raise ValueError("need at least B_0, B_1 and C_1")
         return cls(
-            tuple(as_fraction(v) for v in b_values[: n_max + 1]),
-            tuple(as_fraction(v) for v in c_values[:n_max]),
+            tuple(as_fraction(v) for v in b_values),
+            tuple(as_fraction(v) for v in c_values),
             label,
         )
 

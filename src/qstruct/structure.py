@@ -12,6 +12,11 @@ whose system is inconsistent when no fit exists. `fit_structure` fits one
 degree; `fit_auto` tries 0, 1, 2 in order on one shared set of D_q P_n
 images and stops at the first exact fit.
 
+The checks of an exact fit, `verify_structure` and the report of
+`five_term`, return one Check per index, failures included, with the
+offending residual or basis index as witness; only their preconditions
+raise.
+
 Normalizing pi monic removes the scale freedom of the relation: any valid
 (pi, a, b, c) stays valid under simultaneous scaling by a nonzero rational,
 which `verify_structure` accepts happily since it only checks residuals.
@@ -34,8 +39,6 @@ __all__ = [
     "STATUS_DEGENERATE_C",
     "StructureFit",
     "FiveTermExpansion",
-    "ResidualNonzero",
-    "ExpansionMismatch",
     "fit_structure",
     "fit_auto",
     "padded",
@@ -47,25 +50,6 @@ __all__ = [
 STATUS_EXACT = "exact"
 STATUS_NO_SOLUTION = "no-solution"
 STATUS_DEGENERATE_C = "degenerate-c"
-
-
-class ResidualNonzero(Exception):
-    """A claimed-exact fit fails re-verification at index n."""
-
-    def __init__(self, n: int, residual: Poly):
-        self.n = n
-        self.residual = residual
-        super().__init__(f"structure residual nonzero at n = {n}: {residual}")
-
-
-class ExpansionMismatch(Exception):
-    """Five-term formula coefficients disagree with the direct expansion.
-    Signals an implementation error; never expected for an exact fit."""
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
-        super().__init__(f"five-term mismatch at n = {n}, basis index k = {k}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +96,11 @@ class FiveTermExpansion:
                      + r4_n P_{n-1} + r5_n P_{n-2},
 
     together with the derived sequences g_n = b_n + a_n B_n and
-    s_n = c_n + a_n C_n. Each rX tuple is indexed by n up to the horizon."""
+    s_n = c_n + a_n C_n. Each rX tuple is indexed by n up to the horizon.
+    report holds one five-term check per n: it fails when the closed
+    coefficients disagree with the direct expansion of pi S_q P_n, which
+    signals an implementation error and is never expected for an exact
+    fit."""
 
     r1: tuple[Fraction, ...]
     r2: tuple[Fraction, ...]
@@ -122,6 +110,7 @@ class FiveTermExpansion:
     g: tuple[Fraction, ...]
     s: tuple[Fraction, ...]
     horizon: int
+    report: Report
 
 
 def padded(seq):
@@ -307,15 +296,14 @@ def structure_residual(
 
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     """Recompute every residual of an exact fit and demand the zero
-    polynomial. Raises ResidualNonzero at the first offender."""
+    polynomial. The report holds one structure-residual check per
+    n = 0..horizon; a nonzero residual fails its check and is the witness."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
     for n in range(fit.horizon + 1):
         res = structure_residual(ctx, ops, fit.pi, fit.a[n], fit.b[n], fit.c[n], n)
-        if res:
-            raise ResidualNonzero(n, res)
-        checks.append(Check("structure-residual", n, True))
+        checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
     return Report(tuple(checks))
 
 
@@ -332,8 +320,11 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         r5_n = C_n s_{n-1} - alpha C_{n-1} s_n
 
     are checked against the direct expansion of pi * S_q P_n in the monic
-    P basis; any disagreement raises ExpansionMismatch. Sequences with
-    negative index are zero, matching C_0 = 0 and a_0 = b_0 = c_0 = 0.
+    P basis, one five-term check per n in the returned report. A failing
+    check's witness names the first basis index k that disagrees, or
+    k = -1 when the coefficient of an out-of-range P_{n-1} or P_{n-2} is
+    nonzero. Sequences with negative index are zero, matching C_0 = 0 and
+    a_0 = b_0 = c_0 = 0.
     """
     if not fit.is_exact:
         raise ValueError("five_term requires an exact fit")
@@ -353,7 +344,7 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     horizon = min(N - 1, ops.degree - 2)
     if horizon < 0:
         raise ValueError("OPS table too short for any five-term index")
-    r1, r2, r3, r4, r5 = [], [], [], [], []
+    r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
     for n in range(horizon + 1):
         v1 = a(n + 1) - alpha * a(n)
         v2 = g(n + 1) - alpha * g(n) + a(n) * (B(n) - alpha * B(n + 1))
@@ -377,15 +368,13 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
             formula[n - 2] = v5
         expanded = ops.expand(fit.pi * sq_apply(ctx, ops.polys[n]))
         expanded += [zero] * (n + 3 - len(expanded))
-        for k in range(n + 3):
-            if formula[k] != expanded[k]:
-                raise ExpansionMismatch(n, k)
         # Indices below n-2 must vanish, and the formula coefficients for
         # out-of-range P_{n-1}, P_{n-2} must agree with the convention.
-        if n == 0 and (v4 != 0 or v5 != 0):
-            raise ExpansionMismatch(n, -1)
-        if n == 1 and v5 != 0:
-            raise ExpansionMismatch(n, -1)
+        k = next((k for k in range(n + 3) if formula[k] != expanded[k]), None)
+        if k is None and ((n == 0 and v4 != 0) or (n < 2 and v5 != 0)):
+            k = -1
+        witness = "" if k is None else f"five-term mismatch at n = {n}, basis index k = {k}"
+        checks.append(Check("five-term", n, k is None, witness))
         r1.append(v1)
         r2.append(v2)
         r3.append(v3)
@@ -401,4 +390,5 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         g=tuple(g(n) for n in range(N + 1)),
         s=tuple(s(n) for n in range(N + 1)),
         horizon=horizon,
+        report=Report(tuple(checks)),
     )

@@ -241,7 +241,7 @@ def test_criterion_07_pearson():
     for name, ttrr, deg in family_fixtures():
         fit = fit_structure(CTX, generate_ops(ttrr, N), deg, N)
         pd = pearson_data(CTX, ttrr, fit)
-        report = pearson_check(CTX, ttrr, pd, 10)  # raises on violation
+        report = pearson_check(CTX, ttrr, pd, 10)  # one check per order 0..10
         assert report.ok and len(report.checks) == 11, name
     # q-Jacobi frak_a closed form -(1 + q^{a+b+2})/(2u(1 - q^{a+b+2}))
     for p_a, p_b in [(F(1, 4), F(1, 4)), (F(1, 4), F(1, 16))]:
@@ -342,7 +342,8 @@ def test_criterion_09_five_term():
     for name, ttrr, deg in family_fixtures():
         ops = generate_ops(ttrr, N)
         fit = fit_structure(CTX, ops, deg, N)
-        expansion = five_term(CTX, ops, fit)  # raises ExpansionMismatch on any n, k
+        expansion = five_term(CTX, ops, fit)  # one check per n, every basis index k
+        assert expansion.report.ok, name
         assert expansion.horizon >= 8, name
         report = verify_structure(CTX, ops, fit)
         assert report.ok, name

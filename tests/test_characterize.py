@@ -10,7 +10,6 @@ from qstruct.characterize import (
     FAMILY_QHERMITE,
     ConstraintViolated,
     DegenerateR1,
-    PearsonViolated,
     aux_sequences,
     classify,
     lemma_predicates,
@@ -149,8 +148,13 @@ def test_pearson_check_detects_wrong_phi():
     from dataclasses import replace
 
     bad = replace(pd, phi=pd.phi + 1)
-    with pytest.raises(PearsonViolated):
-        pearson_check(CTX, ttrr, bad, 8)
+    report = pearson_check(CTX, ttrr, bad, 8)
+    assert not report.ok and len(report.checks) == 9
+    assert [check.n for check in report.failures()] == [1, 3, 5, 7]
+    assert all(
+        check.witness.startswith(f"Pearson identity fails at n = {check.n}: ")
+        for check in report.failures()
+    )
 
 
 @pytest.mark.parametrize(

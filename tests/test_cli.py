@@ -256,6 +256,19 @@ def test_numbers_in_b_or_c_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+@pytest.mark.parametrize(
+    "doc",
+    [dict(CHEB_DOC, B=["0"] * 20), dict(CHEB_DOC, C=["1/2"] + ["1/4"] * 19)],
+    ids=["B-too-long", "C-too-long"],
+)
+def test_mismatched_b_c_lengths_exit_2(tmp_path, capsys, command, doc):
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc))
+    assert_bad_input(code, err)
+    assert "one horizon" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
 def test_top_level_list_exits_2(tmp_path, capsys, command):
     code, _, err = run(capsys, command, write_doc(tmp_path, [CHEB_DOC]))
     assert_bad_input(code, err)

@@ -254,6 +254,11 @@ def test_explicit_lists_and_regularity():
     assert t.n_max == 3
     with pytest.raises(IrregularParameters):
         TTRRSpec.from_lists([0, 0, 0], [F(1, 2), 0], label="bad")
+    for b, c in (([0] * 5, [F(1, 2), F(1, 4)]), ([0, 0], [F(1, 2), F(1, 4)])):
+        with pytest.raises(ValueError, match="one horizon"):
+            TTRRSpec.from_lists(b, c, label="mismatched")
+    with pytest.raises(ValueError, match="at least"):
+        TTRRSpec.from_lists([0], [], label="empty")
 
 
 def test_replaced_overrides():

@@ -3,23 +3,30 @@
 fit_auto shares one set of D_q P_n images across its degree attempts;
 fit_structure, which computes its own images, is the reference. The
 Al-Salam-Chihara recovery takes its root in closed form; the rational
-square root of the discriminant is the reference.
+square root of the discriminant is the reference. D_q and S_q go through
+the Chebyshev basis; the literal z-substitution quotients are the
+reference. A fit perturbed at one index must fail its structure and
+five-term reports exactly where that index enters, and classify must
+return a Classification for any regular recurrence.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qstruct.characterize import _sqrt_exact, recover_asc_params
+from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
+from qstruct.characterize import Classification, _sqrt_exact, classify, recover_asc_params
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
     TTRRSpec,
     generate_ops,
 )
+from qstruct.poly import Poly
 from qstruct.scalar import QContext
-from qstruct.structure import fit_auto, fit_structure
+from qstruct.structure import fit_auto, fit_structure, five_term, verify_structure
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -27,18 +34,22 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
 quarter_powers = st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)
 bases = st.sampled_from(["q", "q-inverse"])
+polys = st.lists(small, min_size=1, max_size=7).map(lambda cs: Poly(tuple(cs)))
+sample_zs = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(
+    lambda z: z not in (0, 1, -1)
+)
 
 
 @st.composite
-def random_ttrrs(draw):
-    n_max = draw(st.integers(min_value=3, max_value=7))
+def random_ttrrs(draw, min_n=3, max_n=7):
+    n_max = draw(st.integers(min_value=min_n, max_value=max_n))
     b = draw(st.lists(small, min_size=n_max + 1, max_size=n_max + 1))
     c = draw(st.lists(small.filter(bool), min_size=n_max, max_size=n_max))
     return QContext(draw(quarter_powers)), TTRRSpec.from_lists(b, c, label="random")
 
 
 @st.composite
-def family_ttrrs(draw):
+def family_ttrrs(draw, n_max=7):
     ctx = QContext(draw(quarter_powers))
     family = draw(
         st.sampled_from(["q-hermite", "alsalam-chihara", "chebyshev-t", "continuous-q-jacobi"])
@@ -49,7 +60,7 @@ def family_ttrrs(draw):
     elif family == "continuous-q-jacobi":
         params = (("p_a", draw(positive)), ("p_b", draw(positive)))
     try:
-        ttrr = FamilySpec(family, params, draw(bases)).to_ttrr(ctx, n_max=7)
+        ttrr = FamilySpec(family, params, draw(bases)).to_ttrr(ctx, n_max=n_max)
     except IrregularParameters:
         assume(False)
     return ctx, ttrr
@@ -102,3 +113,48 @@ def test_asc_closed_form_root_matches_discriminant_root(t, d, half_power, base):
     recovered = recover_asc_params(ctx, ttrr, fit, inverse=inverse)
     assert list(recovered) == expected
     assert set(recovered) == {c, d}
+
+
+@BOUNDED
+@given(quarter_powers, polys, sample_zs)
+def test_dq_and_sq_match_their_z_oracles(t, f, z):
+    ctx = QContext(t)
+    x0 = (z + 1 / z) / 2
+    assert dq_apply(ctx, f).eval(x0) == dq_oracle(ctx, f, z)
+    assert sq_apply(ctx, f).eval(x0) == sq_oracle(ctx, f, z)
+
+
+@BOUNDED
+@given(
+    family_ttrrs(n_max=10),
+    st.sampled_from(["a", "b", "c"]),
+    st.integers(min_value=1, max_value=7),
+    small.filter(bool),
+)
+def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delta):
+    # a_k, b_k, c_k enter the structure identity at n = k only, and the
+    # five-term coefficients at n = k - 1, k, k + 1 (within the horizon)
+    ctx, ttrr = case
+    N = ttrr.n_max - 2
+    ops = generate_ops(ttrr, ttrr.n_max)
+    fit = fit_auto(ctx, ops, N)[-1]
+    assume(fit.is_exact)  # Al-Salam-Chihara needs c/d = q**(+-1/2)
+    values = list(getattr(fit, field))
+    values[k] += delta
+    broken = replace(fit, **{field: tuple(values)})
+
+    structure = verify_structure(ctx, ops, broken)
+    assert len(structure.checks) == N + 1
+    assert [check.n for check in structure.failures()] == [k]
+    expansion = five_term(ctx, ops, broken)
+    assert len(expansion.report.checks) == expansion.horizon + 1
+    expected = [n for n in (k - 1, k, k + 1) if n <= expansion.horizon]
+    assert [check.n for check in expansion.report.failures()] == expected
+    assert all(check.witness for check in structure.failures() + expansion.report.failures())
+
+
+@BOUNDED
+@given(random_ttrrs(min_n=6, max_n=10))
+def test_classify_is_total_on_random_ttrrs(case):
+    ctx, ttrr = case
+    assert isinstance(classify(ctx, ttrr, ttrr.n_max), Classification)
