@@ -6,27 +6,34 @@ write bf(z) = f((z + 1/z)/2), then
     D_q f = (bf(q**(1/2) z) - bf(q**(-1/2) z)) / (be(q**(1/2) z) - be(q**(-1/2) z)),
     S_q f = (bf(q**(1/2) z) + bf(q**(-1/2) z)) / 2,
 
-where e(x) = x. Since T_k((z + 1/z)/2) = (z**k + z**-k)/2, the substitution
-z -> q**(1/2) z gives the closed actions
+where e(x) = x. The apply functions are exact matrix-vector products against
+the power-basis rows D_q x**k and S_q x**k. The rows come from the g = x
+product rules (see `LatticePolys`),
 
-    S_q T_k = alpha_k T_k,
-    D_q T_k = gamma_k * U*_{k-1},   U*_{k-1} = (z**k - z**-k)/(z - 1/z),
+    D_q(x f) = S_q f + alpha x D_q f,
+    S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f,
 
-with U*_{k-1} the degree-(k-1) second-kind Chebyshev polynomial. The apply
-functions below work through that T-basis route. The *_oracle functions
-instead evaluate the defining quotient literally at a rational sample point
-z; they share no code with the basis route and back every test of it.
+starting from D_q 1 = 0 and S_q 1 = 1. They are memoized per context, so
+every call within one problem shares them; they grow to the degree a call
+needs and are dropped when the context is collected.
 
-All functions are pure; nothing here mutates its inputs.
+The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
+D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
+for the rows. The *_oracle functions instead evaluate the defining quotient
+literally at a rational sample point z; they share no code with either route.
+
+All functions are pure; nothing here mutates its inputs, and the row memo
+changes no result.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qstruct.poly import Poly, from_cheb, to_cheb
-from qstruct.scalar import QContext, alpha_n, as_fraction, gamma_n
+from qstruct.poly import Poly
+from qstruct.scalar import QContext, as_fraction
 
 __all__ = [
     "DegenerateSamplePoint",
@@ -68,30 +75,73 @@ def lattice_polys(ctx: QContext) -> LatticePolys:
     )
 
 
+# Rows per live context, keyed weakly so that they die with it; see `_rows`.
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DEGREE_0 = (((),), ((Fraction(1),),))  # D_q 1 = 0, S_q 1 = 1
+
+
+def _rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
+    """(D, S) with D[k] and S[k] the power-basis coefficients of D_q x**k and
+    S_q x**k, for k = 0..n at least, from this context's memo.
+
+    A stored table is never changed: a longer one is built from a snapshot
+    of the shorter one and stored with one assignment, so concurrent callers
+    each hold a complete table, whichever of them stores last.
+    """
+    table = _ROWS.get(ctx, _DEGREE_0)
+    if len(table[0]) > n:
+        return table
+    d_rows, s_rows = list(table[0]), list(table[1])
+    a = ctx.alpha
+    s = a * a - 1
+    for k in range(len(d_rows) - 1, n):  # row k + 1 from row k
+        d, sq = d_rows[k], s_rows[k]
+        # D_q(x f) = S_q f + alpha x D_q f
+        d_next = list(sq)
+        for j, c in enumerate(d):
+            if c:
+                d_next[j + 1] += a * c
+        # S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f
+        s_next = [Fraction(0)] * (k + 2)
+        for j, c in enumerate(sq):
+            if c:
+                s_next[j + 1] += a * c
+        for j, c in enumerate(d):
+            if c:
+                s_next[j + 2] += s * c
+                s_next[j] -= s * c
+        d_rows.append(tuple(d_next))
+        s_rows.append(tuple(s_next))
+    table = (tuple(d_rows), tuple(s_rows))
+    _ROWS[ctx] = table
+    return table
+
+
+def _image(rows: tuple, cs: tuple[Fraction, ...], drop: int) -> Poly:
+    """sum_k cs[k] * rows[k]. Row k has degree k - drop and the parity of
+    k - drop, so only every other entry of it is read."""
+    out = [Fraction(0)] * (len(cs) - drop)
+    for k in range(drop, len(cs)):
+        c = cs[k]
+        if c:
+            row = rows[k]
+            for j in range(k - drop, -1, -2):
+                out[j] += c * row[j]
+    return Poly(tuple(out))
+
+
 def dq_apply(ctx: QContext, f: Poly) -> Poly:
     """Askey-Wilson divided difference of f. Exact; degree drops by one and
-    the leading coefficient picks up the factor gamma_{deg f}."""
-    c = to_cheb(f)
-    if len(c) <= 1:
-        return Poly.zero()
-    out = [Fraction(0)] * (len(c) - 1)
-    for k in range(1, len(c)):
-        g = c[k] * gamma_n(ctx, k)
-        if g == 0:
-            continue
-        # U*_{k-1} in the T basis: coefficient 2 at k-1, k-3, ... (1 at T_0)
-        j = k - 1
-        while j >= 0:
-            out[j] += g if j == 0 else 2 * g
-            j -= 2
-    return from_cheb(out)
+    the leading coefficient picks up the factor gamma_{deg f}. Computed as
+    sum_k f_k D_q x**k over the context's memoized rows."""
+    return _image(_rows(ctx, len(f.coeffs) - 1)[0], f.coeffs, 1)
 
 
 def sq_apply(ctx: QContext, f: Poly) -> Poly:
-    """Averaging operator: diagonal in the T basis, S_q T_k = alpha_k T_k.
-    Degree is preserved; the leading coefficient is scaled by alpha_{deg f}."""
-    c = to_cheb(f)
-    return from_cheb([ck * alpha_n(ctx, k) for k, ck in enumerate(c)])
+    """Averaging operator. Degree is preserved; the leading coefficient is
+    scaled by alpha_{deg f}. Computed as sum_k f_k S_q x**k over the
+    context's memoized rows."""
+    return _image(_rows(ctx, len(f.coeffs) - 1)[1], f.coeffs, 0)
 
 
 def _shift_points(ctx: QContext, z: Fraction) -> tuple[Fraction, Fraction]:

@@ -7,10 +7,9 @@ keeps degree arithmetic total: deg(p*q) = deg p + deg q holds for every
 pair over an exact field.
 
 The Chebyshev-T conversions use the three-term ladder
-x*T_k = (T_{k+1} + T_{k-1})/2 in both directions. That basis matters
-downstream because the Askey-Wilson operators act on T_k by scalar ladders,
-turning exact operator application into a basis change plus a diagonal
-scaling (see `awops`).
+x*T_k = (T_{k+1} + T_{k-1})/2 in both directions. The Askey-Wilson operators
+have closed actions on T_k; `awops` applies them in the power basis, and the
+test suite checks it against those T-basis actions through these conversions.
 """
 
 from __future__ import annotations

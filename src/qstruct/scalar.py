@@ -61,7 +61,9 @@ class QContext:
     alpha is pinned by the operator action D_q x**2 = 2*alpha*x, and u by
     u * (q**(1/2) - q**(-1/2)) = 1; both identities are asserted in the test
     suite. Values are immutable and all operations on them are pure, so a
-    context can be shared freely across threads.
+    context can be shared freely across threads. The operator rows that
+    `awops` builds for a context live only as long as the context; equal
+    contexts alive at the same time share them.
     """
 
     t: Fraction

@@ -1,8 +1,12 @@
+import gc
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+from qstruct import awops
 from qstruct.awops import (
     DegenerateSamplePoint,
     dq_apply,
@@ -11,11 +15,32 @@ from qstruct.awops import (
     sq_apply,
     sq_oracle,
 )
-from qstruct.poly import Poly
+from qstruct.characterize import classify
+from qstruct.families import ttrr_cq_jacobi
+from qstruct.poly import Poly, from_cheb, to_cheb
 from qstruct.scalar import QContext, alpha_n, gamma_n
 
 CTX = QContext(F(1, 2))
 CTX_B = QContext(F(2, 3))
+
+
+def t_basis_dq(ctx, f):
+    """Reference D_q f through the closed T-basis action
+    D_q T_k = gamma_k U*_{k-1}, U*_{k-1} = 2 T_{k-1} + 2 T_{k-3} + ... (T_0 once)."""
+    c = to_cheb(f)
+    if len(c) <= 1:
+        return Poly.zero()
+    out = [F(0)] * (len(c) - 1)
+    for k in range(1, len(c)):
+        g = c[k] * gamma_n(ctx, k)
+        for j in range(k - 1, -1, -2):
+            out[j] += g if j == 0 else 2 * g
+    return from_cheb(out)
+
+
+def t_basis_sq(ctx, f):
+    """Reference S_q f through the closed T-basis action S_q T_k = alpha_k T_k."""
+    return from_cheb([ck * alpha_n(ctx, k) for k, ck in enumerate(to_cheb(f))])
 
 
 def rand_poly(rng, max_deg):
@@ -139,3 +164,66 @@ def test_lattice_polys_values():
     s = CTX.alpha**2 - 1
     assert lp.u1 == Poly((F(0), s))
     assert lp.u2 == Poly((-s, F(0), s))
+
+
+def test_rows_die_with_their_contexts():
+    # the memo is per live context: classifying on fresh contexts and
+    # dropping them must leave nothing behind, whatever t they had
+    ts = [F(1, 4), F(2, 5), F(3, 5)]  # held by no other live context
+    gc.collect()
+    before = len(awops._ROWS)
+    contexts = [QContext(ts[k % len(ts)]) for k in range(30)]
+    for ctx in contexts:
+        ttrr = ttrr_cq_jacobi(ctx, F(1, 4), F(1, 16), n_max=16)
+        assert classify(ctx, ttrr, 16).family == "continuous-q-jacobi"
+    assert len(awops._ROWS) == before + len(ts)  # equal live contexts share rows
+    del contexts, ctx
+    gc.collect()
+    assert len(awops._ROWS) == before
+
+
+def test_concurrent_growth_gives_single_threaded_images():
+    # four threads grow one fresh context's rows at once, in different
+    # degree orders; a reader must never see a partial or misaligned table.
+    # Whether two growers overlap depends on scheduling, so take three rounds.
+    rng = random.Random(43)
+    t = F(5, 11)
+    polys = [
+        Poly(tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)) + (F(1),))
+        for n in range(5, 41)
+    ]
+    reference = QContext(t)
+    expected = [(dq_apply(reference, f), sq_apply(reference, f)) for f in polys]
+    del reference
+
+    def worker(ctx, start, order, seen):
+        start.wait(timeout=60)
+        for i in order:
+            seen[i] = (dq_apply(ctx, polys[i]), sq_apply(ctx, polys[i]))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            gc.collect()
+            ctx = QContext(t)
+            assert ctx not in awops._ROWS
+            orders = [list(range(len(polys))) for _ in range(4)]
+            orders[1].reverse()
+            rng.shuffle(orders[2])
+            images = [{} for _ in orders]
+            start = threading.Barrier(len(orders))
+            threads = [
+                threading.Thread(target=worker, args=(ctx, start, order, seen))
+                for order, seen in zip(orders, images)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            for seen in images:
+                assert [seen.get(i) for i in range(len(polys))] == expected
+            del ctx
+    finally:
+        sys.setswitchinterval(old_interval)

@@ -3,9 +3,9 @@
 fit_auto shares one set of D_q P_n images across its degree attempts;
 fit_structure, which computes its own images, is the reference. The
 Al-Salam-Chihara recovery takes its root in closed form; the rational
-square root of the discriminant is the reference. D_q and S_q go through
-the Chebyshev basis; the literal z-substitution quotients are the
-reference. A fit perturbed at one index must fail its structure and
+square root of the discriminant is the reference. D_q and S_q apply rows
+memoized per context; the literal z-substitution quotients and the closed
+Chebyshev-T actions are the references. A fit perturbed at one index must fail its structure and
 five-term reports exactly where that index enters, and classify must
 return a Classification for any regular recurrence.
 """
@@ -15,7 +15,9 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_awops import t_basis_dq, t_basis_sq
 
+from qstruct import awops
 from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
 from qstruct.characterize import Classification, _sqrt_exact, classify, recover_asc_params
 from qstruct.families import (
@@ -35,6 +37,11 @@ positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
 quarter_powers = st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)
 bases = st.sampled_from(["q", "q-inverse"])
 polys = st.lists(small, min_size=1, max_size=7).map(lambda cs: Poly(tuple(cs)))
+polys_up_to_40 = (
+    st.integers(min_value=0, max_value=40)
+    .flatmap(lambda d: st.lists(small, min_size=d + 1, max_size=d + 1))
+    .map(lambda cs: Poly(tuple(cs)))
+)
 sample_zs = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(
     lambda z: z not in (0, 1, -1)
 )
@@ -122,6 +129,23 @@ def test_dq_and_sq_match_their_z_oracles(t, f, z):
     x0 = (z + 1 / z) / 2
     assert dq_apply(ctx, f).eval(x0) == dq_oracle(ctx, f, z)
     assert sq_apply(ctx, f).eval(x0) == sq_oracle(ctx, f, z)
+
+
+@BOUNDED
+@given(
+    st.fractions(min_value=F(1, 29), max_value=F(28, 29), max_denominator=29),
+    st.lists(polys_up_to_40, min_size=2, max_size=4),
+)
+def test_dq_and_sq_match_the_chebyshev_reference(t, fs):
+    # descending degrees first build the rows in one go; ascending degrees
+    # above them then grow the rows step by step
+    ctx = QContext(t)
+    assume(ctx not in awops._ROWS)
+    fs = sorted(fs, key=lambda f: len(f.coeffs))
+    half = len(fs) // 2
+    for f in fs[:half][::-1] + fs[half:]:
+        assert dq_apply(ctx, f) == t_basis_dq(ctx, f)
+        assert sq_apply(ctx, f) == t_basis_sq(ctx, f)
 
 
 @BOUNDED
