@@ -41,7 +41,7 @@ class Poly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [as_fraction(c) for c in self.coeffs]
+        cs = [c if type(c) is Fraction else as_fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

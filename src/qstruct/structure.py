@@ -2,15 +2,46 @@
 
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
-for a monic OPS table, with pi monic of degree 0, 1, or 2. Everything is an
-exact rational linear-algebra problem: pi enters the identity linearly, and
-with pi fixed each n contributes a small independent system for
-(a_n, b_n, c_n). The fitter first solves the identities for n = 1..3
-jointly to pin pi (joining further blocks only in the rare case those leave
-pi underdetermined), then extends index by index, reporting the first n
-whose system is inconsistent when no fit exists. `fit_structure` fits one
+for a monic OPS table, with pi monic of degree 0, 1, or 2. The fitter works
+in two steps. It pins pi by exact Gauss-Jordan elimination on the joint
+identities n = 1..2 and then n = 1..3 (pi enters them linearly), reporting
+m = 2 or 3 with pi zero when that system is inconsistent. With pi fixed,
+identity n is triangular in (a_n, b_n, c_n), because P_n and P_{n-1} are
+monic: the coefficients of x**(n+1), x**n and x**(n-1) of pi * D_q P_n give
+a_n, b_n and c_n by back-substitution, and index n is accepted exactly when
+its residual (see `structure_residual`) is the zero polynomial. The first
+nonzero residual is the reported failure index. `fit_structure` fits one
 degree; `fit_auto` tries 0, 1, 2 in order on one shared set of D_q P_n
 images and stops at the first exact fit.
+
+Why n = 1..3 always pins pi. The table comes from a recurrence
+P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
+D_q P_n = gamma_n x**(n-1) + ... with gamma_n != 0 for n >= 1.
+
+* D_q P_1 = 1, so identity 1 reads pi = (a_1 x + b_1)(x - B_0) + c_1,
+  which division by x - B_0 solves for every pi of degree <= 2: n = 1
+  never fails.
+* Suppose two monic pi, pi' of degree d both satisfy n = 1..3. Their
+  difference delta != 0 has degree < d <= 2, and by linearity
+  delta * D_q P_n lies in span{P_n, P_{n-1}} for n = 1..3 (its degree is
+  at most n).
+  - deg delta = 0 gives D_q P_n = gamma_n P_{n-1}. Then pi * D_q P_n has
+    the P_{n-2} component gamma_2 C_1 for d = 1, n = 2, or the P_{n-3}
+    component gamma_3 C_2 C_1 for d = 2, n = 3; identity n allows neither.
+  - deg delta = 1 (so d = 2) gives (x + s) D_q P_n = gamma_n P_n
+    + c'_n P_{n-1}. Write pi = (x + s)(x + r) + k; then
+    pi * D_q P_n = (x + r)(gamma_n P_n + c'_n P_{n-1}) + k D_q P_n.
+    The first term lies in span{P_{n+1}, ..., P_{n-2}}. If k != 0, this
+    leaves D_q P_3 = gamma_3 P_2 + mu P_1, and in (x + s) D_q P_3
+    = gamma_3 P_3 + c'_3 P_2 the P_0 component forces mu = 0, after
+    which the P_1 component reads gamma_3 C_2 = 0. If k = 0,
+    the P_{n-2} component c'_n C_{n-1} must vanish, so c'_2 = c'_3 = 0:
+    P_2 and P_3 share the root -s, and the recurrence carries it down to
+    P_1 and then to P_0 = 1.
+
+  Each case contradicts C_n != 0 or gamma_n != 0. So a consistent n = 1..3
+system fixes pi, and with it every (a_n, b_n, c_n): it has no free column,
+and no further identity needs to join it.
 
 The checks of an exact fit, `verify_structure` and the report of
 `five_term`, return one Check per index, failures included, with the
@@ -120,14 +151,12 @@ def padded(seq):
     return lambda n: seq[n] if n >= 0 else zero
 
 
-def _solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gauss-Jordan elimination over Fractions.
-
-    Returns (consistent, x, determined): x is a particular solution with all
-    free variables at zero, and determined[j] is True exactly when x[j] is
-    pinned by the system (pivot column whose row has no free-column support).
-    """
-    ncols = len(rows[0]) if rows else 0
+def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan elimination over Fractions: a solution x of the system
+    with every free variable at zero, or None when it is inconsistent. The
+    fitter only hands it the joint systems that pin pi, which have no free
+    column (see the module docstring)."""
+    ncols = len(rows[0])
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
     r = 0
@@ -152,27 +181,11 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]):
             break
     for i in range(r, len(m)):
         if m[i][ncols] != 0:
-            return False, None, None
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
+            return None
     x = [Fraction(0)] * ncols
-    determined = [False] * ncols
     for row, col in pivots:
         x[col] = m[row][ncols]
-        determined[col] = all(m[row][j] == 0 for j in free_cols)
-    return True, x, determined
-
-
-def _partial_fit(pi: Poly, a, b, c, failure_n: int, N: int) -> StructureFit:
-    return StructureFit(
-        pi=pi,
-        a=tuple(a),
-        b=tuple(b),
-        c=tuple(c),
-        status=STATUS_NO_SOLUTION,
-        failure_n=failure_n,
-        horizon=N,
-    )
+    return x
 
 
 def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> list[Poly]:
@@ -210,16 +223,16 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     return fits
 
 
-def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
-    """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
-    P = ops.polys
-
-    def block_rows(n: int, ncols: int, base: int):
-        """Coefficient-wise equations of identity n over the joint unknowns.
-        Column j < d is the pi coefficient p_j; columns base..base+2 are
-        (a_n, b_n, c_n). The monic part x**d * D_q P_n goes to the rhs."""
+def _joint_system(P: tuple[Poly, ...], dq: list[Poly], d: int, m: int):
+    """Coefficient-wise equations of the identities n = 1..m over the joint
+    unknowns. Column j < d is the pi coefficient p_j; columns
+    d + 3(n - 1) .. d + 3(n - 1) + 2 are (a_n, b_n, c_n). The monic part
+    x**d * D_q P_n goes to the rhs."""
+    ncols = d + 3 * m
+    rows, rhs = [], []
+    for n in range(1, m + 1):
+        base = d + 3 * (n - 1)
         dn = dq[n]
-        rows, rhs = [], []
         for i in range(max(d + n - 1, n + 1) + 1):
             row = [Fraction(0)] * ncols
             for j in range(d):
@@ -229,60 +242,34 @@ def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
             row[base + 2] = -P[n - 1].coeff(i)
             rows.append(row)
             rhs.append(-dn.coeff(i - d))
-        return rows, rhs
+    return rows, rhs
 
-    # Joint phase: pin pi from the smallest consistent block range (n = 1..3
-    # suffices for every regular input; more blocks join only if pi stays
-    # underdetermined).
-    solution = None
-    pin_m = None
-    for m in range(1, N + 1):
-        ncols = d + 3 * m
-        rows, rhs = [], []
-        for n in range(1, m + 1):
-            r, h = block_rows(n, ncols, d + 3 * (n - 1))
-            rows.extend(r)
-            rhs.extend(h)
-        consistent, x, determined = _solve(rows, rhs)
-        if not consistent:
-            return _partial_fit(Poly.zero(), (), (), (), m, N)
-        solution, pin_m = x, m
-        if m >= 3 and all(determined[:d]):
-            break
 
-    pi = Poly(tuple(solution[:d]) + (Fraction(1),)) if d else Poly.one()
-    zero = Fraction(0)
-    a = [zero] * (N + 1)
-    b = [zero] * (N + 1)
-    c = [zero] * (N + 1)
-    for n in range(1, pin_m + 1):
-        base = d + 3 * (n - 1)
-        a[n], b[n], c[n] = solution[base], solution[base + 1], solution[base + 2]
+def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
+    """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
+    P = ops.polys
+    # n = 1..3 pins pi whenever it is consistent (module docstring)
+    for m in (2, 3):
+        solution = _solve(*_joint_system(P, dq, d, m))
+        if solution is None:
+            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N)
+    pi = Poly(tuple(solution[:d]) + (Fraction(1),))
 
-    # Extension phase: pi is fixed, each n is an independent 3-unknown solve
-    # whose inconsistency certifies a nonzero residual at that index.
-    for n in range(pin_m + 1, N + 1):
-        lhs = pi * dq[n]
-        rows, rhs = [], []
-        top = max(d + n - 1, n + 1)
-        for i in range(top + 1):
-            rows.append([P[n].coeff(i - 1), P[n].coeff(i), P[n - 1].coeff(i)])
-            rhs.append(lhs.coeff(i))
-        consistent, x, _ = _solve(rows, rhs)
-        if not consistent:
-            return _partial_fit(pi, a[:n], b[:n], c[:n], n, N)
-        a[n], b[n], c[n] = x
+    # P_n and P_{n-1} are monic: x**(n+1), x**n, x**(n-1) give a_n, b_n, c_n
+    a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
+    for n in range(1, N + 1):
+        lhs, p = pi * dq[n], P[n]
+        a.append(lhs.coeff(n + 1))
+        b.append(lhs.coeff(n) - a[n] * p.coeff(n - 1))
+        c.append(lhs.coeff(n - 1) - a[n] * p.coeff(n - 2) - b[n] * p.coeff(n - 1))
+        if lhs - Poly((b[n], a[n])) * p - c[n] * P[n - 1]:
+            return StructureFit(
+                pi, tuple(a[:n]), tuple(b[:n]), tuple(c[:n]), STATUS_NO_SOLUTION, n, N
+            )
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
-    return StructureFit(
-        pi=pi,
-        a=tuple(a),
-        b=tuple(b),
-        c=tuple(c),
-        status=STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C,
-        failure_n=zero_c,
-        horizon=N,
-    )
+    status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
 
 
 def structure_residual(

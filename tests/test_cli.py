@@ -306,3 +306,56 @@ def test_string_instead_of_list_exits_2(tmp_path, capsys, command):
     code, _, err = run(capsys, command, write_doc(tmp_path, doc))
     assert_bad_input(code, err)
     assert '"B"' in err
+
+
+# Rejection paths downstream of an exact fit: C_10 and B_10 first enter
+# P_11, so the fit at N = 10 stays exact and the failure shows in the
+# auxiliary recurrences or in the parameter recovery.
+CQ_JACOBI_ARGS = ("--family", "continuous-q-jacobi", "--p-a", "1/3", "--p-b", "2/5")
+
+
+def perturbed_file(tmp_path, family_args, key, n, delta=F(1, 1000)):
+    path = gen_file(tmp_path, "p.json", "generate", *family_args, "--q-quarter", "1/2", "-N", "12")
+    data = json.loads(path.read_text())
+    i = n if key == "B" else n - 1  # B holds B_0.., C holds C_1..
+    data[key][i] = str(F(data[key][i]) + delta)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_reports_aux_recurrence_failure(tmp_path, capsys):
+    path = perturbed_file(tmp_path, CQ_JACOBI_ARGS, "C", 10)
+    code, out, _ = run(capsys, "verify", path, "-N", "10")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    failing = [(c["name"], c["n"]) for c in data["checks"] if not c["passed"]]
+    assert failing == [("system:aux", 10)]
+
+
+@pytest.mark.parametrize(
+    "family_args",
+    [
+        CQ_JACOBI_ARGS,
+        ("--family", "q-hermite"),
+        ("--family", "chebyshev-t"),
+        ("--family", "alsalam-chihara", "--c", "1/4", "--d", "1"),
+    ],
+    ids=["cq-jacobi", "q-hermite", "chebyshev-t", "alsalam-chihara"],
+)
+def test_classify_reports_aux_recurrence_failure(tmp_path, capsys, family_args):
+    path = perturbed_file(tmp_path, family_args, "C", 10)
+    code, out, _ = run(capsys, "classify", path, "-N", "10")
+    assert code == 3
+    data = json.loads(out)
+    assert data["family"] == "not-characterized"
+    assert data["predicates"]["aux-recurrence"]["holds"] is False
+
+
+def test_classify_reports_qjacobi_recovery_failure(tmp_path, capsys):
+    path = perturbed_file(tmp_path, CQ_JACOBI_ARGS, "B", 10)
+    code, out, _ = run(capsys, "classify", path, "-N", "10")
+    assert code == 3
+    ledger = json.loads(out)["predicates"]
+    for key in ("qjacobi-recovery-q", "qjacobi-recovery-q-inverse", "qjacobi-recovery"):
+        assert ledger[key]["holds"] is False

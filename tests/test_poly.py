@@ -101,3 +101,12 @@ def test_json_round_trip():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Poly((0.5,))
+
+
+def test_only_non_fraction_coefficients_are_coerced():
+    with pytest.raises(TypeError):
+        Poly((F(1, 2), 0.5))  # a float behind a Fraction
+    p = Poly((1, F(1, 2), -3))
+    assert p.coeffs == (F(1), F(1, 2), F(-3))
+    assert all(type(c) is F for c in p.coeffs)
+    assert all(type(c) is F for c in (p * p + 2 * p).coeffs)

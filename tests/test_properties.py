@@ -5,9 +5,12 @@ fit_structure, which computes its own images, is the reference. The
 Al-Salam-Chihara recovery takes its root in closed form; the rational
 square root of the discriminant is the reference. D_q and S_q apply rows
 memoized per context; the literal z-substitution quotients and the closed
-Chebyshev-T actions are the references. A fit perturbed at one index must fail its structure and
-five-term reports exactly where that index enters, and classify must
-return a Classification for any regular recurrence.
+Chebyshev-T actions are the references. fit_structure pins pi once and
+back-substitutes each index; the Gauss-Jordan fitter it replaced is the
+reference, and its n = 1..3 system must leave no free column. A fit
+perturbed at one index must fail its structure and five-term reports
+exactly where that index enters, and classify must return a
+Classification for any regular recurrence.
 """
 
 from dataclasses import replace
@@ -16,6 +19,7 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import t_basis_dq, t_basis_sq
+from test_structure import reference_fit, reference_joint_system, reference_solve
 
 from qstruct import awops
 from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
@@ -93,6 +97,46 @@ def test_fit_auto_matches_fit_structure_on_random_ttrrs(case):
 @given(family_ttrrs())
 def test_fit_auto_matches_fit_structure_on_family_points(case):
     assert_fit_auto_is_reference_prefix(*case)
+
+
+@st.composite
+def fit_cases(draw):
+    """A regular TTRR with horizon N in 3..12, as its OPS table: random, a
+    family point, or a family point with one B_k or C_k shifted, 1 <= k <= N."""
+    N = draw(st.integers(min_value=3, max_value=12))
+    kind = draw(st.sampled_from(["random", "family", "perturbed"]))
+    if kind == "random":
+        ctx, ttrr = draw(random_ttrrs(min_n=N, max_n=N))
+    else:
+        ctx, ttrr = draw(family_ttrrs(n_max=N))
+    if kind == "perturbed":
+        k = draw(st.integers(min_value=1, max_value=N))
+        b, c = list(ttrr.b), list(ttrr.c)
+        seq, i = (b, k) if draw(st.booleans()) else (c, k - 1)
+        seq[i] += draw(small.filter(bool))
+        try:
+            ttrr = TTRRSpec.from_lists(b, c, label="perturbed")
+        except IrregularParameters:
+            assume(False)
+    return ctx, generate_ops(ttrr, N), N
+
+
+@BOUNDED
+@given(fit_cases())
+def test_fit_structure_matches_the_gauss_jordan_reference(case):
+    ctx, ops, N = case
+    for d in (0, 1, 2):
+        assert fit_structure(ctx, ops, d, N) == reference_fit(ctx, ops, d, N)
+
+
+@BOUNDED
+@given(fit_cases())
+def test_consistent_pin_system_leaves_no_free_column(case):
+    ctx, ops, _ = case
+    dq = [dq_apply(ctx, p) for p in ops.polys[:4]]
+    for d in (0, 1, 2):
+        consistent, _, determined = reference_solve(*reference_joint_system(ops, dq, d, 3))
+        assert not consistent or all(determined)
 
 
 @BOUNDED

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qstruct.awops import dq_apply
 from qstruct.families import (
     generate_ops,
     ttrr_alsalam_chihara,
@@ -13,8 +14,10 @@ from qstruct.families import (
 from qstruct.poly import Poly
 from qstruct.scalar import QContext, gamma_n, qpow
 from qstruct.structure import (
+    STATUS_DEGENERATE_C,
     STATUS_EXACT,
     STATUS_NO_SOLUTION,
+    StructureFit,
     fit_structure,
     five_term,
     structure_residual,
@@ -27,6 +30,116 @@ N = 10
 
 def ops_for(ttrr):
     return generate_ops(ttrr, N)
+
+
+def reference_solve(rows, rhs):
+    """Reference Gauss-Jordan elimination over Fractions.
+
+    Returns (consistent, x, determined): x is a particular solution with all
+    free variables at zero, and determined[j] is True exactly when x[j] is
+    pinned by the system (pivot column whose row has no free-column support).
+    """
+    ncols = len(rows[0]) if rows else 0
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][ncols] != 0:
+            return False, None, None
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [j for j in range(ncols) if j not in pivot_cols]
+    x = [F(0)] * ncols
+    determined = [False] * ncols
+    for row, col in pivots:
+        x[col] = m[row][ncols]
+        determined[col] = all(m[row][j] == 0 for j in free_cols)
+    return True, x, determined
+
+
+def reference_joint_system(ops, dq, d, m):
+    """Coefficient-wise equations of the identities n = 1..m over the joint
+    unknowns. Column j < d is the pi coefficient p_j; columns
+    d + 3(n - 1) .. d + 3(n - 1) + 2 are (a_n, b_n, c_n). The monic part
+    x**d * D_q P_n goes to the rhs."""
+    P = ops.polys
+    ncols = d + 3 * m
+    rows, rhs = [], []
+    for n in range(1, m + 1):
+        base = d + 3 * (n - 1)
+        dn = dq[n]
+        for i in range(max(d + n - 1, n + 1) + 1):
+            row = [F(0)] * ncols
+            for j in range(d):
+                row[j] = dn.coeff(i - j)  # x**j * D_q P_n
+            row[base] = -P[n].coeff(i - 1)  # x * P_n
+            row[base + 1] = -P[n].coeff(i)
+            row[base + 2] = -P[n - 1].coeff(i)
+            rows.append(row)
+            rhs.append(-dn.coeff(i - d))
+    return rows, rhs
+
+
+def reference_fit(ctx, ops, d, n_fit):
+    """Reference fit_structure: pin pi from the smallest consistent range
+    n = 1..m (m >= 3) that determines it, then solve each further index
+    by its own Gauss-Jordan system."""
+    P = ops.polys
+    dq = [dq_apply(ctx, p) for p in P[: n_fit + 1]]
+
+    def partial(pi, a, b, c, failure_n):
+        return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, failure_n, n_fit)
+
+    solution = None
+    pin_m = None
+    for m in range(1, n_fit + 1):
+        consistent, x, determined = reference_solve(*reference_joint_system(ops, dq, d, m))
+        if not consistent:
+            return partial(Poly.zero(), (), (), (), m)
+        solution, pin_m = x, m
+        if m >= 3 and all(determined[:d]):
+            break
+
+    pi = Poly(tuple(solution[:d]) + (F(1),)) if d else Poly.one()
+    a = [F(0)] * (n_fit + 1)
+    b = [F(0)] * (n_fit + 1)
+    c = [F(0)] * (n_fit + 1)
+    for n in range(1, pin_m + 1):
+        base = d + 3 * (n - 1)
+        a[n], b[n], c[n] = solution[base], solution[base + 1], solution[base + 2]
+
+    for n in range(pin_m + 1, n_fit + 1):
+        lhs = pi * dq[n]
+        rows, rhs = [], []
+        for i in range(max(d + n - 1, n + 1) + 1):
+            rows.append([P[n].coeff(i - 1), P[n].coeff(i), P[n - 1].coeff(i)])
+            rhs.append(lhs.coeff(i))
+        consistent, x, _ = reference_solve(rows, rhs)
+        if not consistent:
+            return partial(pi, a[:n], b[:n], c[:n], n)
+        a[n], b[n], c[n] = x
+
+    zero_c = next((n for n in range(1, n_fit + 1) if c[n] == 0), None)
+    status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, n_fit)
 
 
 def test_qhermite_fit_deg0():
