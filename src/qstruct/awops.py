@@ -7,15 +7,19 @@ write bf(z) = f((z + 1/z)/2), then
     S_q f = (bf(q**(1/2) z) + bf(q**(-1/2) z)) / 2,
 
 where e(x) = x. The apply functions are exact matrix-vector products against
-the power-basis rows D_q x**k and S_q x**k. The rows come from the g = x
-product rules (see `LatticePolys`),
+the power-basis rows D_q x**k and S_q x**k. Each row is a `Poly`, integer
+numerators over its own denominator; an image is summed as one integer
+vector over the lcm of the row denominators it reads and normalized once.
+The rows come from the g = x product rules (see `LatticePolys`),
 
     D_q(x f) = S_q f + alpha x D_q f,
     S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f,
 
 starting from D_q 1 = 0 and S_q 1 = 1. They are memoized per context, so
 every call within one problem shares them; they grow to the degree a call
-needs and are dropped when the context is collected.
+needs and are dropped when the context is collected. `operator_rows` hands
+them out: they are the monomial images, which the Pearson check reads
+directly.
 
 The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
 D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
@@ -31,6 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from qstruct.poly import Poly
 from qstruct.scalar import QContext, as_fraction
@@ -39,6 +44,7 @@ __all__ = [
     "DegenerateSamplePoint",
     "LatticePolys",
     "lattice_polys",
+    "operator_rows",
     "dq_apply",
     "sq_apply",
     "dq_oracle",
@@ -75,14 +81,15 @@ def lattice_polys(ctx: QContext) -> LatticePolys:
     )
 
 
-# Rows per live context, keyed weakly so that they die with it; see `_rows`.
+# Rows per live context, keyed weakly so that they die with it; see `operator_rows`.
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_DEGREE_0 = (((),), ((Fraction(1),),))  # D_q 1 = 0, S_q 1 = 1
+_DEGREE_0 = ((Poly.zero(),), (Poly.one(),))  # D_q 1 = 0, S_q 1 = 1
 
 
-def _rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
-    """(D, S) with D[k] and S[k] the power-basis coefficients of D_q x**k and
-    S_q x**k, for k = 0..n at least, from this context's memo.
+def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """(D, S) with D[k] = D_q x**k and S[k] = S_q x**k for k = 0..n at least,
+    from this context's memo. Each row is a Poly: integer numerators over
+    its own denominator.
 
     A stored table is never changed: a longer one is built from a snapshot
     of the shorter one and stored with one assignment, so concurrent callers
@@ -92,56 +99,44 @@ def _rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
     if len(table[0]) > n:
         return table
     d_rows, s_rows = list(table[0]), list(table[1])
-    a = ctx.alpha
-    s = a * a - 1
+    alpha_x, u2 = Poly((0, ctx.alpha)), lattice_polys(ctx).u2
     for k in range(len(d_rows) - 1, n):  # row k + 1 from row k
         d, sq = d_rows[k], s_rows[k]
-        # D_q(x f) = S_q f + alpha x D_q f
-        d_next = list(sq)
-        for j, c in enumerate(d):
-            if c:
-                d_next[j + 1] += a * c
-        # S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f
-        s_next = [Fraction(0)] * (k + 2)
-        for j, c in enumerate(sq):
-            if c:
-                s_next[j + 1] += a * c
-        for j, c in enumerate(d):
-            if c:
-                s_next[j + 2] += s * c
-                s_next[j] -= s * c
-        d_rows.append(tuple(d_next))
-        s_rows.append(tuple(s_next))
+        d_rows.append(sq + alpha_x * d)  # D_q(x f) = S_q f + alpha x D_q f
+        s_rows.append(alpha_x * sq + u2 * d)  # S_q(x f) = alpha x S_q f + u2 D_q f
     table = (tuple(d_rows), tuple(s_rows))
     _ROWS[ctx] = table
     return table
 
 
-def _image(rows: tuple, cs: tuple[Fraction, ...], drop: int) -> Poly:
-    """sum_k cs[k] * rows[k]. Row k has degree k - drop and the parity of
-    k - drop, so only every other entry of it is read."""
-    out = [Fraction(0)] * (len(cs) - drop)
-    for k in range(drop, len(cs)):
-        c = cs[k]
-        if c:
-            row = rows[k]
-            for j in range(k - drop, -1, -2):
-                out[j] += c * row[j]
-    return Poly(tuple(out))
+def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> Poly:
+    """sum_k f_k * rows[k], summed as integers over the lcm of the row
+    denominators. Row k has degree k - drop and the parity of k - drop, so
+    only every other entry of it is read."""
+    cs = f.nums
+    used = [k for k in range(drop, len(cs)) if cs[k]]
+    den = lcm(*(rows[k].den for k in used))
+    out = [0] * (len(cs) - drop)
+    for k in used:
+        row = rows[k]
+        m = cs[k] * (den // row.den)
+        j = (k - drop) % 2
+        out[j : k - drop + 1 : 2] = [o + m * r for o, r in zip(out[j::2], row.nums[j::2])]
+    return Poly.from_ints(out, den * f.den)
 
 
 def dq_apply(ctx: QContext, f: Poly) -> Poly:
     """Askey-Wilson divided difference of f. Exact; degree drops by one and
     the leading coefficient picks up the factor gamma_{deg f}. Computed as
     sum_k f_k D_q x**k over the context's memoized rows."""
-    return _image(_rows(ctx, len(f.coeffs) - 1)[0], f.coeffs, 1)
+    return _image(operator_rows(ctx, len(f.nums) - 1)[0], f, 1)
 
 
 def sq_apply(ctx: QContext, f: Poly) -> Poly:
     """Averaging operator. Degree is preserved; the leading coefficient is
     scaled by alpha_{deg f}. Computed as sum_k f_k S_q x**k over the
     context's memoized rows."""
-    return _image(_rows(ctx, len(f.coeffs) - 1)[1], f.coeffs, 0)
+    return _image(operator_rows(ctx, len(f.nums) - 1)[1], f, 0)
 
 
 def _shift_points(ctx: QContext, z: Fraction) -> tuple[Fraction, Fraction]:

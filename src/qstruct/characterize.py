@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from qstruct.awops import dq_apply, sq_apply
+from qstruct.awops import operator_rows
 from qstruct.families import (
     IrregularParameters,
     TTRRSpec,
@@ -78,7 +78,7 @@ BASE_Q_INVERSE = "q-inverse"
 
 
 class RecurrenceViolated(Exception):
-    """t_n or r_n fails its two-geometric-terms closed form at index n."""
+    """t_n fails its two-geometric-terms closed form at index n."""
 
     def __init__(self, n: int, detail: str = ""):
         self.n = n
@@ -177,19 +177,27 @@ def _sqrt_exact(x: Fraction) -> Fraction | None:
 
 def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequences:
     """Derive (k1, k2, a_hat, b_hat) and materialize t_n, r_n to the fit
-    horizon, verifying the closed forms
+    horizon, verifying the closed form
 
-        t_n = k1 q**(n/2) + k2 q**(-n/2),
-        r_n = a_hat q**(n/2) + b_hat q**(-n/2)
+        t_n = k1 q**(n/2) + k2 q**(-n/2)
 
-    exactly at every index (RecurrenceViolated on the first failure; both
-    sequences solve x_{n+2} - 2 alpha x_{n+1} + x_n = 0, so matching the
-    closed form is equivalent to satisfying that recurrence).
+    exactly at every index (RecurrenceViolated on the first failure; t_n
+    solves x_{n+2} - 2 alpha x_{n+1} + x_n = 0, so matching the closed form
+    is equivalent to satisfying that recurrence).
 
     a_hat and b_hat are k1 + u a_1 (1 - q**(-1/2)) and
-    k2 - u a_1 (1 - q**(1/2)); with a monic pi of degree 2 the fit forces
-    a_1 = 1, recovering the familiar displayed form, while for lower degrees
-    a_1 = 0 collapses r_n to t_n.
+    k2 - u a_1 (1 - q**(1/2)), and r_n = a_hat q**(n/2) + b_hat q**(-n/2)
+    follows wherever t_n meets its closed form, so it needs no test of its
+    own. The coefficient of x**(n+1) in pi D_q P_n is a_n, so a fit gives
+    a_n = 0 for deg pi <= 1 and a_n = gamma_n (a_1 = 1, a_0 = gamma_0 = 0)
+    for monic pi of degree 2. With u = 1/(q**(1/2) - q**(-1/2)),
+
+        gamma_n - gamma_{n-1} = u (1 - q**(-1/2)) q**(n/2)
+                                - u (1 - q**(1/2)) q**(-n/2),
+
+    so in both cases r_n - t_n = a_n - a_{n-1}
+    = (a_hat - k1) q**(n/2) + (b_hat - k2) q**(-n/2) at every n >= 1; for
+    deg pi <= 1 the factor a_1 = 0 collapses r_n to t_n.
     """
     if not fit.is_exact:
         raise ValueError("aux_sequences requires an exact fit")
@@ -213,11 +221,8 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
         tn = fit.c[n] / ttrr.C(n)
         if tn != k1 * qpow(ctx, 2 * n) + k2 * qpow(ctx, -2 * n):
             raise RecurrenceViolated(n, "(t)")
-        rn = tn + fit.a[n] - fit.a[n - 1]
-        if rn != a_hat * qpow(ctx, 2 * n) + b_hat * qpow(ctx, -2 * n):
-            raise RecurrenceViolated(n, "(r)")
         t.append(tn)
-        r.append(rn)
+        r.append(tn + fit.a[n] - fit.a[n - 1])
     return AuxSequences(t=tuple(t), k1=k1, k2=k2, r=tuple(r), a_hat=a_hat, b_hat=b_hat)
 
 
@@ -244,15 +249,18 @@ def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonDat
 
 def pearson_check(ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int) -> Report:
     """Check -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
-    exact moments (needed to order N + 2). The report holds one pearson
-    check per order; a failing one carries both sides as its witness."""
+    exact moments (needed to order N + 2). The monomial images are the
+    context's operator rows, and each side is one dot product of a row with
+    the moments of phi u or psi u. The report holds one pearson check per
+    order; a failing one carries both sides as its witness."""
     fr = format_rational
     mom = moments(ttrr, N + 2)
+    phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
+    d_rows, s_rows = operator_rows(ctx, N)
     checks = []
     for n in range(N + 1):
-        xn = Poly.monomial(n)
-        lhs = -mom.apply(pd.phi * dq_apply(ctx, xn))
-        rhs = mom.apply(pd.psi * sq_apply(ctx, xn))
+        lhs = -phi_u.apply(d_rows[n])
+        rhs = psi_u.apply(s_rows[n])
         fails = lhs != rhs
         witness = f"Pearson identity fails at n = {n}: {fr(lhs)} != {fr(rhs)}" if fails else ""
         checks.append(Check("pearson", n, not fails, witness))

@@ -152,7 +152,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
         )
     wants = lambda name: which in ("all", name)
     if wants("structure"):
-        report = report.merged(verify_structure(ctx, ops, fit))
+        report = report.merged(verify_structure(ctx, ops, fit, fit.dq))
     if wants("system"):
         try:
             aux = aux_sequences(ctx, ttrr, fit)

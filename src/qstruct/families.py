@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from qstruct.poly import Poly, poly_to_json
@@ -309,7 +311,8 @@ class OPSTable:
         return len(self.polys) - 1
 
     def expand(self, f: Poly) -> list[Fraction]:
-        """Coefficients of f in the monic P_k basis, by back substitution."""
+        """Coefficients of f in the monic P_k basis, by back substitution:
+        the leading term of the remainder is the next P_k component."""
         if not f:
             return []
         deg = f.degree
@@ -317,12 +320,10 @@ class OPSTable:
             raise ValueError(f"table only reaches degree {self.degree}, need {deg}")
         out = [Fraction(0)] * (deg + 1)
         rem = f
-        for k in range(deg, -1, -1):
-            ck = rem.coeff(k)
+        while rem:
+            k, ck = rem.degree, rem.lead
             out[k] = ck
-            if ck:
-                rem = rem - ck * self.polys[k]
-        assert not rem
+            rem = rem - ck * self.polys[k]
         return out
 
 
@@ -341,36 +342,52 @@ def generate_ops(ttrr: TTRRSpec, N: int) -> OPSTable:
 @dataclass(frozen=True)
 class MomentVector:
     """Moments mu_n = <u, x**n> of the regular functional normalized by
-    mu_0 = 1, where u annihilates every P_n with n >= 1."""
+    mu_0 = 1, where u annihilates every P_n with n >= 1, stored as integer
+    numerators over one common denominator: mu_n = nums[n] / den.
+    `moments` returns them with gcd(den, *nums) = 1."""
 
-    mu: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def mu(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""
-        if f.degree != float("-inf") and f.degree >= len(self.mu):
-            raise ValueError(f"moments known to order {len(self.mu) - 1}, need {f.degree}")
-        return sum((c * self.mu[k] for k, c in enumerate(f.coeffs)), Fraction(0))
+        if f.degree != float("-inf") and f.degree >= len(self.nums):
+            raise ValueError(f"moments known to order {len(self.nums) - 1}, need {f.degree}")
+        return Fraction(sum(map(mul, f.nums, self.nums)), f.den * self.den)
+
+    def weighted(self, w: Poly) -> "MomentVector":
+        """The moments <u, w x**j> of the functional w u, for every j that
+        the stored moments reach, so that weighted(w).apply(f) equals
+        apply(w * f) without forming the product."""
+        m = len(self.nums) - max(w.degree, 0)
+        return MomentVector(
+            tuple(sum(map(mul, w.nums, self.nums[j:])) for j in range(m)), w.den * self.den
+        )
 
 
 def moments(ttrr: TTRRSpec, N: int) -> MomentVector:
-    """Expand x**n in the P_k basis through the recurrence; mu_n is the P_0
-    component. Forces <u, P_n> = 0 for n >= 1 and <u, P_n**2> = C_1...C_n."""
+    """mu_0..mu_N from <u, P_n> = 0 for n >= 1: P_n is monic, so
+    mu_n = -sum_{k<n} [x**k]P_n mu_k, a triangular solve on the integer
+    numerators of the OPS table. This forces <u, P_n> = 0 for n >= 1 and
+    <u, P_n**2> = C_1...C_n. The moments stay over their least common
+    denominator."""
     if N > ttrr.n_max:
         raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
-    coords = [Fraction(1)]  # x**0 = P_0
-    mus = [Fraction(1)]
-    for _ in range(N):
-        nxt = [Fraction(0)] * (len(coords) + 1)
-        for k, dk in enumerate(coords):
-            if dk == 0:
-                continue
-            nxt[k + 1] += dk
-            nxt[k] += dk * ttrr.B(k)
-            if k >= 1:
-                nxt[k - 1] += dk * ttrr.C(k)
-        coords = nxt
-        mus.append(coords[0])
-    return MomentVector(mu=tuple(mus))
+    nums, den = [1], 1  # mu_k = nums[k] / den
+    for p in generate_ops(ttrr, N).polys[1:]:
+        s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)
+        g = gcd(s, p.den * den)
+        mu_den = p.den * den // g
+        common = lcm(den, mu_den)
+        if common != den:
+            nums = [v * (common // den) for v in nums]
+        nums.append(s // g * (common // mu_den))
+        den = common
+    return MomentVector(tuple(nums), den)
 
 
 def ttrr_equal(first: TTRRSpec, second: TTRRSpec, N: int) -> tuple[str, int] | None:

@@ -55,7 +55,7 @@ which `verify_structure` accepts happily since it only checks residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from qstruct.awops import dq_apply, sq_apply
@@ -89,7 +89,9 @@ class StructureFit:
     status is exact; a, b, c are indexed 0..horizon with a_0 = b_0 = c_0 = 0.
     On failure the sequences hold whatever indices were solved before the
     first inconsistency (failure_n), and pi is the zero polynomial if it was
-    never pinned."""
+    never pinned. dq holds the images D_q P_0 .. D_q P_horizon the fit was
+    computed from (empty for a fit built by hand); it takes no part in
+    equality."""
 
     pi: Poly
     a: tuple[Fraction, ...]
@@ -98,6 +100,7 @@ class StructureFit:
     status: str
     failure_n: int | None
     horizon: int
+    dq: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def is_exact(self) -> bool:
@@ -155,7 +158,8 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | 
     """Gauss-Jordan elimination over Fractions: a solution x of the system
     with every free variable at zero, or None when it is inconsistent. The
     fitter only hands it the joint systems that pin pi, which have no free
-    column (see the module docstring)."""
+    column (see the module docstring). Zero entries of the pivot row, most
+    of the (a_n, b_n, c_n) blocks, are skipped."""
     ncols = len(rows[0])
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
@@ -170,11 +174,11 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | 
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
+        m[r] = [v * inv if v else v for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append((r, col))
         r += 1
         if r == len(m):
@@ -188,13 +192,13 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | 
     return x
 
 
-def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> list[Poly]:
+def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> tuple[Poly, ...]:
     """D_q P_n for n = 0..N, after checking the horizon."""
     if N < 3:
         raise ValueError("fit horizon must be at least 3")
     if ops.degree < N:
         raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
-    return [dq_apply(ctx, p) for p in ops.polys[: N + 1]]
+    return tuple(dq_apply(ctx, p) for p in ops.polys[: N + 1])
 
 
 def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
@@ -213,7 +217,8 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
     exact one. Each entry equals fit_structure(ctx, ops, d, N); the D_q P_n
-    images are computed once and shared by every attempt."""
+    images are computed once, shared by every attempt and returned with
+    each fit as its dq."""
     dq = _dq_images(ctx, ops, N)
     fits = []
     for d in (0, 1, 2):
@@ -245,14 +250,14 @@ def _joint_system(P: tuple[Poly, ...], dq: list[Poly], d: int, m: int):
     return rows, rhs
 
 
-def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
+def _fit(ops: OPSTable, dq: tuple[Poly, ...], d: int, N: int) -> StructureFit:
     """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
     P = ops.polys
     # n = 1..3 pins pi whenever it is consistent (module docstring)
     for m in (2, 3):
         solution = _solve(*_joint_system(P, dq, d, m))
         if solution is None:
-            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N)
+            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N, dq)
     pi = Poly(tuple(solution[:d]) + (Fraction(1),))
 
     # P_n and P_{n-1} are monic: x**(n+1), x**n, x**(n-1) give a_n, b_n, c_n
@@ -262,34 +267,47 @@ def _fit(ops: OPSTable, dq: list[Poly], d: int, N: int) -> StructureFit:
         a.append(lhs.coeff(n + 1))
         b.append(lhs.coeff(n) - a[n] * p.coeff(n - 1))
         c.append(lhs.coeff(n - 1) - a[n] * p.coeff(n - 2) - b[n] * p.coeff(n - 1))
-        if lhs - Poly((b[n], a[n])) * p - c[n] * P[n - 1]:
+        if _residual(lhs, P, a[n], b[n], c[n], n):
             return StructureFit(
-                pi, tuple(a[:n]), tuple(b[:n]), tuple(c[:n]), STATUS_NO_SOLUTION, n, N
+                pi, tuple(a[:n]), tuple(b[:n]), tuple(c[:n]), STATUS_NO_SOLUTION, n, N, dq
             )
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
-    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N, dq)
+
+
+def _residual(lhs: Poly, P: tuple[Poly, ...], a_n, b_n, c_n, n: int) -> Poly:
+    """lhs - (a_n x + b_n) P_n - c_n P_{n-1}, with lhs = pi * D_q P_n."""
+    res = lhs - Poly((b_n, a_n)) * P[n]
+    return res - c_n * P[n - 1] if n >= 1 else res
 
 
 def structure_residual(
     ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
 ) -> Poly:
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
-    p_n = ops.polys[n]
-    p_prev = ops.polys[n - 1] if n >= 1 else Poly.zero()
-    return pi * dq_apply(ctx, p_n) - Poly((b_n, a_n)) * p_n - c_n * p_prev
+    return _residual(pi * dq_apply(ctx, ops.polys[n]), ops.polys, a_n, b_n, c_n, n)
 
 
-def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
+def verify_structure(
+    ctx: QContext, ops: OPSTable, fit: StructureFit, dq: tuple[Poly, ...] | None = None
+) -> Report:
     """Recompute every residual of an exact fit and demand the zero
     polynomial. The report holds one structure-residual check per
-    n = 0..horizon; a nonzero residual fails its check and is the witness."""
+    n = 0..horizon; a nonzero residual fails its check and is the witness.
+
+    dq, when given, holds D_q P_n of ops for n = 0..horizon, for example
+    the fit's own dq when ops is the table it was fitted on; otherwise the
+    images are computed here."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
+    N = fit.horizon
+    if dq is None:
+        dq = [dq_apply(ctx, p) for p in ops.polys[: N + 1]]
     checks = []
-    for n in range(fit.horizon + 1):
-        res = structure_residual(ctx, ops, fit.pi, fit.a[n], fit.b[n], fit.c[n], n)
+    for n in range(N + 1):
+        res = _residual(fit.pi * dq[n], ops.polys, fit.a[n], fit.b[n], fit.c[n], n)
         checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
     return Report(tuple(checks))
 

@@ -1,9 +1,13 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from qstruct import awops, cli
 from qstruct.cli import main
+from qstruct.families import ttrr_cq_jacobi
+from qstruct.scalar import QContext
 
 
 def run(capsys, *argv):
@@ -359,3 +363,29 @@ def test_classify_reports_qjacobi_recovery_failure(tmp_path, capsys):
     ledger = json.loads(out)["predicates"]
     for key in ("qjacobi-recovery-q", "qjacobi-recovery-q-inverse", "qjacobi-recovery"):
         assert ledger[key]["holds"] is False
+
+
+def test_verify_applies_each_operator_image_once(monkeypatch):
+    # the fits carry their D_q P_n images to verify_structure and the Pearson
+    # check reads the monomial images from the operator rows, so verify at
+    # N = 10 applies D_q once per P_0..P_10 and S_q once per five-term index
+    # 0..9 (33 and 21 calls when every check made its own images)
+    counts = {awops.dq_apply: 0, awops.sq_apply: 0}
+
+    def counting(fn):
+        def counted(*args):
+            counts[fn] += 1
+            return fn(*args)
+
+        return counted
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qstruct" or name.startswith("qstruct."):
+            for attr, val in list(vars(mod).items()):
+                if any(val is fn for fn in counts):
+                    monkeypatch.setattr(mod, attr, counting(val))
+    ctx = QContext(F(1, 2))
+    ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
+    report = cli._verify_checks(ctx, ttrr, 10, "all")
+    assert report.ok
+    assert list(counts.values()) == [11, 10]

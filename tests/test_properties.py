@@ -11,24 +11,43 @@ reference, and its n = 1..3 system must leave no free column. A fit
 perturbed at one index must fail its structure and five-term reports
 exactly where that index enters, and classify must return a
 Classification for any regular recurrence.
+
+Poly stores integer numerators over one denominator; the Fraction-tuple
+polynomial it replaced is the reference for its arithmetic. Exact fits are
+also checked against the literal D_q quotient at sample points, which
+shares no code with the operator rows, and against two symmetries of the
+problem: reflection x -> -x, and the round trip through a family's
+generator.
 """
 
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import t_basis_dq, t_basis_sq
+from test_poly import FractionPoly
 from test_structure import reference_fit, reference_joint_system, reference_solve
 
 from qstruct import awops
 from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
-from qstruct.characterize import Classification, _sqrt_exact, classify, recover_asc_params
+from qstruct.characterize import (
+    Classification,
+    RecurrenceViolated,
+    _sqrt_exact,
+    aux_sequences,
+    classify,
+    recover_asc_params,
+)
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
     TTRRSpec,
     generate_ops,
+    moments,
+    ttrr_chebyshev_t,
+    ttrr_equal,
 )
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
@@ -212,6 +231,7 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
     broken = replace(fit, **{field: tuple(values)})
 
     structure = verify_structure(ctx, ops, broken)
+    assert verify_structure(ctx, ops, broken, broken.dq) == structure  # the fit's own images
     assert len(structure.checks) == N + 1
     assert [check.n for check in structure.failures()] == [k]
     expansion = five_term(ctx, ops, broken)
@@ -226,3 +246,198 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
 def test_classify_is_total_on_random_ttrrs(case):
     ctx, ttrr = case
     assert isinstance(classify(ctx, ttrr, ttrr.n_max), Classification)
+
+
+wide = st.one_of(
+    small,
+    st.just(F(0)),
+    st.builds(F, st.integers(-(2**400), 2**400), st.integers(1, 2**300)),
+)
+wide_coeffs = st.lists(wide, max_size=8).map(tuple)  # zero and trailing zeros included
+
+
+@BOUNDED
+@given(wide_coeffs, wide_coeffs, wide, wide)
+def test_poly_matches_the_fraction_reference(cs, ds, c, x0):
+    p, q = Poly(cs), Poly(ds)
+    P, Q = FractionPoly(cs), FractionPoly(ds)
+
+    def same(got, want):
+        assert got.coeffs == want.coeffs
+        assert all(type(v) is F for v in got.coeffs)
+        assert got.degree == want.degree
+        assert str(got) == str(want)
+        assert got.den > 0 and gcd(got.den, *got.nums) == 1
+        assert not got.nums or got.nums[-1] != 0
+
+    for got, want in (
+        (p, P),
+        (p + q, P + Q),
+        (p - q, P - Q),
+        (p * q, P * Q),
+        (-p, -P),
+        (c * p, c * P),
+        (p * c, P * c),
+        (p + c, P + c),
+        (c - p, c - P),
+        (p - c, P - c),
+        (p * p - 2 * p * q, P * P - 2 * P * Q),
+    ):
+        same(got, want)
+    for k in range(-1, len(cs) + 2):
+        assert p.coeff(k) == P.coeff(k) and type(p.coeff(k)) is F
+    assert p.eval(x0) == P.eval(x0)
+    assert (p == q) == (P == Q)
+    assert (p + q) - q == p and Poly(cs + (F(0),)) == p
+    assert hash(Poly(P.coeffs)) == hash(p)
+
+
+def reflected(ttrr):
+    """Q_n(x) = (-1)**n P_n(-x): B_n -> -B_n, C_n unchanged."""
+    return TTRRSpec(tuple(-b for b in ttrr.b), ttrr.c, f"{ttrr.label}-reflected")
+
+
+def reflected_fit(fit, d):
+    sign = (-1) ** d
+    return replace(
+        fit,
+        pi=Poly(tuple(sign * (-1) ** k * v for k, v in enumerate(fit.pi.coeffs))),
+        a=tuple(sign * v for v in fit.a),
+        b=tuple(-sign * v for v in fit.b),
+        c=tuple(sign * v for v in fit.c),
+    )
+
+
+@BOUNDED
+@given(family_ttrrs(n_max=10))
+def test_reflection_covariance(case):
+    """Reflection x -> -x maps the fit of P to the fit of Q.
+
+    z -> -z commutes with both lattice shifts and sends x to -x, so
+    D_q[f(-x)] = -(D_q f)(-x). Apply x -> -x to pi D_q P_n = (a_n x + b_n) P_n
+    + c_n P_{n-1} and multiply by (-1)**(n+1): pi(-x) D_q Q_n =
+    (a_n x - b_n) Q_n + c_n Q_{n-1}, and pi(-x) has leading coefficient
+    (-1)**d, so the monic fit of Q is (-1)**d (pi(-x), a_n, -b_n, c_n).
+    Classification keeps the family and base, swaps the q-Jacobi pair
+    (p_a, p_b) and negates the Al-Salam-Chihara pair (c, d).
+    """
+    ctx, ttrr = case
+    N = 10
+    mirror = reflected(ttrr)
+    fits = fit_auto(ctx, generate_ops(ttrr, N), N)
+    assert fit_auto(ctx, generate_ops(mirror, N), N) == [
+        reflected_fit(f, d) for d, f in enumerate(fits)
+    ]
+
+    result, result_r = classify(ctx, ttrr, N), classify(ctx, mirror, N)
+    assert (result_r.family, result_r.base) == (result.family, result.base)
+    params = result.params
+    if result.family == "continuous-q-jacobi":
+        assert result_r.params == {"p_a": params["p_b"], "p_b": params["p_a"]}
+    elif result.family == "alsalam-chihara":
+        assert set(result_r.params.values()) == {-params["c"], -params["d"]}
+    else:
+        assert result_r.params == params == {}
+
+
+@st.composite
+def family_points(draw, n_max=8):
+    """A regular point of one of the four families in either base, with
+    Al-Salam-Chihara on its characterized branch c / d = q**(+-1/2)."""
+    ctx = QContext(draw(quarter_powers))
+    family = draw(
+        st.sampled_from(["q-hermite", "alsalam-chihara", "chebyshev-t", "continuous-q-jacobi"])
+    )
+    params = ()
+    if family == "alsalam-chihara":
+        d = draw(small.filter(bool))
+        params = (("c", d * ctx.t ** draw(st.sampled_from([2, -2]))), ("d", d))
+    elif family == "continuous-q-jacobi":
+        params = (("p_a", draw(positive)), ("p_b", draw(positive)))
+    try:
+        ttrr = FamilySpec(family, params, draw(bases)).to_ttrr(ctx, n_max=n_max)
+    except IrregularParameters:
+        assume(False)
+    return ctx, family, ttrr
+
+
+@BOUNDED
+@given(family_points())
+def test_classify_round_trips_generated_families(case):
+    # the reported triple must regenerate the input; it need not repeat the
+    # generator's own parameters (q-Jacobi in base q-inverse reads as base q
+    # with (1/p_a, 1/p_b)), and p_a = p_b = q**(-1/4) is Chebyshev-T
+    ctx, family, ttrr = case
+    N = ttrr.n_max
+    result = classify(ctx, ttrr, N)
+    is_chebyshev = ttrr_equal(ttrr, ttrr_chebyshev_t(n_max=N), N) is None
+    assert result.family == ("chebyshev-t" if is_chebyshev else family)
+    spec = FamilySpec(result.family, tuple(sorted(result.params.items())), result.base)
+    assert ttrr_equal(ttrr, spec.to_ttrr(ctx, n_max=N), N) is None
+
+
+@BOUNDED
+@given(fit_cases(), sample_zs)
+def test_exact_fits_hold_at_oracle_sample_points(case, z):
+    # pi D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1} at x = (z + 1/z)/2, with
+    # D_q P_n from the literal quotient and every value from the reference
+    # polynomial: nothing here touches the operator rows
+    ctx, ops, N = case
+    x0 = (z + 1 / z) / 2
+    P = [FractionPoly(p.coeffs) for p in ops.polys]
+    for fit in fit_auto(ctx, ops, N):
+        if fit.is_exact:
+            pi = FractionPoly(fit.pi.coeffs).eval(x0)
+            for n in range(1, N + 1):
+                lhs = pi * dq_oracle(ctx, P[n], z)
+                rhs = (fit.a[n] * x0 + fit.b[n]) * P[n].eval(x0) + fit.c[n] * P[n - 1].eval(x0)
+                assert lhs == rhs
+
+
+@BOUNDED
+@given(fit_cases())
+def test_r_meets_its_closed_form_on_every_exact_fit(case):
+    # r_n - t_n = a_n - a_{n-1} is (a_hat - k1) q**(n/2) + (b_hat - k2) q**(-n/2)
+    # for every exact fit, so aux_sequences needs no check of r_n of its own
+    ctx, ops, N = case
+    fit = fit_auto(ctx, ops, N)[-1]
+    assume(fit.is_exact)
+    t, u, a1 = ctx.t, ctx.u, fit.a[1]
+    for n in range(1, N + 1):
+        step = u * a1 * (1 - t**-2) * t ** (2 * n) - u * a1 * (1 - t**2) * t ** (-2 * n)
+        assert fit.a[n] - fit.a[n - 1] == step
+    try:
+        aux = aux_sequences(ctx, ops.ttrr, fit)
+    except RecurrenceViolated:
+        return
+    for n in range(N + 1):
+        assert aux.r[n] == aux.a_hat * t ** (2 * n) + aux.b_hat * t ** (-2 * n)
+
+
+def reference_moments(ttrr, N):
+    """The Fraction recurrence that moments replaced: x**n expanded in the
+    P_k basis through x P_k = P_{k+1} + B_k P_k + C_k P_{k-1}; mu_n is the
+    P_0 component."""
+    coords, mus = [F(1)], [F(1)]
+    for _ in range(N):
+        nxt = [F(0)] * (len(coords) + 1)
+        for k, dk in enumerate(coords):
+            nxt[k + 1] += dk
+            nxt[k] += dk * ttrr.B(k)
+            if k >= 1:
+                nxt[k - 1] += dk * ttrr.C(k)
+        coords = nxt
+        mus.append(coords[0])
+    return tuple(mus)
+
+
+@BOUNDED
+@given(st.one_of(random_ttrrs(min_n=6, max_n=12), family_ttrrs(n_max=12)), polys, polys)
+def test_moments_match_the_recurrence_and_weighting_matches_products(case, w, f):
+    _, ttrr = case
+    N = ttrr.n_max
+    mom = moments(ttrr, N)
+    assert mom.mu == reference_moments(ttrr, N)
+    assert gcd(mom.den, *mom.nums) == 1
+    assume(w.degree + f.degree <= N)
+    assert mom.weighted(w).apply(f) == mom.apply(w * f)
