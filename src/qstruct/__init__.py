@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from qstruct.scalar import (
     QContext,
     Rational,
-    alpha_n,
     format_rational,
     gamma_n,
     parse_rational,
@@ -62,7 +61,6 @@ __all__ = [
     "Rational",
     "qpow",
     "gamma_n",
-    "alpha_n",
     "parse_rational",
     "format_rational",
     "Poly",

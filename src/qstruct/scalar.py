@@ -16,7 +16,6 @@ __all__ = [
     "QContext",
     "qpow",
     "gamma_n",
-    "alpha_n",
     "as_fraction",
     "parse_rational",
     "format_rational",
@@ -99,20 +98,12 @@ def qpow(ctx: QContext, k: int) -> Fraction:
 def gamma_n(ctx: QContext, n: int) -> Fraction:
     """q-bracket (q**(n/2) - q**(-n/2)) / (q**(1/2) - q**(-1/2)).
 
-    gamma_0 = 0, gamma_1 = 1, and the sequence solves the same recurrence
-    x_{n+2} - 2*alpha*x_{n+1} + x_n = 0 as alpha_n. It is the eigenfactor by
-    which the divided-difference operator lowers a degree-n leading term.
+    gamma_0 = 0, gamma_1 = 1, and the sequence solves the recurrence
+    x_{n+2} - 2*alpha*x_{n+1} + x_n = 0. It is the eigenfactor by which the
+    divided-difference operator lowers a degree-n leading term.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     num = ctx.t ** (2 * n) - ctx.t ** (-2 * n)
     den = ctx.t**2 - ctx.t**-2
     return num / den
-
-
-def alpha_n(ctx: QContext, n: int) -> Fraction:
-    """(q**(n/2) + q**(-n/2)) / 2. alpha_0 = 1 and alpha_1 = ctx.alpha; the
-    averaging operator scales a degree-n leading term by this factor."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (ctx.t ** (2 * n) + ctx.t ** (-2 * n)) / 2

@@ -2,17 +2,21 @@
 
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
-for a monic OPS table, with pi monic of degree 0, 1, or 2. The fitter works
-in two steps. It pins pi by exact Gauss-Jordan elimination on the joint
-identities n = 1..2 and then n = 1..3 (pi enters them linearly), reporting
-m = 2 or 3 with pi zero when that system is inconsistent. With pi fixed,
-identity n is triangular in (a_n, b_n, c_n), because P_n and P_{n-1} are
-monic: the coefficients of x**(n+1), x**n and x**(n-1) of pi * D_q P_n give
-a_n, b_n and c_n by back-substitution, and index n is accepted exactly when
-its residual (see `structure_residual`) is the zero polynomial. The first
-nonzero residual is the reported failure index. `fit_structure` fits one
-degree; `fit_auto` tries 0, 1, 2 in order on one shared set of D_q P_n
-images and stops at the first exact fit.
+for a monic OPS table, with pi monic of degree 0, 1, or 2. Every identity
+is reduced by one back-substitution: P_n and P_{n-1} are monic, so the
+coefficients of x**(n+1), x**n and x**(n-1) of pi * D_q P_n give a_n, b_n
+and c_n, and identity n holds exactly when the remaining residual (see
+`structure_residual`) is the zero polynomial. That residual is linear in pi
+and has degree at most n - 2. The fitter pins pi by exact elimination on
+the reduced residual coefficients of identity 2 and then of identities
+2..3, at most three equations in the d lower coefficients of pi, reporting
+failure at 2 or 3 with pi zero when they are inconsistent. Identity 1
+leaves no residual coefficient, so these equations are consistent exactly
+when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
+their solution is the pi shown unique below. With pi fixed, the fitter
+reduces each index in turn, and the first nonzero residual is the reported
+failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in
+order on one shared set of D_q P_n images and stops at the first exact fit.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -58,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from qstruct.awops import dq_apply, sq_apply
+from qstruct.awops import dq_apply, operator_rows, sq_apply
 from qstruct.families import OPSTable
 from qstruct.poly import Poly, poly_to_json
 from qstruct.report import Check, Report
@@ -154,14 +158,15 @@ def padded(seq):
     return lambda n: seq[n] if n >= 0 else zero
 
 
-def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gauss-Jordan elimination over Fractions: a solution x of the system
-    with every free variable at zero, or None when it is inconsistent. The
-    fitter only hands it the joint systems that pin pi, which have no free
-    column (see the module docstring). Zero entries of the pivot row, most
-    of the (a_n, b_n, c_n) blocks, are skipped."""
-    ncols = len(rows[0])
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
+    """Gauss-Jordan elimination over Fractions on augmented rows
+    (coefficients, then the rhs): a solution x of the system with every
+    free variable at zero, or None when it is inconsistent. The fitter only
+    hands it the reduced pin equations, at most three rows in the d <= 2
+    lower coefficients of pi, which have no free column when consistent
+    (see the module docstring)."""
+    ncols = len(m[0]) - 1
+    m = list(m)
     pivots: list[tuple[int, int]] = []
     r = 0
     for col in range(ncols):
@@ -174,11 +179,11 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | 
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = 1 / m[r][col]
-        m[r] = [v * inv if v else v for v in m[r]]
+        m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append((r, col))
         r += 1
         if r == len(m):
@@ -193,11 +198,14 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | 
 
 
 def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> tuple[Poly, ...]:
-    """D_q P_n for n = 0..N, after checking the horizon."""
+    """D_q P_n for n = 0..N, after checking the horizon. The context's
+    operator rows grow to degree N in one step rather than one degree per
+    image."""
     if N < 3:
         raise ValueError("fit horizon must be at least 3")
     if ops.degree < N:
         raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+    operator_rows(ctx, N)
     return tuple(dq_apply(ctx, p) for p in ops.polys[: N + 1])
 
 
@@ -228,53 +236,49 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     return fits
 
 
-def _joint_system(P: tuple[Poly, ...], dq: list[Poly], d: int, m: int):
-    """Coefficient-wise equations of the identities n = 1..m over the joint
-    unknowns. Column j < d is the pi coefficient p_j; columns
-    d + 3(n - 1) .. d + 3(n - 1) + 2 are (a_n, b_n, c_n). The monic part
-    x**d * D_q P_n goes to the rhs."""
-    ncols = d + 3 * m
-    rows, rhs = [], []
-    for n in range(1, m + 1):
-        base = d + 3 * (n - 1)
-        dn = dq[n]
-        for i in range(max(d + n - 1, n + 1) + 1):
-            row = [Fraction(0)] * ncols
-            for j in range(d):
-                row[j] = dn.coeff(i - j)  # x**j * D_q P_n
-            row[base] = -P[n].coeff(i - 1)  # x * P_n
-            row[base + 1] = -P[n].coeff(i)
-            row[base + 2] = -P[n - 1].coeff(i)
-            rows.append(row)
-            rhs.append(-dn.coeff(i - d))
-    return rows, rhs
+def _pin_rows(P: tuple[Poly, ...], dq: tuple[Poly, ...], d: int, n: int):
+    """Augmented rows, one per coefficient of x**0 .. x**(n-2), saying that
+    the reduced residual of pi * D_q P_n vanishes; the unknowns are pi's
+    lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs."""
+    res = [_reduce(Poly.monomial(j) * dq[n], P, n)[3] for j in range(d + 1)]
+    return [[r.coeff(i) for r in res[:d]] + [-res[d].coeff(i)] for i in range(n - 1)]
 
 
 def _fit(ops: OPSTable, dq: tuple[Poly, ...], d: int, N: int) -> StructureFit:
     """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
     P = ops.polys
-    # n = 1..3 pins pi whenever it is consistent (module docstring)
-    for m in (2, 3):
-        solution = _solve(*_joint_system(P, dq, d, m))
+    rows: list[list[Fraction]] = []
+    for m in (2, 3):  # identities 2..3 pin pi whenever consistent (module docstring)
+        rows += _pin_rows(P, dq, d, m)
+        solution = _solve(rows)
         if solution is None:
             return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N, dq)
-    pi = Poly(tuple(solution[:d]) + (Fraction(1),))
+    pi = Poly(tuple(solution) + (Fraction(1),))
 
-    # P_n and P_{n-1} are monic: x**(n+1), x**n, x**(n-1) give a_n, b_n, c_n
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        lhs, p = pi * dq[n], P[n]
-        a.append(lhs.coeff(n + 1))
-        b.append(lhs.coeff(n) - a[n] * p.coeff(n - 1))
-        c.append(lhs.coeff(n - 1) - a[n] * p.coeff(n - 2) - b[n] * p.coeff(n - 1))
-        if _residual(lhs, P, a[n], b[n], c[n], n):
-            return StructureFit(
-                pi, tuple(a[:n]), tuple(b[:n]), tuple(c[:n]), STATUS_NO_SOLUTION, n, N, dq
-            )
+        a_n, b_n, c_n, res = _reduce(pi * dq[n], P, n)
+        if res:
+            return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N, dq)
+        a.append(a_n)
+        b.append(b_n)
+        c.append(c_n)
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
     return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N, dq)
+
+
+def _reduce(lhs: Poly, P: tuple[Poly, ...], n: int):
+    """(a_n, b_n, c_n, residual) for lhs = (a_n x + b_n) P_n + c_n P_{n-1}
+    + residual, n >= 1. P_n and P_{n-1} are monic, so the coefficients of
+    x**(n+1), x**n and x**(n-1) of lhs give a_n, b_n and c_n by
+    back-substitution, leaving a residual of degree at most n - 2."""
+    p = P[n]
+    a_n = lhs.coeff(n + 1)
+    b_n = lhs.coeff(n) - a_n * p.coeff(n - 1)
+    c_n = lhs.coeff(n - 1) - a_n * p.coeff(n - 2) - b_n * p.coeff(n - 1)
+    return a_n, b_n, c_n, _residual(lhs, P, a_n, b_n, c_n, n)
 
 
 def _residual(lhs: Poly, P: tuple[Poly, ...], a_n, b_n, c_n, n: int) -> Poly:
@@ -337,15 +341,10 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     alpha = ctx.alpha
     ttrr = ops.ttrr
     zero = Fraction(0)
-    a, b, c = padded(fit.a), padded(fit.b), padded(fit.c)
-    B, C = padded(ttrr.b), padded((zero,) + ttrr.c)
-
-    def g(n):
-        return b(n) + a(n) * B(n)
-
-    def s(n):
-        return c(n) + a(n) * C(n)
-
+    a, B, C = padded(fit.a), padded(ttrr.b), padded((zero,) + ttrr.c)
+    g_seq = tuple(fit.b[n] + fit.a[n] * B(n) for n in range(N + 1))
+    s_seq = tuple(fit.c[n] + fit.a[n] * C(n) for n in range(N + 1))
+    g, s = padded(g_seq), padded(s_seq)
     horizon = min(N - 1, ops.degree - 2)
     if horizon < 0:
         raise ValueError("OPS table too short for any five-term index")
@@ -392,8 +391,8 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         r3=tuple(r3),
         r4=tuple(r4),
         r5=tuple(r5),
-        g=tuple(g(n) for n in range(N + 1)),
-        s=tuple(s(n) for n in range(N + 1)),
+        g=g_seq,
+        s=s_seq,
         horizon=horizon,
         report=Report(tuple(checks)),
     )

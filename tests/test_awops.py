@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from test_scalar import alpha_n
 
 from qstruct import awops
 from qstruct.awops import (
@@ -18,7 +19,7 @@ from qstruct.awops import (
 from qstruct.characterize import classify
 from qstruct.families import ttrr_cq_jacobi
 from qstruct.poly import Poly, from_cheb, to_cheb
-from qstruct.scalar import QContext, alpha_n, gamma_n
+from qstruct.scalar import QContext, gamma_n
 
 CTX = QContext(F(1, 2))
 CTX_B = QContext(F(2, 3))

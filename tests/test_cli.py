@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from fractions import Fraction as F
@@ -6,8 +7,9 @@ import pytest
 
 from qstruct import awops, cli
 from qstruct.cli import main
-from qstruct.families import ttrr_cq_jacobi
+from qstruct.families import generate_ops, ttrr_cq_jacobi
 from qstruct.scalar import QContext
+from qstruct.structure import fit_auto
 
 
 def run(capsys, *argv):
@@ -389,3 +391,22 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
     report = cli._verify_checks(ctx, ttrr, 10, "all")
     assert report.ok
     assert list(counts.values()) == [11, 10]
+
+
+@pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])
+def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_verify):
+    # the fit grows the rows to degree N in one step, and nothing after it
+    # in verify needs a longer table (growing them per D_q P_n image would
+    # take N steps)
+    calls = []
+    lattice_polys = awops.lattice_polys
+    monkeypatch.setattr(awops, "lattice_polys", lambda ctx: calls.append(ctx) or lattice_polys(ctx))
+    gc.collect()
+    ctx = QContext(F(7, 13))  # held by no other live context
+    assert ctx not in awops._ROWS
+    ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
+    if through_verify:
+        assert cli._verify_checks(ctx, ttrr, 10, "all").ok
+    else:
+        assert fit_auto(ctx, generate_ops(ttrr, 12), 10)[-1].is_exact
+    assert len(calls) == 1

@@ -18,10 +18,19 @@ also checked against the literal D_q quotient at sample points, which
 shares no code with the operator rows, and against two symmetries of the
 problem: reflection x -> -x, and the round trip through a family's
 generator.
+
+The CLI keeps its contract on mostly well-formed documents: each command
+exits with one of its documented codes and never raises, exit 2 comes with
+exactly one error: line, and stdout is the same on every run.
 """
 
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
+from io import StringIO
 from math import gcd
 
 from hypothesis import assume, given, settings
@@ -30,7 +39,7 @@ from test_awops import t_basis_dq, t_basis_sq
 from test_poly import FractionPoly
 from test_structure import reference_fit, reference_joint_system, reference_solve
 
-from qstruct import awops
+from qstruct import awops, cli
 from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
 from qstruct.characterize import (
     Classification,
@@ -48,6 +57,7 @@ from qstruct.families import (
     moments,
     ttrr_chebyshev_t,
     ttrr_equal,
+    ttrr_to_json,
 )
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
@@ -441,3 +451,65 @@ def test_moments_match_the_recurrence_and_weighting_matches_products(case, w, f)
     assert gcd(mom.den, *mom.nums) == 1
     assume(w.degree + f.degree <= N)
     assert mom.weighted(w).apply(f) == mom.apply(w * f)
+
+
+CLI_EXIT_CODES = {"fit": {0, 1, 2}, "classify": {0, 2, 3}, "verify": {0, 1, 2}}
+
+MALFORMED = {
+    "q_quarter outside (0, 1)": lambda doc: json.dumps({**doc, "q_quarter": "3/2"}),
+    "zero denominator": lambda doc: json.dumps({**doc, "q_quarter": "1/0"}),
+    "number for a string": lambda doc: json.dumps({**doc, "B": [0.5] + doc["B"][1:]}),
+    "not a rational": lambda doc: json.dumps({**doc, "C": doc["C"][:-1] + ["one"]}),
+    "vanishing C_n": lambda doc: json.dumps({**doc, "C": ["0"] + doc["C"][1:]}),
+    "mismatched lengths": lambda doc: json.dumps({**doc, "B": doc["B"][:-1]}),
+    "missing key": lambda doc: json.dumps({"B": doc["B"], "C": doc["C"]}),
+    "top-level list": lambda doc: json.dumps([doc]),
+    "truncated JSON": lambda doc: json.dumps(doc)[:-1],
+}
+
+
+@st.composite
+def cli_documents(draw):
+    """The text of a TTRR document, a random recurrence or a family point
+    with horizon 5..12, with one malformed field about one draw in four."""
+    ctx, ttrr = draw(st.one_of(random_ttrrs(min_n=5, max_n=12), family_ttrrs(n_max=12)))
+    doc = ttrr_to_json(ctx, ttrr, ttrr.n_max)
+    fault = draw(st.one_of(st.none(), st.none(), st.none(), st.sampled_from(sorted(MALFORMED))))
+    return json.dumps(doc) if fault is None else MALFORMED[fault](doc)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process run; an exception that
+    escapes main stands in for the exit code as its repr, so that a failing
+    example neither keeps the frames of its traceback alive nor counts as a
+    new failure wherever it was raised."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+@BOUNDED
+@given(
+    cli_documents(),
+    st.integers(min_value=6, max_value=12),
+    st.sampled_from(["auto", "0", "1", "2"]),
+    st.sampled_from(cli.CHECK_NAMES),
+)
+def test_cli_keeps_its_contract(text, N, deg_pi, checks):
+    options = {"fit": ["--deg-pi", deg_pi], "classify": [], "verify": ["--checks", checks]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ttrr.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command, codes in CLI_EXIT_CODES.items():
+            argv = [command, path, "-N", str(N)] + options[command]
+            code, out, err = run_cli(argv)
+            assert code in codes
+            if code == 2:
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert run_cli(argv)[:2] == (code, out)

@@ -4,7 +4,6 @@ import pytest
 
 from qstruct.scalar import (
     QContext,
-    alpha_n,
     as_fraction,
     format_rational,
     gamma_n,
@@ -13,6 +12,14 @@ from qstruct.scalar import (
 )
 
 CTX = QContext(F(1, 2))  # q = 1/16
+
+
+def alpha_n(ctx, n):
+    """Reference (q**(n/2) + q**(-n/2)) / 2. alpha_0 = 1 and
+    alpha_1 = ctx.alpha; S_q scales a degree-n leading term by this factor."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return (ctx.t ** (2 * n) + ctx.t ** (-2 * n)) / 2
 
 
 def test_context_constants():
