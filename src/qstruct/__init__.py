@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from qstruct.scalar import (
     QContext,
-    Rational,
     format_rational,
     gamma_n,
     parse_rational,
@@ -26,7 +25,6 @@ from qstruct.families import (
     OPSTable,
     TTRRSpec,
     generate_ops,
-    inverse_q_variant,
     moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
@@ -58,7 +56,6 @@ from qstruct.characterize import (
 __all__ = [
     "__version__",
     "QContext",
-    "Rational",
     "qpow",
     "gamma_n",
     "parse_rational",
@@ -82,7 +79,6 @@ __all__ = [
     "ttrr_cq_jacobi",
     "generate_ops",
     "moments",
-    "inverse_q_variant",
     "StructureFit",
     "FiveTermExpansion",
     "fit_structure",

@@ -94,13 +94,10 @@ class ConstraintViolated(Exception):
 
 
 class IrrationalRoots(Exception):
-    """A recovery quadratic does not split over the rationals; carries its
-    sum, product and discriminant."""
+    """A recovery quadratic does not split over the rationals; the message
+    names its sum, product and discriminant."""
 
     def __init__(self, sum_: Fraction, product: Fraction, discriminant: Fraction):
-        self.sum = sum_
-        self.product = product
-        self.discriminant = discriminant
         super().__init__(
             f"quadratic with sum {format_rational(sum_)}, product "
             f"{format_rational(product)} has non-square discriminant "
@@ -648,9 +645,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     ledger entries on a NotCharacterized result.
     """
     if N < 6:
-        raise ValueError("classification horizon must be at least 6")
-    if N > ttrr.n_max:
-        raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
+        raise ValueError(f"classification horizon must be at least 6, got N = {N}")
     ledger: dict[str, PredicateRecord] = {}
     ops = generate_ops(ttrr, N)
 
@@ -719,15 +714,11 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
                 )
         return not_characterized("asc-recovery", "no base matched")
 
-    # deg == 2: Chebyshev first kind or continuous q-Jacobi
-    all_b_zero = all(ttrr.B(n) == 0 for n in range(N + 1))
-    cheb_c = ttrr.C(1) == Fraction(1, 2) and all(
-        ttrr.C(n) == Fraction(1, 4) for n in range(2, N + 1)
-    )
-    if all_b_zero and cheb_c:
-        candidate = ttrr_chebyshev_t(n_max=N)
-        if regen_matches(candidate, "chebyshev-t"):
-            return Classification(FAMILY_CHEBYSHEV_T, {}, BASE_Q, ledger, fit)
+    # deg == 2: Chebyshev first kind (recorded only on a match) or
+    # continuous q-Jacobi
+    if ttrr_equal(ttrr, ttrr_chebyshev_t(n_max=N), N) is None:
+        ledger["regenerated-chebyshev-t"] = PredicateRecord(holds=True)
+        return Classification(FAMILY_CHEBYSHEV_T, {}, BASE_Q, ledger, fit)
     for base, inverse in ((BASE_Q, False), (BASE_Q_INVERSE, True)):
         try:
             p_a, p_b = recover_qjacobi_params(ctx, ttrr, fit, aux, pd, inverse=inverse)

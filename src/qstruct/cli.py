@@ -112,8 +112,6 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
-    if N < 3:
-        raise ValueError("need a recurrence materialized to at least n = 3")
     ops = generate_ops(ttrr, N)
     if args.deg_pi == "auto":
         fits = fit_auto(ctx, ops, N)
@@ -135,8 +133,6 @@ def cmd_fit(args) -> int:
 def cmd_classify(args) -> int:
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
-    if N < 6:
-        raise ValueError("classification needs n_max >= 6")
     result = classify(ctx, ttrr, N)
     _dump(result.to_json(), args.out)
     return EXIT_OK if result.characterized else EXIT_NOT_CHARACTERIZED
@@ -173,8 +169,6 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
 def cmd_verify(args) -> int:
     (ctx, ttrr), echo = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max - 2)
-    if N < 3:
-        raise ValueError("recurrence must be materialized to at least n = 5 for verification")
     started = time.monotonic()
     report = _verify_checks(ctx, ttrr, N, args.checks)
     payload = {

@@ -7,9 +7,9 @@ A monic orthogonal polynomial sequence is encoded by its recurrence data
 wrapped in `TTRRSpec`. Generators are provided for the four families this
 package classifies: Rogers q-Hermite, Al-Salam-Chihara, monic Chebyshev of
 the first kind, and continuous q-Jacobi. Each generator also has a
-q -> 1/q variant (pass inverse=True, or use `inverse_q_variant`), realized
-by negating every quarter-power exponent rather than by rebuilding the
-context, since q outside (0, 1) is not a valid context.
+q -> 1/q variant (pass inverse=True, or base="q-inverse" to `FamilySpec`),
+realized by negating every quarter-power exponent rather than by rebuilding
+the context, since q outside (0, 1) is not a valid context.
 
 Continuous q-Jacobi parameters are passed as p_a = q**(a/2), p_b = q**(b/2)
 so that every exponent the family formulas need stays rational: for example
@@ -18,7 +18,7 @@ q**(n+a+1) = q**n * p_a**2 * q and q**((2a+1)/4) = p_a * t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -41,7 +41,6 @@ __all__ = [
     "cq_jacobi_yz",
     "generate_ops",
     "moments",
-    "inverse_q_variant",
     "ttrr_equal",
     "ttrr_to_json",
     "ttrr_from_json",
@@ -281,22 +280,6 @@ class FamilySpec:
             )
         raise ValueError(f"unknown family {self.family!r}")
 
-    def to_json(self) -> dict:
-        out = {"family": self.family, "base": self.base}
-        for key, value in self.params:
-            out[key] = format_rational(value)
-        return out
-
-
-def inverse_q_variant(
-    ctx: QContext, spec: FamilySpec, n_max: int = DEFAULT_N_MAX
-) -> TTRRSpec:
-    """The same family formulas with q replaced by 1/q. Coefficients can grow
-    and turn negative; the recurrence stays formally regular as long as no
-    C_n vanishes (checked by the generators)."""
-    flipped = replace(spec, base="q-inverse" if spec.base == "q" else "q")
-    return flipped.to_ttrr(ctx, n_max=n_max)
-
 
 @dataclass(frozen=True)
 class OPSTable:
@@ -375,8 +358,6 @@ def moments(ttrr: TTRRSpec, N: int) -> MomentVector:
     numerators of the OPS table. This forces <u, P_n> = 0 for n >= 1 and
     <u, P_n**2> = C_1...C_n. The moments stay over their least common
     denominator."""
-    if N > ttrr.n_max:
-        raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
     nums, den = [1], 1  # mu_k = nums[k] / den
     for p in generate_ops(ttrr, N).polys[1:]:
         s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)

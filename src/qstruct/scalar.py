@@ -8,11 +8,11 @@ identities downstream are checked with exact equality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "QContext",
     "qpow",
     "gamma_n",
@@ -21,7 +21,7 @@ __all__ = [
     "format_rational",
 ]
 
-Rational = Fraction
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value) -> Fraction:
@@ -33,10 +33,15 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or plain "p") into an exact rational. A zero
-    denominator is a ValueError like any other malformed text."""
+    """Parse "p/q" (or plain "p") into an exact rational: after strip(), the
+    text must match [+-]?[0-9]+(/[0-9]+)? in ASCII digits. Anything else
+    (exponents, decimals, underscores, other digits) and a zero denominator
+    are ValueErrors."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational p/q string: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -202,7 +202,7 @@ def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> tuple[Poly, ...]:
     operator rows grow to degree N in one step rather than one degree per
     image."""
     if N < 3:
-        raise ValueError("fit horizon must be at least 3")
+        raise ValueError(f"fit horizon must be at least 3, got N = {N}")
     if ops.degree < N:
         raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
     operator_rows(ctx, N)

@@ -392,3 +392,49 @@ def test_degenerate_r1_raised_on_constructed_fit():
     broken = replace(fit, c=(F(0), -fit.a[1] * ttrr.C(1)) + fit.c[2:])
     with pytest.raises(DegenerateR1):
         pearson_data(CTX, ttrr, broken)
+
+
+def b_perturbed(ttrr, n, delta=F(1, 1000)):
+    return ttrr.replaced(b_overrides={n: ttrr.B(n) + delta})
+
+
+@pytest.mark.parametrize(
+    "ttrr, n, detail",
+    [
+        # B_N first enters P_{N+1}, so the deg-2 fit stays exact and the
+        # q-Jacobi recovery decides; for Chebyshev-T its closed-form check
+        # at n = 1 fails before regeneration is reached
+        (ttrr_chebyshev_t(n_max=8), 8, "degenerate denominator at n = 1"),
+        (ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=10), 10, "regenerated recurrence differs at B_10"),
+    ],
+    ids=["chebyshev-t", "cq-jacobi"],
+)
+def test_recovery_ledger_on_b_n_perturbation(ttrr, n, detail):
+    result = classify(CTX, b_perturbed(ttrr, n), n)
+    assert result.family == FAMILY_NOT_CHARACTERIZED
+    assert result.predicates["fit-deg-2"].holds
+    for base in ("q", "q-inverse"):
+        record = result.predicates[f"qjacobi-recovery-{base}"]
+        assert not record.holds
+        assert record.witness == {"detail": detail}
+    assert "regenerated-chebyshev-t" not in result.predicates
+
+
+def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():
+    n_max, horizon = 9, 8
+    cheb = ttrr_chebyshev_t(n_max=n_max)
+    inputs = [cheb]
+    inputs += [b_perturbed(cheb, k) for k in range(n_max + 1)]
+    inputs += [cheb.replaced(c_overrides={k: cheb.C(k) + F(1, 1000)}) for k in range(1, n_max + 1)]
+    matched = 0
+    for ttrr in inputs:
+        result = classify(CTX, ttrr, horizon)
+        record = result.predicates.get("regenerated-chebyshev-t")
+        if ttrr_equal(ttrr, cheb, horizon) is None:
+            matched += 1
+            assert result.family == FAMILY_CHEBYSHEV_T
+            assert record is not None and record.to_json() == {"holds": True, "witness": {}}
+        else:
+            assert result.family != FAMILY_CHEBYSHEV_T
+            assert record is None
+    assert matched == 3  # unperturbed, B_9 and C_9 beyond the horizon

@@ -314,6 +314,56 @@ def test_string_instead_of_list_exits_2(tmp_path, capsys, command):
     assert '"B"' in err
 
 
+@pytest.mark.parametrize("text", ["1e-400", "0.5", "1_000", "١/٢"])
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_rational_outside_the_grammar_in_b_exits_2(tmp_path, capsys, command, text):
+    doc = dict(CHEB_DOC, B=["0"] * 3 + [text] + ["0"] * 5)
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc))
+    assert_bad_input(code, err)
+    assert repr(text) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["1e-400", "0.5", "1_000", "١/٢"])
+def test_rational_outside_the_grammar_as_q_quarter_exits_2(capsys, text):
+    code, out, err = run(capsys, "generate", "--family", "chebyshev-t", "--q-quarter", text)
+    assert_bad_input(code, err)
+    assert repr(text) in err
+    assert out == ""
+
+
+# n_max = 12: the horizon errors come from the library and name the
+# effective N, that is -N capped by QSTRUCT_NMAX and by the file
+CHEB_DOC_12 = {"q_quarter": "1/2", "B": ["0"] * 13, "C": ["1/2"] + ["1/4"] * 11}
+
+
+@pytest.mark.parametrize(
+    "argv, nmax, message",
+    [
+        (["fit", "-N", "2"], None, "fit horizon must be at least 3, got N = 2"),
+        (["classify", "-N", "5"], None, "classification horizon must be at least 6, got N = 5"),
+        (["verify", "-N", "2"], None, "fit horizon must be at least 3, got N = 2"),
+        (["classify"], "4", "classification horizon must be at least 6, got N = 4"),
+    ],
+    ids=["fit", "classify", "verify", "classify-nmax"],
+)
+def test_horizon_below_minimum_exits_2(tmp_path, capsys, monkeypatch, argv, nmax, message):
+    if nmax is not None:
+        monkeypatch.setenv("QSTRUCT_NMAX", nmax)
+    code, out, err = run(capsys, *argv, write_doc(tmp_path, CHEB_DOC_12))
+    assert_bad_input(code, err)
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_verify_runs_at_two_below_the_file_horizon(tmp_path, capsys):
+    # an 8-entry file under -N 10 verifies at N = 6
+    code, out, _ = run(capsys, "verify", write_doc(tmp_path, CHEB_DOC), "-N", "10")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert max(c["n"] for c in checks if c["name"] == "structure-residual") == 6
+
+
 # Rejection paths downstream of an exact fit: C_10 and B_10 first enter
 # P_11, so the fit at N = 10 stays exact and the failure shows in the
 # auxiliary recurrences or in the parameter recovery.

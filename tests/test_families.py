@@ -8,7 +8,6 @@ from qstruct.families import (
     TTRRSpec,
     cq_jacobi_yz,
     generate_ops,
-    inverse_q_variant,
     moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
@@ -222,11 +221,10 @@ def test_inverse_qhermite_values():
 
 
 def test_inverse_q_variant_via_family_spec():
-    spec = FamilySpec("q-hermite")
-    t = inverse_q_variant(CTX, spec)
+    t = FamilySpec("q-hermite", base="q-inverse").to_ttrr(CTX)
     assert t.C(1) == F(-15, 4)
-    spec_asc = FamilySpec("alsalam-chihara", (("c", F(0)), ("d", F(0))))
-    t2 = inverse_q_variant(CTX, spec_asc)
+    spec_asc = FamilySpec("alsalam-chihara", (("c", F(0)), ("d", F(0))), "q-inverse")
+    t2 = spec_asc.to_ttrr(CTX)
     assert ttrr_equal(t, t2, 10) is None
     assert t2.B(3) == 0
 

@@ -95,3 +95,15 @@ def test_floats_rejected():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         QContext(0.5)
+
+
+def test_parse_rational_accepts_only_the_documented_grammar():
+    # [+-]?[0-9]+(/[0-9]+)? after strip(); Fraction() alone would also take
+    # exponents, decimals, underscores and non-ASCII digits
+    for text, value in [(" -3/4\n", F(-3, 4)), ("+7", F(7)), ("007/010", F(7, 10))]:
+        assert parse_rational(text) == value
+    for text in ["1e-400", "0.5", "1.", "1_000", "١/٢", "½", "1/ 2", "/2", "1/", "1/2/3", "", "nan"]:
+        with pytest.raises(ValueError, match="not a rational p/q string"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
