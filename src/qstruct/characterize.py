@@ -29,8 +29,8 @@ from fractions import Fraction
 from qstruct.awops import operator_rows
 from qstruct.families import (
     IrregularParameters,
+    OPSTable,
     TTRRSpec,
-    generate_ops,
     moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
@@ -244,14 +244,19 @@ def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonDat
     return PearsonData(frak_a=frak_a, frak_b=frak_b, phi=phi, psi=psi)
 
 
-def pearson_check(ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int) -> Report:
+def pearson_check(
+    ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int, *, ops: OPSTable | None = None
+) -> Report:
     """Check -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
     exact moments (needed to order N + 2). The monomial images are the
     context's operator rows, and each side is one dot product of a row with
     the moments of phi u or psi u. The report holds one pearson check per
-    order; a failing one carries both sides as its witness."""
+    order; a failing one carries both sides as its witness.
+
+    ops, when given, is the OPS table of ttrr the moments are read from; it
+    must reach degree N + 2 (see `moments`)."""
     fr = format_rational
-    mom = moments(ttrr, N + 2)
+    mom = moments(ttrr, N + 2, ops=ops)
     phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
     d_rows, s_rows = operator_rows(ctx, N)
     checks = []
@@ -647,7 +652,8 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     if N < 6:
         raise ValueError(f"classification horizon must be at least 6, got N = {N}")
     ledger: dict[str, PredicateRecord] = {}
-    ops = generate_ops(ttrr, N)
+    # the table spans the Pearson horizon min(N + 2, n_max); N > n_max raises here
+    ops = OPSTable(ttrr, min(N + 2, max(N, ttrr.n_max)))
 
     fits = fit_auto(ctx, ops, N)
     for d, f in enumerate(fits):
@@ -669,7 +675,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     except DegenerateR1 as exc:
         return not_characterized("pearson-regularity", str(exc))
     ledger.update(lemma_predicates(ctx, aux, pd, deg))
-    failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)).failures()
+    failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops).failures()
     if failures:
         return not_characterized("pearson", failures[0].witness)
     ledger["pearson"] = PredicateRecord(holds=True)

@@ -26,6 +26,7 @@ from qstruct.characterize import (
 )
 from qstruct.families import (
     FamilySpec,
+    OPSTable,
     generate_ops,
     ops_to_json,
     ttrr_from_json,
@@ -112,7 +113,7 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
-    ops = generate_ops(ttrr, N)
+    ops = OPSTable(ttrr, N)
     if args.deg_pi == "auto":
         fits = fit_auto(ctx, ops, N)
     else:
@@ -139,7 +140,7 @@ def cmd_classify(args) -> int:
 
 
 def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
-    ops = generate_ops(ttrr, min(N + 2, ttrr.n_max))
+    ops = OPSTable(ttrr, min(N + 2, ttrr.n_max))
     report = Report()
     fit = fit_auto(ctx, ops, N)[-1]
     if not fit.is_exact:
@@ -158,7 +159,8 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
     if wants("pearson"):
         try:
             pd = pearson_data(ctx, ttrr, fit)
-            report = report.merged(pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)))
+            order = min(N, ttrr.n_max - 2)
+            report = report.merged(pearson_check(ctx, ttrr, pd, order, ops=ops))
         except DegenerateR1 as exc:
             report = report.merged(Report((Check("pearson", None, False, str(exc)),)))
     if wants("five-term"):

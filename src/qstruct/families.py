@@ -18,7 +18,7 @@ q**(n+a+1) = q**n * p_a**2 * q and q**((2a+1)/4) = p_a * t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -283,15 +283,50 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class OPSTable:
-    """Monic P_0..P_N generated from a TTRRSpec; each entry satisfies the
-    recurrence exactly by construction."""
+    """Monic P_0..P_degree of a TTRRSpec; each entry satisfies the recurrence
+    exactly by construction. The degree is fixed when the table is built,
+    and a degree beyond the TTRR's horizon raises IndexError.
+
+    Entries are built on demand: reading P_n (``table[n]``) builds every
+    missing P_k with k <= n by the recurrence of `generate_ops` and keeps
+    them, and `polys` builds all of them. A stored prefix is never changed:
+    a longer one is built from a snapshot of the shorter one and stored with
+    one assignment, so concurrent readers each hold a complete tuple,
+    whichever of them stores last."""
 
     ttrr: TTRRSpec
-    polys: tuple[Poly, ...]
+    degree: int
+    _built: tuple[Poly, ...] = field(
+        default=(Poly.one(),), init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.degree > self.ttrr.n_max:
+            raise IndexError(f"N = {self.degree} exceeds materialized horizon {self.ttrr.n_max}")
+
+    def __getitem__(self, n: int) -> Poly:
+        """P_n for 0 <= n <= degree."""
+        built = self._built
+        return built[n] if n < len(built) else self._grow(n)[n]
 
     @property
-    def degree(self) -> int:
-        return len(self.polys) - 1
+    def polys(self) -> tuple[Poly, ...]:
+        """P_0..P_degree, all of them built."""
+        built = self._built
+        return built if len(built) > self.degree else self._grow(self.degree)
+
+    def _grow(self, n: int) -> tuple[Poly, ...]:
+        """The stored prefix extended through P_n:
+        P_1 = x - B_0, P_{k+1} = (x - B_k) P_k - C_k P_{k-1}."""
+        if n > self.degree:
+            raise IndexError(f"P_{n} outside the table's degree {self.degree}")
+        polys, x, B, C = list(self._built), Poly.x(), self.ttrr.B, self.ttrr.C
+        for k in range(len(polys) - 1, n):  # P_{k+1} from P_k and P_{k-1}
+            step = (x - B(k)) * polys[k]
+            polys.append(step - C(k) * polys[k - 1] if k else step)
+        built = tuple(polys)
+        object.__setattr__(self, "_built", built)
+        return built
 
     def expand(self, f: Poly) -> list[Fraction]:
         """Coefficients of f in the monic P_k basis, by back substitution:
@@ -306,20 +341,16 @@ class OPSTable:
         while rem:
             k, ck = rem.degree, rem.lead
             out[k] = ck
-            rem = rem - ck * self.polys[k]
+            rem = rem - ck * self[k]
         return out
 
 
 def generate_ops(ttrr: TTRRSpec, N: int) -> OPSTable:
-    """P_0 = 1, P_1 = x - B_0, P_{n+1} = (x - B_n) P_n - C_n P_{n-1}."""
-    if N > ttrr.n_max:
-        raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
-    polys = [Poly.one()]
-    if N >= 1:
-        polys.append(Poly.x() - ttrr.B(0))
-    for n in range(1, N):
-        polys.append((Poly.x() - ttrr.B(n)) * polys[n] - ttrr.C(n) * polys[n - 1])
-    return OPSTable(ttrr=ttrr, polys=tuple(polys))
+    """P_0 = 1, P_1 = x - B_0, P_{n+1} = (x - B_n) P_n - C_n P_{n-1}, as a
+    table of degree N with every entry already built."""
+    ops = OPSTable(ttrr, N)
+    ops._grow(N)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -352,14 +383,23 @@ class MomentVector:
         )
 
 
-def moments(ttrr: TTRRSpec, N: int) -> MomentVector:
+def moments(ttrr: TTRRSpec, N: int, *, ops: OPSTable | None = None) -> MomentVector:
     """mu_0..mu_N from <u, P_n> = 0 for n >= 1: P_n is monic, so
     mu_n = -sum_{k<n} [x**k]P_n mu_k, a triangular solve on the integer
     numerators of the OPS table. This forces <u, P_n> = 0 for n >= 1 and
     <u, P_n**2> = C_1...C_n. The moments stay over their least common
-    denominator."""
+    denominator.
+
+    ops, when given, is an OPS table of ttrr reaching degree N, whose
+    entries are read (and built if missing) in place of a new table; a
+    shorter one is a ValueError."""
+    if ops is None:
+        ops = OPSTable(ttrr, N)
+    elif ops.degree < N:
+        raise ValueError(f"OPS table reaches degree {ops.degree}, moments need {N}")
     nums, den = [1], 1  # mu_k = nums[k] / den
-    for p in generate_ops(ttrr, N).polys[1:]:
+    for n in range(1, N + 1):
+        p = ops[n]
         s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)
         g = gcd(s, p.den * den)
         mu_den = p.den * den // g

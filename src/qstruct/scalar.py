@@ -25,10 +25,13 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, or "p/q" strings to Fraction. Floats are
-    rejected: this package has no inexact mode."""
+    """Coerce ints, Fractions, or "p/q" strings to Fraction; strings follow
+    the grammar of `parse_rational`. Floats are rejected: this package has
+    no inexact mode."""
     if isinstance(value, float):
         raise TypeError("floating-point values are not accepted; use Fraction or a 'p/q' string")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

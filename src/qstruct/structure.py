@@ -17,6 +17,10 @@ their solution is the pi shown unique below. With pi fixed, the fitter
 reduces each index in turn, and the first nonzero residual is the reported
 failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in
 order on one shared set of D_q P_n images and stops at the first exact fit.
+The fits read P_n and D_q P_n in increasing n, and each image (with the
+table entries it needs) is built the first time a fit reads it, so a
+recurrence whose fits all fail at n = 3 pays for P_0..P_3 and
+D_q P_0..D_q P_3 only, whatever the horizon.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -93,9 +97,10 @@ class StructureFit:
     status is exact; a, b, c are indexed 0..horizon with a_0 = b_0 = c_0 = 0.
     On failure the sequences hold whatever indices were solved before the
     first inconsistency (failure_n), and pi is the zero polynomial if it was
-    never pinned. dq holds the images D_q P_0 .. D_q P_horizon the fit was
-    computed from (empty for a fit built by hand); it takes no part in
-    equality."""
+    never pinned. dq holds the images the fit read: D_q P_0 .. D_q P_horizon
+    when it ran to the horizon (exact or degenerate-c), D_q P_0 ..
+    D_q P_failure_n when it found no solution, and nothing for a fit built
+    by hand; it takes no part in equality."""
 
     pi: Poly
     a: tuple[Fraction, ...]
@@ -197,16 +202,30 @@ def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
     return x
 
 
-def _dq_images(ctx: QContext, ops: OPSTable, N: int) -> tuple[Poly, ...]:
-    """D_q P_n for n = 0..N, after checking the horizon. The context's
-    operator rows grow to degree N in one step rather than one degree per
+class _Images:
+    """D_q P_0, D_q P_1, ... of one OPS table up to the fit horizon N, each
+    built (with the P_n it needs) the first time a fit reads it or a later
+    index. The horizon is checked and the context's operator rows grow to
+    degree N in one step when the store is made, rather than one degree per
     image."""
-    if N < 3:
-        raise ValueError(f"fit horizon must be at least 3, got N = {N}")
-    if ops.degree < N:
-        raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
-    operator_rows(ctx, N)
-    return tuple(dq_apply(ctx, p) for p in ops.polys[: N + 1])
+
+    def __init__(self, ctx: QContext, ops: OPSTable, N: int):
+        if N < 3:
+            raise ValueError(f"fit horizon must be at least 3, got N = {N}")
+        if ops.degree < N:
+            raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+        operator_rows(ctx, N)
+        self.ctx, self.ops, self.built = ctx, ops, []
+
+    def __getitem__(self, n: int) -> Poly:
+        built = self.built
+        for k in range(len(built), n + 1):
+            built.append(dq_apply(self.ctx, self.ops[k]))
+        return built[n]
+
+    def upto(self, n: int) -> tuple[Poly, ...]:
+        """D_q P_0..D_q P_n, the images a fit that read index n holds."""
+        return tuple(self.built[: n + 1])
 
 
 def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
@@ -219,15 +238,15 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     """
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
-    return _fit(ops, _dq_images(ctx, ops, N), deg_pi, N)
+    return _fit(ops, _Images(ctx, ops, N), deg_pi, N)
 
 
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
     exact one. Each entry equals fit_structure(ctx, ops, d, N); the D_q P_n
-    images are computed once, shared by every attempt and returned with
-    each fit as its dq."""
-    dq = _dq_images(ctx, ops, N)
+    images are computed once, as far as the attempts read them, shared by
+    every attempt and returned with each fit as its dq."""
+    dq = _Images(ctx, ops, N)
     fits = []
     for d in (0, 1, 2):
         fits.append(_fit(ops, dq, d, N))
@@ -236,7 +255,7 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     return fits
 
 
-def _pin_rows(P: tuple[Poly, ...], dq: tuple[Poly, ...], d: int, n: int):
+def _pin_rows(P: OPSTable, dq: _Images, d: int, n: int):
     """Augmented rows, one per coefficient of x**0 .. x**(n-2), saying that
     the reduced residual of pi * D_q P_n vanishes; the unknowns are pi's
     lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs."""
@@ -244,32 +263,35 @@ def _pin_rows(P: tuple[Poly, ...], dq: tuple[Poly, ...], d: int, n: int):
     return [[r.coeff(i) for r in res[:d]] + [-res[d].coeff(i)] for i in range(n - 1)]
 
 
-def _fit(ops: OPSTable, dq: tuple[Poly, ...], d: int, N: int) -> StructureFit:
-    """fit_structure for degree d, given dq[n] = D_q P_n for n = 0..N."""
-    P = ops.polys
+def _fit(P: OPSTable, dq: _Images, d: int, N: int) -> StructureFit:
+    """fit_structure for degree d, reading P_n and D_q P_n from the table
+    and the image store in increasing n; the fit keeps the images
+    D_q P_0..D_q P_n up to the last index n it read."""
     rows: list[list[Fraction]] = []
     for m in (2, 3):  # identities 2..3 pin pi whenever consistent (module docstring)
         rows += _pin_rows(P, dq, d, m)
         solution = _solve(rows)
         if solution is None:
-            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N, dq)
+            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N, dq.upto(m))
     pi = Poly(tuple(solution) + (Fraction(1),))
 
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
         a_n, b_n, c_n, res = _reduce(pi * dq[n], P, n)
         if res:
-            return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N, dq)
+            return StructureFit(
+                pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N, dq.upto(n)
+            )
         a.append(a_n)
         b.append(b_n)
         c.append(c_n)
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
-    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N, dq)
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N, dq.upto(N))
 
 
-def _reduce(lhs: Poly, P: tuple[Poly, ...], n: int):
+def _reduce(lhs: Poly, P: OPSTable, n: int):
     """(a_n, b_n, c_n, residual) for lhs = (a_n x + b_n) P_n + c_n P_{n-1}
     + residual, n >= 1. P_n and P_{n-1} are monic, so the coefficients of
     x**(n+1), x**n and x**(n-1) of lhs give a_n, b_n and c_n by
@@ -281,7 +303,7 @@ def _reduce(lhs: Poly, P: tuple[Poly, ...], n: int):
     return a_n, b_n, c_n, _residual(lhs, P, a_n, b_n, c_n, n)
 
 
-def _residual(lhs: Poly, P: tuple[Poly, ...], a_n, b_n, c_n, n: int) -> Poly:
+def _residual(lhs: Poly, P: OPSTable, a_n, b_n, c_n, n: int) -> Poly:
     """lhs - (a_n x + b_n) P_n - c_n P_{n-1}, with lhs = pi * D_q P_n."""
     res = lhs - Poly((b_n, a_n)) * P[n]
     return res - c_n * P[n - 1] if n >= 1 else res
@@ -291,7 +313,7 @@ def structure_residual(
     ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
 ) -> Poly:
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
-    return _residual(pi * dq_apply(ctx, ops.polys[n]), ops.polys, a_n, b_n, c_n, n)
+    return _residual(pi * dq_apply(ctx, ops[n]), ops, a_n, b_n, c_n, n)
 
 
 def verify_structure(
@@ -308,10 +330,10 @@ def verify_structure(
         raise ValueError("verify_structure requires an exact fit")
     N = fit.horizon
     if dq is None:
-        dq = [dq_apply(ctx, p) for p in ops.polys[: N + 1]]
+        dq = [dq_apply(ctx, ops[n]) for n in range(N + 1)]
     checks = []
     for n in range(N + 1):
-        res = _residual(fit.pi * dq[n], ops.polys, fit.a[n], fit.b[n], fit.c[n], n)
+        res = _residual(fit.pi * dq[n], ops, fit.a[n], fit.b[n], fit.c[n], n)
         checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
     return Report(tuple(checks))
 
@@ -370,7 +392,7 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
             formula[n - 1] = v4
         if n >= 2:
             formula[n - 2] = v5
-        expanded = ops.expand(fit.pi * sq_apply(ctx, ops.polys[n]))
+        expanded = ops.expand(fit.pi * sq_apply(ctx, ops[n]))
         expanded += [zero] * (n + 3 - len(expanded))
         # Indices below n-2 must vanish, and the formula coefficients for
         # out-of-range P_{n-1}, P_{n-2} must agree with the convention.

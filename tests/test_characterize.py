@@ -1,7 +1,10 @@
+import sys
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
+from qstruct import awops
 from qstruct.characterize import (
     FAMILY_ASC,
     FAMILY_CHEBYSHEV_T,
@@ -20,8 +23,10 @@ from qstruct.characterize import (
     verify_difference_system,
 )
 from qstruct.families import (
+    OPSTable,
     TTRRSpec,
     generate_ops,
+    moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
     ttrr_cq_jacobi,
@@ -155,6 +160,17 @@ def test_pearson_check_detects_wrong_phi():
         check.witness.startswith(f"Pearson identity fails at n = {check.n}: ")
         for check in report.failures()
     )
+
+
+def test_pearson_check_reads_a_given_table_reaching_n_plus_2():
+    ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
+    _, fit = fitted(ttrr, 2)
+    pd = pearson_data(CTX, ttrr, fit)
+    table = OPSTable(ttrr, 10)
+    assert pearson_check(CTX, ttrr, pd, 8, ops=table) == pearson_check(CTX, ttrr, pd, 8)
+    assert moments(ttrr, 10, ops=table) == moments(ttrr, 10)
+    with pytest.raises(ValueError, match="OPS table reaches degree 9, moments need 10"):
+        pearson_check(CTX, ttrr, pd, 8, ops=OPSTable(ttrr, 9))
 
 
 @pytest.mark.parametrize(
@@ -438,3 +454,67 @@ def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():
             assert result.family != FAMILY_CHEBYSHEV_T
             assert record is None
     assert matched == 3  # unperturbed, B_9 and C_9 beyond the horizon
+
+
+@pytest.fixture
+def dq_calls(monkeypatch):
+    """A list that grows by one entry per awops.dq_apply call, through every
+    qstruct module attribute bound to it."""
+    calls, dq_apply = [], awops.dq_apply
+
+    def counted(*args):
+        calls.append(args)
+        return dq_apply(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qstruct" or name.startswith("qstruct."):
+            for attr, val in list(vars(mod).items()):
+                if val is dq_apply:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def last_index_read(result, n):
+    """The highest index any fit of a classification read: a no-solution
+    fit stops at its failure index, an exact one reads up to n."""
+    return max(
+        int(record.witness["n"] or n)
+        for key, record in result.predicates.items()
+        if key.startswith("fit-deg-")
+    )
+
+
+def test_classify_applies_d_q_only_as_far_as_the_fits_read(dq_calls):
+    # the fits read D_q P_n in increasing n and stop at their failure index,
+    # so a recurrence outside the class pays for D_q P_0..D_q P_3, not for
+    # the whole horizon (21 images at N = 20 when they were built up front)
+    n = 20
+    rng = Random(20)
+    ttrr = TTRRSpec.from_lists(
+        [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)],
+        [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)],
+    )
+    last = last_index_read(classify(CTX, ttrr, n), n)
+    assert last <= 3
+    assert len(dq_calls) == last + 1
+
+    jacobi = ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=n + 2)
+    dq_calls.clear()
+    result = classify(CTX, jacobi, n)
+    assert result.family == FAMILY_CQ_JACOBI
+    assert len(dq_calls) == n + 1  # an exact fit reads every index
+    # B_k first enters P_{k+1}, so the fits read up to k + 1 at most (the
+    # deg-2 fit stays exact for k = n); below k = 2 the pin at 3 reads more
+    for k in range(2, n + 1):
+        dq_calls.clear()
+        last = last_index_read(classify(CTX, b_perturbed(jacobi, k), n), n)
+        assert len(dq_calls) == last + 1 <= k + 2
+
+
+def test_classify_checks_its_horizon_before_building_anything():
+    ttrr = ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=8)
+    with pytest.raises(IndexError, match="^N = 9 exceeds materialized horizon 8$"):
+        classify(CTX, ttrr, 9)
+    with pytest.raises(ValueError, match="at least 6, got N = 5"):
+        classify(CTX, ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=4), 5)
+    assert classify(CTX, ttrr, 8).family == FAMILY_CQ_JACOBI  # the table spans n_max

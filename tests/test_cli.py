@@ -2,12 +2,14 @@ import gc
 import json
 import sys
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from qstruct import awops, cli
 from qstruct.cli import main
-from qstruct.families import generate_ops, ttrr_cq_jacobi
+from qstruct.characterize import classify
+from qstruct.families import OPSTable, TTRRSpec, generate_ops, ttrr_cq_jacobi
 from qstruct.scalar import QContext
 from qstruct.structure import fit_auto
 
@@ -441,6 +443,35 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
     report = cli._verify_checks(ctx, ttrr, 10, "all")
     assert report.ok
     assert list(counts.values()) == [11, 10]
+
+
+@pytest.mark.parametrize("entry", ["verify", "classify", "reject"])
+def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
+    # the fit, the five-term expansion and the Pearson moments read one table
+    # (classify and verify built P_0..P_N for the fit and again for the
+    # moments), and a recurrence whose fits all fail by n = 3 builds P_0..P_3
+    built = []
+    grow = OPSTable._grow
+
+    def counted(table, n):
+        built.extend(range(len(table._built), n + 1))
+        return grow(table, n)
+
+    monkeypatch.setattr(OPSTable, "_grow", counted)
+    ctx = QContext(F(1, 2))
+    ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
+    if entry == "verify":
+        assert cli._verify_checks(ctx, ttrr, 10, "all").ok
+    elif entry == "classify":
+        assert classify(ctx, ttrr, 10).characterized
+    else:
+        rng = Random(20)
+        ttrr = TTRRSpec.from_lists(
+            [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(23)],
+            [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(22)],
+        )
+        assert not classify(ctx, ttrr, 20).characterized
+    assert sorted(built) == list(range(1, 4 if entry == "reject" else 13))
 
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])

@@ -26,12 +26,14 @@ exactly one error: line, and stdout is the same on every run.
 
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from io import StringIO
 from math import gcd
+from threading import Thread
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,7 @@ from qstruct.characterize import (
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
+    OPSTable,
     TTRRSpec,
     generate_ops,
     moments,
@@ -61,7 +64,13 @@ from qstruct.families import (
 )
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
-from qstruct.structure import fit_auto, fit_structure, five_term, verify_structure
+from qstruct.structure import (
+    STATUS_NO_SOLUTION,
+    fit_auto,
+    fit_structure,
+    five_term,
+    verify_structure,
+)
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -166,6 +175,65 @@ def test_consistent_pin_system_leaves_no_free_column(case):
     for d in (0, 1, 2):
         consistent, _, determined = reference_solve(*reference_joint_system(ops, dq, d, 3))
         assert not consistent or all(determined)
+
+
+@BOUNDED
+@given(random_ttrrs(max_n=12), st.randoms(use_true_random=False))
+def test_lazy_table_read_in_any_order_matches_generate_ops(case, rnd):
+    _, ttrr = case
+    N = ttrr.n_max
+    eager = generate_ops(ttrr, N).polys
+    table = OPSTable(ttrr, N)
+    order = list(range(N + 1))
+    rnd.shuffle(order)
+    assert [table[n] for n in order] == [eager[n] for n in order]
+    assert table.polys == eager
+
+
+@BOUNDED
+@given(random_ttrrs(max_n=12))
+def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(case):
+    # readers in opposite orders, with a switch interval short enough that
+    # they interleave inside the table's growth step
+    _, ttrr = case
+    N = ttrr.n_max
+    eager = generate_ops(ttrr, N).polys
+    table = OPSTable(ttrr, N)
+    seen = [None] * 4
+
+    def read(i):
+        order = range(N + 1) if i % 2 else range(N, -1, -1)
+        seen[i] = {n: table[n] for n in order}
+
+    threads = [Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for polys in seen:
+        assert tuple(polys[n] for n in range(N + 1)) == eager
+    assert table.polys == eager
+
+
+@BOUNDED
+@given(fit_cases())
+def test_fit_auto_on_a_lazy_table_matches_fit_structure_on_an_eager_one(case):
+    # equal fits have the same pi, failure_n, a/b/c prefixes, status and
+    # horizon; each holds the images D_q P_0.. up to the last index it read
+    ctx, ops, N = case
+    fits = fit_auto(ctx, OPSTable(ops.ttrr, N), N)
+    reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
+    assert fits == reference[: len(fits)]
+    images = tuple(dq_apply(ctx, p) for p in ops.polys)
+    for fit in fits:
+        last = fit.failure_n if fit.status == STATUS_NO_SOLUTION else N
+        assert fit.dq == images[: last + 1]
 
 
 @BOUNDED

@@ -107,3 +107,18 @@ def test_parse_rational_accepts_only_the_documented_grammar():
             parse_rational(text)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_as_fraction_reads_strings_by_the_rational_grammar():
+    # library inputs (QContext, TTRRSpec.from_lists, the family generators)
+    # coerce through as_fraction, so they take exactly the strings the CLI does
+    assert as_fraction(" -3/4\n") == F(-3, 4)
+    assert as_fraction(7) == F(7) and as_fraction(F(2, 6)) == F(1, 3)
+    for text in ["1e-3", "1_0", "0.5", "١/٢"]:
+        with pytest.raises(ValueError, match=f"not a rational p/q string: {text!r}"):
+            as_fraction(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
+    with pytest.raises(ValueError, match="not a rational p/q string: '0.5'"):
+        QContext("0.5")
+    assert QContext("1/2") == CTX
