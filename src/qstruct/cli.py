@@ -72,7 +72,10 @@ def _load_ttrr(path: str):
     """Read and schema-check a TTRR document: an object with a rational
     string q_quarter and lists of rational strings B and C."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if not isinstance(data.get("q_quarter"), str):
@@ -149,7 +152,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
         )
     wants = lambda name: which in ("all", name)
     if wants("structure"):
-        report = report.merged(verify_structure(ctx, ops, fit, fit.dq))
+        report = report.merged(verify_structure(ctx, ops, fit))
     if wants("system"):
         try:
             aux = aux_sequences(ctx, ttrr, fit)

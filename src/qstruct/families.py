@@ -24,6 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from qstruct.awops import dq_apply
 from qstruct.poly import Poly, poly_to_json
 from qstruct.scalar import QContext, as_fraction, format_rational, parse_rational
 
@@ -289,8 +290,10 @@ class OPSTable:
 
     Entries are built on demand: reading P_n (``table[n]``) builds every
     missing P_k with k <= n by the recurrence of `generate_ops` and keeps
-    them, and `polys` builds all of them. A stored prefix is never changed:
-    a longer one is built from a snapshot of the shorter one and stored with
+    them, and `polys` builds all of them. The images D_q P_n are kept the
+    same way, one prefix per context (`dq`), so every identity of one
+    problem reads one store of them. A stored prefix is never changed: a
+    longer one is built from a snapshot of the shorter one and stored with
     one assignment, so concurrent readers each hold a complete tuple,
     whichever of them stores last."""
 
@@ -298,6 +301,9 @@ class OPSTable:
     degree: int
     _built: tuple[Poly, ...] = field(
         default=(Poly.one(),), init=False, repr=False, compare=False
+    )
+    _images: dict[QContext, tuple[Poly, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -327,6 +333,16 @@ class OPSTable:
         built = tuple(polys)
         object.__setattr__(self, "_built", built)
         return built
+
+    def dq(self, ctx: QContext, n: int) -> Poly:
+        """D_q P_n under ctx, for 0 <= n <= degree. Reading it builds every
+        missing D_q P_k with k <= n (and the P_k they need) and keeps them."""
+        images = self._images.get(ctx, ())
+        if n < len(images):
+            return images[n]
+        grown = images + tuple(dq_apply(ctx, self[k]) for k in range(len(images), n + 1))
+        self._images[ctx] = grown
+        return grown[n]
 
     def expand(self, f: Poly) -> list[Fraction]:
         """Coefficients of f in the monic P_k basis, by back substitution:

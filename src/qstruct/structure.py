@@ -15,12 +15,13 @@ leaves no residual coefficient, so these equations are consistent exactly
 when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
 their solution is the pi shown unique below. With pi fixed, the fitter
 reduces each index in turn, and the first nonzero residual is the reported
-failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in
-order on one shared set of D_q P_n images and stops at the first exact fit.
-The fits read P_n and D_q P_n in increasing n, and each image (with the
-table entries it needs) is built the first time a fit reads it, so a
-recurrence whose fits all fail at n = 3 pays for P_0..P_3 and
-D_q P_0..D_q P_3 only, whatever the horizon.
+failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2
+in order and stops at the first exact fit. The fits, `verify_structure`
+and `structure_residual` read P_n and D_q P_n from the OPS table, which
+builds each of them the first time it is read and keeps it
+(`OPSTable.dq`). So the degree attempts and a later verify on the same
+table share one set of images, and a recurrence whose fits all fail at
+n = 3 pays for P_0..P_3 and D_q P_0..D_q P_3 only, whatever the horizon.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -63,10 +64,10 @@ which `verify_structure` accepts happily since it only checks residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from qstruct.awops import dq_apply, operator_rows, sq_apply
+from qstruct.awops import operator_rows, sq_apply
 from qstruct.families import OPSTable
 from qstruct.poly import Poly, poly_to_json
 from qstruct.report import Check, Report
@@ -97,10 +98,7 @@ class StructureFit:
     status is exact; a, b, c are indexed 0..horizon with a_0 = b_0 = c_0 = 0.
     On failure the sequences hold whatever indices were solved before the
     first inconsistency (failure_n), and pi is the zero polynomial if it was
-    never pinned. dq holds the images the fit read: D_q P_0 .. D_q P_horizon
-    when it ran to the horizon (exact or degenerate-c), D_q P_0 ..
-    D_q P_failure_n when it found no solution, and nothing for a fit built
-    by hand; it takes no part in equality."""
+    never pinned."""
 
     pi: Poly
     a: tuple[Fraction, ...]
@@ -109,7 +107,6 @@ class StructureFit:
     status: str
     failure_n: int | None
     horizon: int
-    dq: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def is_exact(self) -> bool:
@@ -202,30 +199,15 @@ def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
     return x
 
 
-class _Images:
-    """D_q P_0, D_q P_1, ... of one OPS table up to the fit horizon N, each
-    built (with the P_n it needs) the first time a fit reads it or a later
-    index. The horizon is checked and the context's operator rows grow to
-    degree N in one step when the store is made, rather than one degree per
-    image."""
-
-    def __init__(self, ctx: QContext, ops: OPSTable, N: int):
-        if N < 3:
-            raise ValueError(f"fit horizon must be at least 3, got N = {N}")
-        if ops.degree < N:
-            raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
-        operator_rows(ctx, N)
-        self.ctx, self.ops, self.built = ctx, ops, []
-
-    def __getitem__(self, n: int) -> Poly:
-        built = self.built
-        for k in range(len(built), n + 1):
-            built.append(dq_apply(self.ctx, self.ops[k]))
-        return built[n]
-
-    def upto(self, n: int) -> tuple[Poly, ...]:
-        """D_q P_0..D_q P_n, the images a fit that read index n holds."""
-        return tuple(self.built[: n + 1])
+def _check_horizon(ctx: QContext, ops: OPSTable, N: int) -> None:
+    """Reject a horizon the fit cannot run to, and grow the context's
+    operator rows to degree N in one step rather than one degree per
+    D_q P_n image."""
+    if N < 3:
+        raise ValueError(f"fit horizon must be at least 3, got N = {N}")
+    if ops.degree < N:
+        raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+    operator_rows(ctx, N)
 
 
 def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
@@ -238,57 +220,55 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     """
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
-    return _fit(ops, _Images(ctx, ops, N), deg_pi, N)
+    _check_horizon(ctx, ops, N)
+    return _fit(ctx, ops, deg_pi, N)
 
 
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
-    exact one. Each entry equals fit_structure(ctx, ops, d, N); the D_q P_n
-    images are computed once, as far as the attempts read them, shared by
-    every attempt and returned with each fit as its dq."""
-    dq = _Images(ctx, ops, N)
+    exact one. Each entry equals fit_structure(ctx, ops, d, N); the attempts
+    share the table's D_q P_n images."""
+    _check_horizon(ctx, ops, N)
     fits = []
     for d in (0, 1, 2):
-        fits.append(_fit(ops, dq, d, N))
+        fits.append(_fit(ctx, ops, d, N))
         if fits[-1].is_exact:
             break
     return fits
 
 
-def _pin_rows(P: OPSTable, dq: _Images, d: int, n: int):
+def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int):
     """Augmented rows, one per coefficient of x**0 .. x**(n-2), saying that
     the reduced residual of pi * D_q P_n vanishes; the unknowns are pi's
     lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs."""
-    res = [_reduce(Poly.monomial(j) * dq[n], P, n)[3] for j in range(d + 1)]
+    image = P.dq(ctx, n)
+    res = [_reduce(Poly.monomial(j) * image, P, n)[3] for j in range(d + 1)]
     return [[r.coeff(i) for r in res[:d]] + [-res[d].coeff(i)] for i in range(n - 1)]
 
 
-def _fit(P: OPSTable, dq: _Images, d: int, N: int) -> StructureFit:
+def _fit(ctx: QContext, P: OPSTable, d: int, N: int) -> StructureFit:
     """fit_structure for degree d, reading P_n and D_q P_n from the table
-    and the image store in increasing n; the fit keeps the images
-    D_q P_0..D_q P_n up to the last index n it read."""
+    in increasing n."""
     rows: list[list[Fraction]] = []
     for m in (2, 3):  # identities 2..3 pin pi whenever consistent (module docstring)
-        rows += _pin_rows(P, dq, d, m)
+        rows += _pin_rows(ctx, P, d, m)
         solution = _solve(rows)
         if solution is None:
-            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N, dq.upto(m))
+            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N)
     pi = Poly(tuple(solution) + (Fraction(1),))
 
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        a_n, b_n, c_n, res = _reduce(pi * dq[n], P, n)
+        a_n, b_n, c_n, res = _reduce(pi * P.dq(ctx, n), P, n)
         if res:
-            return StructureFit(
-                pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N, dq.upto(n)
-            )
+            return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
         a.append(a_n)
         b.append(b_n)
         c.append(c_n)
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
-    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N, dq.upto(N))
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
 
 
 def _reduce(lhs: Poly, P: OPSTable, n: int):
@@ -313,27 +293,20 @@ def structure_residual(
     ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
 ) -> Poly:
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
-    return _residual(pi * dq_apply(ctx, ops[n]), ops, a_n, b_n, c_n, n)
+    return _residual(pi * ops.dq(ctx, n), ops, a_n, b_n, c_n, n)
 
 
-def verify_structure(
-    ctx: QContext, ops: OPSTable, fit: StructureFit, dq: tuple[Poly, ...] | None = None
-) -> Report:
+def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     """Recompute every residual of an exact fit and demand the zero
     polynomial. The report holds one structure-residual check per
     n = 0..horizon; a nonzero residual fails its check and is the witness.
-
-    dq, when given, holds D_q P_n of ops for n = 0..horizon, for example
-    the fit's own dq when ops is the table it was fitted on; otherwise the
-    images are computed here."""
+    The images D_q P_n are read from ops, so a verify on the table the fit
+    was made on reuses the fit's images."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
-    N = fit.horizon
-    if dq is None:
-        dq = [dq_apply(ctx, ops[n]) for n in range(N + 1)]
     checks = []
-    for n in range(N + 1):
-        res = _residual(fit.pi * dq[n], ops, fit.a[n], fit.b[n], fit.c[n], n)
+    for n in range(fit.horizon + 1):
+        res = _residual(fit.pi * ops.dq(ctx, n), ops, fit.a[n], fit.b[n], fit.c[n], n)
         checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
     return Report(tuple(checks))
 

@@ -282,6 +282,16 @@ def test_top_level_list_exits_2(tmp_path, capsys, command):
     assert_bad_input(code, err)
 
 
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, command, str(path))
+    assert_bad_input(code, err)
+    assert str(path) in err and "nested too deeply" in err
+    assert out == ""
+
+
 def test_generate_zero_denominator_exits_2(capsys):
     code, out, err = run(capsys, "generate", "--family", "q-hermite", "--q-quarter", "1/0")
     assert_bad_input(code, err)

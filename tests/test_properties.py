@@ -191,19 +191,22 @@ def test_lazy_table_read_in_any_order_matches_generate_ops(case, rnd):
 
 
 @BOUNDED
-@given(random_ttrrs(max_n=12))
-def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(case):
+@given(random_ttrrs(max_n=12), st.booleans())
+def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(case, images):
     # readers in opposite orders, with a switch interval short enough that
-    # they interleave inside the table's growth step
-    _, ttrr = case
+    # they interleave inside the table's growth step; they read P_n, or
+    # D_q P_n, which also grows the table's image prefix
+    ctx, ttrr = case
     N = ttrr.n_max
     eager = generate_ops(ttrr, N).polys
     table = OPSTable(ttrr, N)
+    entry = (lambda n: table.dq(ctx, n)) if images else table.__getitem__
+    expected = tuple(dq_apply(ctx, p) for p in eager) if images else eager
     seen = [None] * 4
 
     def read(i):
         order = range(N + 1) if i % 2 else range(N, -1, -1)
-        seen[i] = {n: table[n] for n in order}
+        seen[i] = {n: entry(n) for n in order}
 
     threads = [Thread(target=read, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -216,8 +219,9 @@ def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(cas
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for polys in seen:
-        assert tuple(polys[n] for n in range(N + 1)) == eager
+    for values in seen:
+        assert tuple(values[n] for n in range(N + 1)) == expected
+    assert tuple(entry(n) for n in range(N + 1)) == expected
     assert table.polys == eager
 
 
@@ -225,15 +229,15 @@ def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(cas
 @given(fit_cases())
 def test_fit_auto_on_a_lazy_table_matches_fit_structure_on_an_eager_one(case):
     # equal fits have the same pi, failure_n, a/b/c prefixes, status and
-    # horizon; each holds the images D_q P_0.. up to the last index it read
+    # horizon; the lazy table holds the images D_q P_0.. up to the last
+    # index any fit read
     ctx, ops, N = case
-    fits = fit_auto(ctx, OPSTable(ops.ttrr, N), N)
+    table = OPSTable(ops.ttrr, N)
+    fits = fit_auto(ctx, table, N)
     reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
     assert fits == reference[: len(fits)]
-    images = tuple(dq_apply(ctx, p) for p in ops.polys)
-    for fit in fits:
-        last = fit.failure_n if fit.status == STATUS_NO_SOLUTION else N
-        assert fit.dq == images[: last + 1]
+    last = max(fit.failure_n if fit.status == STATUS_NO_SOLUTION else N for fit in fits)
+    assert table._images[ctx] == tuple(dq_apply(ctx, p) for p in ops.polys[: last + 1])
 
 
 @BOUNDED
@@ -308,8 +312,8 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
     values[k] += delta
     broken = replace(fit, **{field: tuple(values)})
 
-    structure = verify_structure(ctx, ops, broken)
-    assert verify_structure(ctx, ops, broken, broken.dq) == structure  # the fit's own images
+    structure = verify_structure(ctx, ops, broken)  # the images the fit read
+    assert verify_structure(ctx, OPSTable(ttrr, ttrr.n_max), broken) == structure
     assert len(structure.checks) == N + 1
     assert [check.n for check in structure.failures()] == [k]
     expansion = five_term(ctx, ops, broken)
@@ -533,6 +537,7 @@ MALFORMED = {
     "missing key": lambda doc: json.dumps({"B": doc["B"], "C": doc["C"]}),
     "top-level list": lambda doc: json.dumps([doc]),
     "truncated JSON": lambda doc: json.dumps(doc)[:-1],
+    "nested past the recursion limit": lambda doc: "[" * 200_000 + "]" * 200_000,
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qstruct.awops import dq_apply
 from qstruct.families import (
+    OPSTable,
     generate_ops,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
@@ -18,6 +19,7 @@ from qstruct.structure import (
     STATUS_EXACT,
     STATUS_NO_SOLUTION,
     StructureFit,
+    fit_auto,
     fit_structure,
     five_term,
     structure_residual,
@@ -231,6 +233,22 @@ def test_verify_structure_passes_and_detects_perturbation():
     assert len(report.checks) == N + 1
     assert [check.n for check in report.failures()] == [2]
     assert report.failures()[0].witness
+
+
+def test_one_table_keeps_its_images_per_context():
+    # the Chebyshev-T recurrence does not depend on q, so one table serves
+    # two contexts; each keeps its own D_q P_n images, and a verify on the
+    # table reads the images of its own context
+    ops = OPSTable(ttrr_chebyshev_t(n_max=N), N)
+    contexts = (QContext(F(1, 2)), QContext(F(2, 3)))
+    fits = [fit_auto(ctx, ops, N)[-1] for ctx in contexts]
+    assert all(fit.is_exact and fit.pi.degree == 2 for fit in fits)
+    assert set(ops._images) == set(contexts)
+    for ctx, fit in zip(contexts, fits):
+        assert ops._images[ctx] == tuple(dq_apply(ctx, p) for p in generate_ops(ops.ttrr, N).polys)
+        assert verify_structure(ctx, ops, fit).ok
+    assert fits[0] != fits[1]
+    assert not verify_structure(contexts[1], ops, fits[0]).ok
 
 
 def test_scale_invariance_of_the_relation():
