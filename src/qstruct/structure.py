@@ -16,12 +16,16 @@ when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
 their solution is the pi shown unique below. With pi fixed, the fitter
 reduces each index in turn, and the first nonzero residual is the reported
 failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2
-in order and stops at the first exact fit. The fits, `verify_structure`
-and `structure_residual` read P_n and D_q P_n from the OPS table, which
-builds each of them the first time it is read and keeps it
-(`OPSTable.dq`). So the degree attempts and a later verify on the same
-table share one set of images, and a recurrence whose fits all fail at
-n = 3 pays for P_0..P_3 and D_q P_0..D_q P_3 only, whatever the horizon.
+in order and stops at the first exact fit, reducing each residual of
+x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read once for all three
+attempts. The fits, `verify_structure` and `structure_residual` read P_n
+and D_q P_n from the OPS table, which builds each of them the first time
+it is read and keeps it (`OPSTable.dq`). So the degree attempts and a
+later verify on the same table share one set of images. A fit grows the
+context's operator rows to degree 3 for its pin and to the horizon only
+once pi pins, so a recurrence whose fits all fail at n = 3 pays for
+P_0..P_3, D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the
+horizon.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -199,15 +203,13 @@ def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
     return x
 
 
-def _check_horizon(ctx: QContext, ops: OPSTable, N: int) -> None:
-    """Reject a horizon the fit cannot run to, and grow the context's
-    operator rows to degree N in one step rather than one degree per
-    D_q P_n image."""
+def _check_horizon(ops: OPSTable, N: int) -> None:
+    """Reject a horizon the fit cannot run to, before any work. The
+    context's operator rows are grown by `_fit`, only as far as it reads."""
     if N < 3:
         raise ValueError(f"fit horizon must be at least 3, got N = {N}")
     if ops.degree < N:
         raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
-    operator_rows(ctx, N)
 
 
 def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
@@ -220,43 +222,53 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     """
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
-    _check_horizon(ctx, ops, N)
-    return _fit(ctx, ops, deg_pi, N)
+    _check_horizon(ops, N)
+    return _fit(ctx, ops, deg_pi, N, {})
 
 
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
     exact one. Each entry equals fit_structure(ctx, ops, d, N); the attempts
-    share the table's D_q P_n images."""
-    _check_horizon(ctx, ops, N)
+    share the table's D_q P_n images and the reduced pin residuals."""
+    _check_horizon(ops, N)
+    residuals: dict[int, list[Poly]] = {}
     fits = []
     for d in (0, 1, 2):
-        fits.append(_fit(ctx, ops, d, N))
+        fits.append(_fit(ctx, ops, d, N, residuals))
         if fits[-1].is_exact:
             break
     return fits
 
 
-def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int):
+def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list[Poly]]):
     """Augmented rows, one per coefficient of x**0 .. x**(n-2), saying that
     the reduced residual of pi * D_q P_n vanishes; the unknowns are pi's
-    lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs."""
-    image = P.dq(ctx, n)
-    res = [_reduce(Poly.monomial(j) * image, P, n)[3] for j in range(d + 1)]
+    lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs.
+    residuals[n] holds the reduced residuals of x**j * D_q P_n computed so
+    far, j = 0, 1, ...; it is extended to j = d, so the degree attempts of
+    one problem reduce each (j, n) once."""
+    res, image = residuals.setdefault(n, []), P.dq(ctx, n)
+    res += [_reduce(Poly.monomial(j) * image, P, n)[3] for j in range(len(res), d + 1)]
     return [[r.coeff(i) for r in res[:d]] + [-res[d].coeff(i)] for i in range(n - 1)]
 
 
-def _fit(ctx: QContext, P: OPSTable, d: int, N: int) -> StructureFit:
+def _fit(
+    ctx: QContext, P: OPSTable, d: int, N: int, residuals: dict[int, list[Poly]]
+) -> StructureFit:
     """fit_structure for degree d, reading P_n and D_q P_n from the table
-    in increasing n."""
+    in increasing n and the pin residuals from residuals (see `_pin_rows`).
+    The context's operator rows grow in one step to degree 3 for the pin,
+    which reads D_q P_2 and D_q P_3, and in one more to N once pi pins."""
+    operator_rows(ctx, 3)
     rows: list[list[Fraction]] = []
     for m in (2, 3):  # identities 2..3 pin pi whenever consistent (module docstring)
-        rows += _pin_rows(ctx, P, d, m)
+        rows += _pin_rows(ctx, P, d, m, residuals)
         solution = _solve(rows)
         if solution is None:
             return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N)
     pi = Poly(tuple(solution) + (Fraction(1),))
 
+    operator_rows(ctx, N)
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
         a_n, b_n, c_n, res = _reduce(pi * P.dq(ctx, n), P, n)

@@ -6,12 +6,12 @@ from random import Random
 
 import pytest
 
-from qstruct import awops, cli
+from qstruct import awops, cli, structure
 from qstruct.cli import main
 from qstruct.characterize import classify
 from qstruct.families import OPSTable, TTRRSpec, generate_ops, ttrr_cq_jacobi
 from qstruct.scalar import QContext
-from qstruct.structure import fit_auto
+from qstruct.structure import fit_auto, fit_structure
 
 
 def run(capsys, *argv):
@@ -486,9 +486,11 @@ def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])
 def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_verify):
-    # the fit grows the rows to degree N in one step, and nothing after it
-    # in verify needs a longer table (growing them per D_q P_n image would
-    # take N steps)
+    # the fit grows the rows in two steps: to degree 3 for the pin, which
+    # reads D_q P_2 and D_q P_3, and to degree N once pi pins; nothing
+    # after it in verify needs a longer table (growing them per D_q P_n
+    # image would take N steps, and up front to N before the pin would
+    # build rows that a rejected recurrence never reads)
     calls = []
     lattice_polys = awops.lattice_polys
     monkeypatch.setattr(awops, "lattice_polys", lambda ctx: calls.append(ctx) or lattice_polys(ctx))
@@ -500,4 +502,33 @@ def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_veri
         assert cli._verify_checks(ctx, ttrr, 10, "all").ok
     else:
         assert fit_auto(ctx, generate_ops(ttrr, 12), 10)[-1].is_exact
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert len(awops._ROWS[ctx][0]) == 10 + 1
+
+
+def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypatch):
+    # every fit of this recurrence fails at n = 2 or 3, so nothing reads an
+    # operator row past degree 3, and the degree attempts share the six
+    # reduced residuals of x**j * D_q P_n (j <= 2, n = 2, 3) that pin pi
+    # (11 reductions when each attempt redid those of the lower ones)
+    n = 20
+    rng = Random(20)
+    ttrr = TTRRSpec.from_lists(
+        [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)],
+        [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)],
+    )
+    gc.collect()
+    ctx = QContext(F(3, 11))  # held by no other live context
+    assert ctx not in awops._ROWS
+    assert not classify(ctx, ttrr, n).characterized
+    assert len(awops._ROWS[ctx][0]) == 4
+    for d in (0, 1, 2):
+        assert fit_structure(ctx, OPSTable(ttrr, n), d, n).failure_n <= 3
+        assert len(awops._ROWS[ctx][0]) == 4
+
+    reduced = []
+    reduce = structure._reduce
+    monkeypatch.setattr(structure, "_reduce", lambda *args: reduced.append(args) or reduce(*args))
+    fits = fit_auto(ctx, OPSTable(ttrr, n), n)
+    assert [fit.failure_n for fit in fits] == [2, 3, 3]
+    assert len(reduced) == 6
