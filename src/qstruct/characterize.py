@@ -214,9 +214,12 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
 
     t = [k1 + k2]
     r = [a_hat + b_hat]
+    k1_term, k2_term = k1, k2  # k1 q**(n/2) and k2 q**(-n/2), as running products
     for n in range(1, N + 1):
         tn = fit.c[n] / ttrr.C(n)
-        if tn != k1 * qpow(ctx, 2 * n) + k2 * qpow(ctx, -2 * n):
+        k1_term *= qh_plus
+        k2_term *= qh_minus
+        if tn != k1_term + k2_term:
             raise RecurrenceViolated(n, "(t)")
         t.append(tn)
         r.append(tn + fit.a[n] - fit.a[n - 1])
@@ -591,34 +594,32 @@ def recover_qjacobi_params(
             f"gives {format_rational(expected_b_hat)}"
         )
 
-    # Fitted b_n and c_n against their closed forms.
+    # Fitted b_n and c_n against their closed forms (with s = q**(1/2))
+    #   b_n = (p_a - p_b) gamma_n (1 + q**n s (p_a p_b)**2) / (2 p_a p_b t (1 - q**n p_a p_b)),
+    #   c_n = -(1 + 1/(p_a p_b s)) gamma_n (1 - q**n p_a**2) (1 - q**n p_b**2)
+    #         (1 - q**n (p_a p_b)**2) / (4 (1 - q**n p_a p_b / s) (1 - q**n p_a p_b)**2),
+    # carrying q**n as a running product and gamma_n by its recurrence
+    # gamma_{n+1} = 2 alpha gamma_n - gamma_{n-1}.
+    q, s = tq**4, tq**2  # q and q**(1/2) of the chosen base
+    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
+    pp, pp_s, ab_s = ab * ab, ab * ab * s, ab / s
+    b_factor = (p_a - p_b) / (2 * ab * tq)
+    c_factor = -(1 + 1 / (ab * s)) / 4
+    two_alpha = 2 * ctx.alpha
+    qn, g_prev, g = Fraction(1), Fraction(-1), Fraction(0)  # q**0, gamma_{-1}, gamma_0
     for n in range(1, N + 1):
-        qn = tq ** (4 * n)
-        g = gamma_n(ctx, n)
-        denom_ab = 1 - qn * p_a * p_b  # 1 - q**(n+(a+b)/2)
+        qn *= q
+        g_prev, g = g, two_alpha * g - g_prev
+        denom_ab = 1 - qn * ab  # 1 - q**(n+(a+b)/2)
         if denom_ab == 0:
             raise ConstraintViolated(f"degenerate denominator at n = {n}")
-        b_closed = (
-            (p_a - p_b)
-            * g
-            * (1 + qn * (p_a * p_b) ** 2 * tq**2)
-            / (2 * denom_ab)
-            / (p_a * p_b * tq)
-        )
-        denom_shift = 1 - qn * p_a * p_b / tq**2  # 1 - q**(n+(a+b-1)/2)
+        denom_shift = 1 - qn * ab_s  # 1 - q**(n+(a+b-1)/2)
         if denom_shift == 0:
             raise ConstraintViolated(f"degenerate denominator at n = {n}")
-        c_closed = (
-            -g
-            * (1 - qn * p_a**2)
-            * (1 - qn * p_b**2)
-            * (1 - qn * (p_a * p_b) ** 2)
-            * (1 + 1 / (p_a * p_b * tq**2))
-            / (4 * denom_shift * denom_ab**2)
-        )
-        if fit.b[n] != b_closed:
+        if fit.b[n] != b_factor * g * (1 + qn * pp_s) / denom_ab:
             raise ConstraintViolated(f"fitted b_{n} disagrees with the closed form")
-        if fit.c[n] != c_closed:
+        c_closed = c_factor * g * (1 - qn * aa) * (1 - qn * bb) * (1 - qn * pp)
+        if fit.c[n] != c_closed / (denom_shift * denom_ab * denom_ab):
             raise ConstraintViolated(f"fitted c_{n} disagrees with the closed form")
 
     # Full regeneration must reproduce the input recurrence.

@@ -39,7 +39,6 @@ __all__ = [
     "ttrr_alsalam_chihara",
     "ttrr_chebyshev_t",
     "ttrr_cq_jacobi",
-    "cq_jacobi_yz",
     "generate_ops",
     "moments",
     "ttrr_equal",
@@ -171,37 +170,6 @@ def ttrr_chebyshev_t(*, n_max: int = DEFAULT_N_MAX) -> TTRRSpec:
     )
 
 
-def cq_jacobi_yz(
-    ctx: QContext, p_a, p_b, n: int, *, inverse: bool = False
-) -> tuple[Fraction, Fraction]:
-    """The (y_n, z_n) building blocks of the continuous q-Jacobi recurrence.
-
-    Exposed separately so tests can cross-check the assembled B_n and C_n
-    against their product closed forms.
-    """
-    p_a, p_b = as_fraction(p_a), as_fraction(p_b)
-    t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
-    pp = p_a * p_a * p_b * p_b  # q**(a+b)
-    ab = p_a * p_b  # q**((a+b)/2)
-    y_num = (
-        (1 - t ** (4 * n + 4) * p_a * p_a)
-        * (1 - t ** (4 * n + 4) * pp)
-        * (1 + t ** (4 * n + 2) * ab)
-        * (1 + t ** (4 * n + 4) * ab)
-    )
-    y_den = p_a * t * (1 - t ** (8 * n + 4) * pp) * (1 - t ** (8 * n + 8) * pp)
-    z_num = (
-        p_a
-        * t
-        * (1 - t ** (4 * n))
-        * (1 - t ** (4 * n) * p_b * p_b)
-        * (1 + t ** (4 * n) * ab)
-        * (1 + t ** (4 * n + 2) * ab)
-    )
-    z_den = (1 - t ** (8 * n) * pp) * (1 - t ** (8 * n + 4) * pp)
-    return y_num / y_den, z_num / z_den
-
-
 def ttrr_cq_jacobi(
     ctx: QContext, p_a, p_b, *, inverse: bool = False, n_max: int = DEFAULT_N_MAX
 ) -> TTRRSpec:
@@ -209,7 +177,14 @@ def ttrr_cq_jacobi(
     p_b = q**(b/2):
 
         B_n = (q**((2a+1)/4) + q**(-(2a+1)/4) - y_n - z_n) / 2,
-        C_{n+1} = y_n z_{n+1} / 4.
+        C_{n+1} = y_n z_{n+1} / 4,
+        y_n = (1 - q**(n+1) p_a**2) e_{n+1} (1 + q**n t**2 p_a p_b)
+              (1 + q**(n+1) p_a p_b) / (p_a t e_{2n+1} e_{2n+2}),
+        z_n = p_a t (1 - q**n) (1 - q**n p_b**2) (1 + q**n p_a p_b)
+              (1 + q**n t**2 p_a p_b) / (e_{2n} e_{2n+1}),
+
+    with t = q**(1/4) and e_m = 1 - q**m p_a**2 p_b**2. Each power q**m is
+    built once, as a running product, and each factor list once from those.
 
     Symmetric parameters (p_a = p_b) force B_n = 0 identically. Raises
     IrregularParameters naming the vanishing factor whenever the recurrence
@@ -219,33 +194,47 @@ def ttrr_cq_jacobi(
     if p_a <= 0 or p_b <= 0:
         raise ValueError("p_a and p_b must be positive (they are real powers of q)")
     t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
-    pp = p_a * p_a * p_b * p_b
-    ab = p_a * p_b
+    q, ab, aa, bb = t**4, p_a * p_b, p_a * p_a, p_b * p_b
+    pp, abt = ab * ab, ab * t * t
+    qm = [Fraction(1)]  # q**m for m <= 2 n_max + 4
+    for _ in range(2 * n_max + 4):
+        qm.append(qm[-1] * q)
+    e = [1 - v * pp for v in qm]
+    ea = [1 - v * aa for v in qm[: n_max + 2]]
+    eb = [1 - v * bb for v in qm[: n_max + 2]]
+    f = [1 + v * ab for v in qm[: n_max + 2]]
+    ft = [1 + v * abt for v in qm[: n_max + 1]]
 
-    # Denominators of y_n, z_n never vanish twice; scan the horizon once.
+    # e_0 = 0 only when p_a p_b = 1 (p_a p_b > 0). The scan of e_m, m = 1 ..
+    # 2 n_max + 4, named by the parity of m, covers every other e read below,
+    # so e_{n+1}, the factor (1 - q^(n+a+b+1)) of y_n, needs no check of its own.
     if ab == 1:
         raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
-    for n in range(0, n_max + 2):
-        for shift, text in ((0, "(1 - q^(2n+a+b))"), (4, "(1 - q^(2n+a+b+1))"), (8, "(1 - q^(2n+a+b+2))")):
-            if 1 - t ** (8 * n + shift) * pp == 0:
-                raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
+    for m in range(1, 2 * n_max + 5):
+        if e[m] == 0:
+            text = "(1 - q^(2n+a+b+2))" if m % 2 == 0 else "(1 - q^(2n+a+b+1))"
+            raise IrregularParameters(f"regularity factor {text} vanishes at n = {(m - 1) // 2}")
     for n in range(0, n_max + 1):
-        for factor, text in (
-            (1 - t ** (4 * n + 4) * p_a * p_a, "(1 - q^(n+a+1))"),
-            (1 - t ** (4 * n + 4) * p_b * p_b, "(1 - q^(n+b+1))"),
-            (1 - t ** (4 * n + 4) * pp, "(1 - q^(n+a+b+1))"),
-        ):
+        for factor, text in ((ea[n + 1], "(1 - q^(n+a+1))"), (eb[n + 1], "(1 - q^(n+b+1))")):
             if factor == 0:
                 raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
 
-    edge = p_a * t + 1 / (p_a * t)  # q**((2a+1)/4) + q**(-(2a+1)/4)
-    yz = [cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse) for n in range(n_max + 1)]
+    pt = p_a * t
+    edge = pt + 1 / pt  # q**((2a+1)/4) + q**(-(2a+1)/4)
+    y = [
+        ea[n + 1] * e[n + 1] * ft[n] * f[n + 1] / (pt * e[2 * n + 1] * e[2 * n + 2])
+        for n in range(n_max + 1)
+    ]
+    z = [
+        pt * (1 - qm[n]) * eb[n] * f[n] * ft[n] / (e[2 * n] * e[2 * n + 1])
+        for n in range(n_max + 1)
+    ]
     label = f"cq-jacobi({format_rational(p_a)},{format_rational(p_b)})" + (
         "-qinv" if inverse else ""
     )
     return TTRRSpec(
-        tuple((edge - y_n - z_n) / 2 for y_n, z_n in yz),
-        tuple(yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1)),
+        tuple((edge - y_n - z_n) / 2 for y_n, z_n in zip(y, z)),
+        tuple(y[n - 1] * z[n] / 4 for n in range(1, n_max + 1)),
         label,
     )
 

@@ -26,8 +26,10 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, or "p/q" strings to Fraction; strings follow
-    the grammar of `parse_rational`. Floats are rejected: this package has
-    no inexact mode."""
+    the grammar of `parse_rational`, and a Fraction comes back unchanged.
+    Floats are rejected: this package has no inexact mode."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point values are not accepted; use Fraction or a 'p/q' string")
     if isinstance(value, str):

@@ -269,6 +269,32 @@ def test_recover_qjacobi_asymmetric():
     assert -aux.a_hat / aux.b_hat == p_a * p_b
 
 
+@pytest.mark.parametrize("field", ["b", "c"])
+@pytest.mark.parametrize("n", [1, 4, N - 1])
+@pytest.mark.parametrize(
+    "inverse, p_a, p_b",
+    [(False, F(1, 3), F(2, 5)), (True, F(3), F(5, 2))],
+    ids=["q", "q-inverse"],
+)
+def test_recover_qjacobi_names_the_first_fitted_coefficient_off_its_closed_form(
+    inverse, p_a, p_b, n, field
+):
+    from dataclasses import replace
+
+    ttrr = ttrr_cq_jacobi(CTX, p_a, p_b, inverse=inverse)
+    _, fit = fitted(ttrr, 2)
+    aux = aux_sequences(CTX, ttrr, fit)
+    pd = pearson_data(CTX, ttrr, fit)
+    assert recover_qjacobi_params(CTX, ttrr, fit, aux, pd, inverse=inverse) == (p_a, p_b)
+    values = list(getattr(fit, field))
+    values[n] += F(1, 1000)
+    values[n + 1] -= F(1, 1000)
+    broken = replace(fit, **{field: tuple(values)})
+    with pytest.raises(ConstraintViolated) as info:
+        recover_qjacobi_params(CTX, ttrr, broken, aux, pd, inverse=inverse)
+    assert str(info.value) == f"fitted {field}_{n} disagrees with the closed form"
+
+
 def test_recover_qjacobi_symmetric():
     p = F(1, 4)
     ttrr = ttrr_cq_jacobi(CTX, p, p)

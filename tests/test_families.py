@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
     TTRRSpec,
-    cq_jacobi_yz,
     generate_ops,
     moments,
     ttrr_alsalam_chihara,
@@ -21,6 +22,33 @@ from qstruct.poly import Poly
 from qstruct.scalar import QContext
 
 CTX = QContext(F(1, 2))  # q = 1/16
+
+
+def cq_jacobi_yz(ctx, p_a, p_b, n, *, inverse=False):
+    """The (y_n, z_n) building blocks of the continuous q-Jacobi recurrence,
+    each power of q**(1/4) taken afresh: the per-n oracle that the
+    generator's shared factor lists are checked against."""
+    p_a, p_b = F(p_a), F(p_b)
+    t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
+    pp = p_a * p_a * p_b * p_b  # q**(a+b)
+    ab = p_a * p_b  # q**((a+b)/2)
+    y_num = (
+        (1 - t ** (4 * n + 4) * p_a * p_a)
+        * (1 - t ** (4 * n + 4) * pp)
+        * (1 + t ** (4 * n + 2) * ab)
+        * (1 + t ** (4 * n + 4) * ab)
+    )
+    y_den = p_a * t * (1 - t ** (8 * n + 4) * pp) * (1 - t ** (8 * n + 8) * pp)
+    z_num = (
+        p_a
+        * t
+        * (1 - t ** (4 * n))
+        * (1 - t ** (4 * n) * p_b * p_b)
+        * (1 + t ** (4 * n) * ab)
+        * (1 + t ** (4 * n + 2) * ab)
+    )
+    z_den = (1 - t ** (8 * n) * pp) * (1 - t ** (8 * n + 4) * pp)
+    return y_num / y_den, z_num / z_den
 
 
 def test_qhermite_coefficients():
@@ -146,6 +174,66 @@ def test_cq_jacobi_regularity_errors():
     # inverse base with small parameters hits q^{-(...)} = 1 factors
     with pytest.raises(IrregularParameters):
         ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16), inverse=True)
+
+
+@st.composite
+def cq_jacobi_points(draw):
+    """(ctx, p_a, p_b, inverse, n_max); a parameter is either a small
+    rational or a power of q**(1/4), where factors of the recurrence meet."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)))
+    params = st.one_of(
+        st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9),
+        st.integers(min_value=-12, max_value=12).map(lambda k: ctx.t**k),
+    )
+    return ctx, draw(params), draw(params), draw(st.booleans()), draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cq_jacobi_points())
+def test_cq_jacobi_matches_the_per_n_oracle(point):
+    ctx, p_a, p_b, inverse, n_max = point
+    try:
+        ttrr = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse, n_max=n_max)
+    except IrregularParameters:
+        assume(False)
+    t = 1 / ctx.t if inverse else ctx.t
+    edge = p_a * t + 1 / (p_a * t)
+    yz = [cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse) for n in range(n_max + 1)]
+    assert ttrr.b == tuple((edge - y_n - z_n) / 2 for y_n, z_n in yz)
+    assert ttrr.c == tuple(yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1))
+
+
+IRREGULAR = [
+    # (p_a, p_b, n_max, message) at t = 1/2; the q-inverse base takes the
+    # reciprocal parameters, whose factors vanish at the same exponents
+    (F(2), F(1, 2), 8, "(1 - q^((a+b)/2)) vanishes at n = 0"),
+    (F(8), F(1, 2), 8, "(1 - q^(2n+a+b+1)) vanishes at n = 0"),
+    (F(16), F(1), 8, "(1 - q^(2n+a+b+2)) vanishes at n = 0"),
+    (F(4), F(16), 8, "(1 - q^(2n+a+b+1)) vanishes at n = 1"),
+    (F(1024), F(1024), 3, "(1 - q^(2n+a+b+2)) vanishes at n = 4"),
+    (F(16), F(1, 2), 8, "(1 - q^(n+a+1)) vanishes at n = 1"),
+    (F(256), F(1, 3), 3, "(1 - q^(n+a+1)) vanishes at n = 3"),
+    (F(1, 2), F(16), 8, "(1 - q^(n+b+1)) vanishes at n = 1"),
+]
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["q", "q-inverse"])
+@pytest.mark.parametrize("p_a, p_b, n_max, message", IRREGULAR)
+def test_cq_jacobi_irregular_parameters_name_the_first_vanishing_factor(
+    p_a, p_b, n_max, message, inverse
+):
+    if inverse:
+        p_a, p_b = 1 / p_a, 1 / p_b
+    with pytest.raises(IrregularParameters) as info:
+        ttrr_cq_jacobi(CTX, p_a, p_b, inverse=inverse, n_max=n_max)
+    assert str(info.value) == f"regularity factor {message}"
+
+
+def test_cq_jacobi_regularity_scan_stops_at_the_horizon():
+    # (1 - q^(2n+a+b+2)) vanishes at n = 4 and (1 - q^(n+a+1)) at n = 4,
+    # both past what n_max = 2 reads
+    for inverse, p in ((False, F(1024)), (True, F(1, 1024))):
+        assert ttrr_cq_jacobi(CTX, p, p, inverse=inverse, n_max=2).n_max == 2
 
 
 def test_generate_ops_first_entries():

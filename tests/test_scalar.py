@@ -114,6 +114,8 @@ def test_as_fraction_reads_strings_by_the_rational_grammar():
     # coerce through as_fraction, so they take exactly the strings the CLI does
     assert as_fraction(" -3/4\n") == F(-3, 4)
     assert as_fraction(7) == F(7) and as_fraction(F(2, 6)) == F(1, 3)
+    value = F(-3, 4)
+    assert as_fraction(value) is value  # a Fraction is not rebuilt
     for text in ["1e-3", "1_0", "0.5", "١/٢"]:
         with pytest.raises(ValueError, match=f"not a rational p/q string: {text!r}"):
             as_fraction(text)
