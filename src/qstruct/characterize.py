@@ -40,8 +40,8 @@ from qstruct.families import (
 )
 from qstruct.poly import Poly
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, format_rational, gamma_n, qpow
-from qstruct.structure import StructureFit, fit_auto, padded
+from qstruct.scalar import QContext, Ratio, format_rational, qpow
+from qstruct.structure import StructureFit, fit_auto
 
 __all__ = [
     "RecurrenceViolated",
@@ -272,6 +272,10 @@ def pearson_check(
     return Report(tuple(checks))
 
 
+# the equations of the difference system, in the order of Report.sorted
+_SYSTEM_NAMES = (*(f"raw-{k}" for k in range(3, 8)), *(f"reduced-{k}" for k in range(1, 6)))
+
+
 def verify_difference_system(
     ctx: QContext, ttrr: TTRRSpec, fit: StructureFit, aux: AuxSequences
 ) -> Report:
@@ -282,147 +286,129 @@ def verify_difference_system(
     reduced-1 .. reduced-5) and the raw seven-term relations it was distilled
     from (raw-3 .. raw-7). Every residual is reported per equation and per
     index, failures included (nothing raises here).
+
+    Every index the window of n reads lies in 0..horizon, so no sequence
+    needs padding. The residuals are evaluated as unreduced `Ratio`s, and
+    only a nonzero one is normalized, into the `Fraction` its witness
+    prints; the terms that several equations share are formed once per n.
     """
     if not fit.is_exact:
         raise ValueError("verify_difference_system requires an exact fit")
     N = fit.horizon
-    alpha = ctx.alpha
-    a, b, c = padded(fit.a), padded(fit.b), padded(fit.c)
-    B, C = padded(ttrr.b), padded((Fraction(0),) + ttrr.c)
-    t, r = padded(aux.t), padded(aux.r)
-    quarter = Fraction(1, 4)
+    of = Ratio.of
+    a, b, c = [of(v) for v in fit.a], [of(v) for v in fit.b], [of(v) for v in fit.c]
+    B = [of(v) for v in ttrr.b[: N + 1]]
+    C = [Ratio(0)] + [of(v) for v in ttrr.c[:N]]
+    t, r = [of(v) for v in aux.t], [of(v) for v in aux.r]
+    alpha = of(ctx.alpha)
+    one = Ratio(1)
+    two_alpha, one_minus_alpha = 2 * alpha, one - alpha
+    one_minus_alpha2 = one - alpha * alpha  # 1 - alpha**2
+    two_one_plus_alpha = 2 * (one + alpha)  # 2 (1 + alpha)
+    one_minus_two_alpha = one - two_alpha
+    quarter = Ratio(1, 4)
+    B_sq = [v * v for v in B]  # B_n**2
+    alpha_b = [alpha * v for v in b]  # alpha b_n
+    C_quarter = [v - quarter for v in C]  # C_n - 1/4
 
-    def reduced_1(n):
-        return a(n + 2) - 2 * alpha * a(n + 1) + a(n)
+    residuals = {name: [] for name in _SYSTEM_NAMES}
+    for n in range(2, N - 2):
+        # window: x0 = x_n, x1 = x_{n+1}, xm1 = x_{n-1}, ...
+        am2, am1, a0, a1, a2 = a[n - 2 : n + 3]
+        bm1, b0, b1, b2 = b[n - 1 : n + 3]
+        cm1, c0, c1, c2 = c[n - 1 : n + 3]
+        Bm1, B0, B1, B2 = B[n - 1 : n + 3]
+        Cm1, C0, C1 = C[n - 1 : n + 2]
+        tm2, tm1, t0, t1, t2 = t[n - 2 : n + 3]
+        rm2, rm1, r0, r1, r2, r3 = r[n - 2 : n + 4]
+        Bm1_sq, B0_sq, B1_sq = B_sq[n - 1 : n + 2]
+        alpha_bm1, alpha_b0, alpha_b1 = alpha_b[n - 1 : n + 2]
+        Cqm1, Cq0, Cq1 = C_quarter[n - 1 : n + 2]
+        # differences of a that several equations read
+        a1_a2, a0_am1, am1_am2 = a1 - a2, a0 - am1, am1 - am2
+        a0_a2, a0_am2 = a0 - a2, a0 - am2
+        two_a0_a2_am1 = a0_a2 + a0_am1  # 2 a_n - a_{n+2} - a_{n-1}
+        two_a0_a1_am2 = a0_am2 + (a0 - a1)  # 2 a_n - a_{n+1} - a_{n-2}
+        one_minus_alpha2_a0 = one_minus_alpha2 * a0
+        two_one_minus_alpha_a0 = 2 * (one_minus_alpha * a0)
+        # three terms that reduced-5 and raw-7 share
+        cubic = 2 * one_minus_alpha * (a0 * B0 + b0) * B0_sq
+        linear = (
+            two_a0_a2_am1 * C1
+            + two_a0_a1_am2 * C0
+            + one_minus_two_alpha * (c0 + c1)
+            - one_minus_alpha2_a0
+        ) * B0
+        b_terms = 2 * ((b0 - alpha_b1) * C1 + (b0 - alpha_bm1) * C0)
 
-    def reduced_2(n):
-        return t(n + 2) - 2 * alpha * t(n + 1) + t(n)
-
-    def reduced_3(n):
-        return r(n + 3) * B(n + 2) - (r(n + 2) + r(n + 1)) * B(n + 1) + r(n) * B(n)
-
-    def reduced_4(n):
-        lhs = r(n) * (B(n) ** 2 - 2 * alpha * B(n) * B(n - 1) + B(n - 1) ** 2)
-        rhs = (
-            (r(n + 1) + r(n + 2)) * (C(n + 1) - quarter)
-            - 2 * (1 + alpha) * r(n) * (C(n) - quarter)
-            + (r(n - 1) + r(n - 2)) * (C(n - 1) - quarter)
+        residuals["reduced-1"].append(a2 - two_alpha * a1 + a0)
+        residuals["reduced-2"].append(t2 - two_alpha * t1 + t0)
+        residuals["reduced-3"].append(r3 * B2 - (r2 + r1) * B1 + r0 * B0)
+        residuals["reduced-4"].append(
+            r0 * (B0_sq - two_alpha * B0 * Bm1 + Bm1_sq)
+            - (r1 + r2) * Cq1
+            + two_one_plus_alpha * r0 * Cq0
+            - (rm1 + rm2) * Cqm1
         )
-        return lhs - rhs
-
-    def reduced_5(n):
-        rhs = (
-            2 * (1 - alpha) * (a(n) * B(n) + b(n)) * B(n) ** 2
-            + (t(n + 1) + a(n + 1) - a(n + 2)) * B(n + 1) * C(n + 1)
-            + (t(n) + a(n - 1) - a(n - 2)) * B(n - 1) * C(n)
-            + (
-                (2 * a(n) - a(n + 2) - a(n - 1)) * C(n + 1)
-                + (2 * a(n) - a(n + 1) - a(n - 2)) * C(n)
-                + (1 - 2 * alpha) * (c(n) + c(n + 1))
-                + (alpha**2 - 1) * a(n)
-            )
-            * B(n)
-            + 2 * (b(n) - alpha * b(n + 1)) * C(n + 1)
-            + 2 * (b(n) - alpha * b(n - 1)) * C(n)
+        residuals["reduced-5"].append(
+            one_minus_alpha2 * b0
+            - cubic
+            - (t1 + a1_a2) * B1 * C1
+            - (t0 + am1_am2) * Bm1 * C0
+            - linear
+            - b_terms
         )
-        return (1 - alpha**2) * b(n) - rhs
-
-    def raw_3(n):
-        return (
-            (a(n + 1) - a(n + 2)) * B(n + 1)
-            + (a(n) - a(n - 1)) * B(n)
-            + b(n + 2)
-            - 2 * alpha * b(n + 1)
-            + b(n)
+        residuals["raw-3"].append(a1_a2 * B1 + a0_am1 * B0 + b2 - 2 * alpha_b1 + b0)
+        residuals["raw-4"].append(
+            (a1_a2 - t2) * B1
+            + (a0_am1 + t1 + t0) * B0
+            - tm1 * Bm1
+            + b1
+            - 2 * alpha_b0
+            + bm1
         )
-
-    def raw_4(n):
-        return (
-            (a(n + 1) - a(n + 2) - t(n + 2)) * B(n + 1)
-            + (a(n) - a(n - 1) + t(n + 1) + t(n)) * B(n)
-            - t(n - 1) * B(n - 1)
-            + b(n + 1)
-            - 2 * alpha * b(n)
-            + b(n - 1)
+        residuals["raw-5"].append(
+            a1_a2 * B1_sq
+            + two_one_minus_alpha_a0 * B0_sq
+            + a0_am1 * B0 * B1
+            + a0_a2 * C1
+            + (b1 + b0 - 2 * alpha_b1) * B1
+            + (b1 + b0 - 2 * alpha_b0) * B0
+            + a0_am2 * C0
+            + c2
+            - two_alpha * c1
+            + c0
+            - one_minus_alpha2_a0
         )
-
-    def raw_5(n):
-        return (
-            (a(n + 1) - a(n + 2)) * B(n + 1) ** 2
-            + 2 * (1 - alpha) * a(n) * B(n) ** 2
-            + (a(n) - a(n - 1)) * B(n) * B(n + 1)
-            + (a(n) - a(n + 2)) * C(n + 1)
-            + (b(n + 1) + b(n) - 2 * alpha * b(n + 1)) * B(n + 1)
-            + (b(n + 1) + b(n) - 2 * alpha * b(n)) * B(n)
-            + (a(n) - a(n - 2)) * C(n)
-            + c(n + 2)
-            - 2 * alpha * c(n + 1)
-            + c(n)
-            - (1 - alpha**2) * a(n)
+        residuals["raw-6"].append(
+            (two_one_minus_alpha_a0 + t0) * B0_sq
+            + (t0 + am1_am2) * Bm1_sq
+            + (b0 + bm1 - 2 * alpha_b0) * B0
+            + (a0 - tm1 - t1 - a1) * B0 * Bm1
+            + (bm1 + b0 - 2 * alpha_bm1) * Bm1
+            + (a0_a2 - t2 - t1) * C1
+            + (two_one_plus_alpha * t0 + a0_am2) * C0
+            - (tm2 + tm1) * Cm1
+            + c1
+            - two_alpha * c0
+            + cm1
+            - one_minus_alpha2 * (t0 + a0)
         )
-
-    def raw_6(n):
-        return (
-            (2 * (1 - alpha) * a(n) + t(n)) * B(n) ** 2
-            + (t(n) + a(n - 1) - a(n - 2)) * B(n - 1) ** 2
-            + (b(n) + b(n - 1) - 2 * alpha * b(n)) * B(n)
-            + (a(n) - t(n - 1) - t(n + 1) - a(n + 1)) * B(n) * B(n - 1)
-            + (b(n - 1) + b(n) - 2 * alpha * b(n - 1)) * B(n - 1)
-            + (a(n) - a(n + 2) - t(n + 2) - t(n + 1)) * C(n + 1)
-            + (2 * (1 + alpha) * t(n) + a(n) - a(n - 2)) * C(n)
-            - (t(n - 2) + t(n - 1)) * C(n - 1)
-            + c(n + 1)
-            - 2 * alpha * c(n)
-            + c(n - 1)
-            - (1 - alpha**2) * (t(n) + a(n))
+        residuals["raw-7"].append(
+            cubic
+            + linear
+            + (c1 + a1_a2 * C1) * B1
+            + (c0 + am1_am2 * C0) * Bm1
+            + b_terms
+            - one_minus_alpha2 * b0
         )
-
-    def raw_7(n):
-        return (
-            2 * (1 - alpha) * a(n) * B(n) ** 3
-            + 2 * (1 - alpha) * b(n) * B(n) ** 2
-            + (
-                (2 * a(n) - a(n + 2) - a(n - 1)) * C(n + 1)
-                + (2 * a(n) - a(n + 1) - a(n - 2)) * C(n)
-                + c(n + 1)
-                - 2 * alpha * c(n)
-                + c(n)
-                - 2 * alpha * c(n + 1)
-                - (1 - alpha**2) * a(n)
-            )
-            * B(n)
-            + (c(n + 1) + a(n + 1) * C(n + 1) - a(n + 2) * C(n + 1)) * B(n + 1)
-            + (c(n) + a(n - 1) * C(n) - a(n - 2) * C(n)) * B(n - 1)
-            + 2 * (b(n) - alpha * b(n + 1)) * C(n + 1)
-            + 2 * (b(n) - alpha * b(n - 1)) * C(n)
-            - (1 - alpha**2) * b(n)
-        )
-
-    equations = [
-        ("reduced-1", reduced_1),
-        ("reduced-2", reduced_2),
-        ("reduced-3", reduced_3),
-        ("reduced-4", reduced_4),
-        ("reduced-5", reduced_5),
-        ("raw-3", raw_3),
-        ("raw-4", raw_4),
-        ("raw-5", raw_5),
-        ("raw-6", raw_6),
-        ("raw-7", raw_7),
-    ]
     checks = []
-    for name, fn in equations:
-        for n in range(2, N - 2):
-            residual = fn(n)
-            checks.append(
-                Check(
-                    f"system:{name}",
-                    n,
-                    residual == 0,
-                    "" if residual == 0 else f"residual {format_rational(residual)}",
-                )
-            )
-    return Report(tuple(checks)).sorted()
+    for name in _SYSTEM_NAMES:
+        for n, residual in enumerate(residuals[name], 2):
+            passed = not residual.num
+            witness = "" if passed else f"residual {format_rational(residual.fraction())}"
+            checks.append(Check(f"system:{name}", n, passed, witness))
+    return Report(tuple(checks))
 
 
 def lemma_predicates(
@@ -473,16 +459,19 @@ def lemma_predicates(
             cheb = False
         ledger["chebyshev-data"] = PredicateRecord(holds=cheb, witness=witness)
         minus_two_u = -2 * u
+        k_pair = aux.k1 == minus_two_u and aux.k2 == 2 * u
         ledger["k-pair-is-minus-plus-2u"] = PredicateRecord(
-            holds=aux.k1 == minus_two_u and aux.k2 == 2 * u,
+            holds=k_pair,
             witness={"k1": fr(aux.k1), "k2": fr(aux.k2), "minus-2u": fr(minus_two_u)},
         )
-        two_gamma = all(
-            aux.t[n] == -2 * gamma_n(ctx, n) for n in range(len(aux.t))
-        )
+        # The same rule: aux_sequences has checked t_n = k1 q**(n/2)
+        # + k2 q**(-n/2) at every n >= 1, with t_0 = k1 + k2, and
+        # -2 gamma_n = -2u q**(n/2) + 2u q**(-n/2). So t_n = -2 gamma_n at
+        # every n exactly when (k1 + 2u) q**(n/2) + (k2 - 2u) q**(-n/2)
+        # vanishes at n = 0 and n = 1, which for q != 1 means k1 = -2u and
+        # k2 = 2u.
         ledger["t-equals-minus-two-gamma"] = PredicateRecord(
-            holds=two_gamma,
-            witness={"t1": fr(aux.t[1]) if len(aux.t) > 1 else "", "gamma1": "1"},
+            holds=k_pair, witness={"t1": fr(aux.t[1]), "gamma1": "1"}
         )
     return ledger
 

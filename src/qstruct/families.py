@@ -144,20 +144,22 @@ def ttrr_alsalam_chihara(
     C_n = (1 - c d q**(n-1)) (1 - q**n) / 4."""
     c, d = as_fraction(c), as_fraction(d)
     q = 1 / ctx.q if inverse else ctx.q
-    cs = []
+    cd, half_sum = c * d, (c + d) / 2
+    bs, cs = [half_sum], []
+    qn = Fraction(1)  # q**(n-1) on entering step n, q**n after it: a running product
     for n in range(1, n_max + 1):
-        factor = 1 - c * d * q ** (n - 1)
+        factor = 1 - cd * qn
         if factor == 0:
             raise IrregularParameters(
                 f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
             )
-        cs.append(factor * (1 - q**n) / 4)
+        qn *= q
+        bs.append(half_sum * qn)
+        cs.append(factor * (1 - qn) / 4)
     label = f"alsalam-chihara({format_rational(c)},{format_rational(d)})" + (
         "-qinv" if inverse else ""
     )
-    return TTRRSpec(
-        tuple((c + d) * q**n / 2 for n in range(n_max + 1)), tuple(cs), label
-    )
+    return TTRRSpec(tuple(bs), tuple(cs), label)
 
 
 def ttrr_chebyshev_t(*, n_max: int = DEFAULT_N_MAX) -> TTRRSpec:

@@ -3,7 +3,9 @@
 Every q-power used in this package is an integer power of t = q**(1/4), so a
 single rational t in (0, 1) pins the whole arithmetic field. There is no
 floating point anywhere: scalars are `fractions.Fraction` values and all
-identities downstream are checked with exact equality.
+identities downstream are checked with exact equality. `Ratio`, an
+unreduced numerator/denominator pair, evaluates the residuals of the
+verification checks without a gcd per operation.
 """
 
 from __future__ import annotations
@@ -56,6 +58,43 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+class Ratio:
+    """An unreduced rational num / den with den > 0, for residuals that are
+    only ever tested against zero. A sum or product costs integer
+    multiplications and no gcd: a product is num * num over den * den, and
+    a sum over equal denominators adds the numerators. The value is zero
+    exactly when num is, and `fraction` normalizes it (for a witness)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, value: Fraction) -> "Ratio":
+        return cls(value.numerator, value.denominator)
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __add__(self, other: "Ratio") -> "Ratio":
+        if self.den == other.den:
+            return Ratio(self.num + other.num, self.den)
+        return Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: "Ratio") -> "Ratio":
+        if self.den == other.den:
+            return Ratio(self.num - other.num, self.den)
+        return Ratio(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other) -> "Ratio":
+        if type(other) is int:
+            return Ratio(self.num * other, self.den)
+        return Ratio(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from qstruct.awops import operator_rows, sq_apply
 from qstruct.families import OPSTable
 from qstruct.poly import Poly, poly_to_json
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, format_rational
+from qstruct.scalar import QContext, Ratio, format_rational
 
 __all__ = [
     "STATUS_EXACT",
@@ -85,7 +87,6 @@ __all__ = [
     "FiveTermExpansion",
     "fit_structure",
     "fit_auto",
-    "padded",
     "verify_structure",
     "structure_residual",
     "five_term",
@@ -155,13 +156,6 @@ class FiveTermExpansion:
     s: tuple[Fraction, ...]
     horizon: int
     report: Report
-
-
-def padded(seq):
-    """Accessor n -> seq[n] that reads zero at every negative n, the
-    convention for sequences such as a_n, B_n or C_n (with C_0 = 0)."""
-    zero = Fraction(0)
-    return lambda n: seq[n] if n >= 0 else zero
 
 
 def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
@@ -323,6 +317,22 @@ def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     return Report(tuple(checks))
 
 
+def _is_combination(f: Poly, P: OPSTable, terms: list[tuple[Fraction, int]]) -> bool:
+    """Whether f = sum v * P_k over the (v, k) in terms, decided on
+    integers: the sum is one integer vector over the lcm of the term
+    denominators, compared with the numerators of f. f is in normal form,
+    so it can equal the sum only when its denominator divides that lcm,
+    and then the comparison needs one multiplication per coefficient."""
+    terms = [(v, P[k]) for v, k in terms if v]
+    den = lcm(*(v.denominator * p.den for v, p in terms))
+    out = [0] * max((len(p.nums) for _, p in terms), default=0)
+    for v, p in terms:
+        m = v.numerator * (den // (v.denominator * p.den))
+        out[: len(p.nums)] = [o + m * x for o, x in zip(out, p.nums)]
+    scale, rest = divmod(den, f.den)
+    return not rest and all(x == y * scale for x, y in zip_longest(out, f.nums, fillvalue=0))
+
+
 def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpansion:
     """Expansion of pi * S_q P_n over P_{n+2}..P_{n-2}, computed two ways.
 
@@ -335,55 +345,66 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         r4_n = (g_{n-1} - alpha g_n) C_n + s_n (B_n - alpha B_{n-1})
         r5_n = C_n s_{n-1} - alpha C_{n-1} s_n
 
-    are checked against the direct expansion of pi * S_q P_n in the monic
-    P basis, one five-term check per n in the returned report. A failing
-    check's witness names the first basis index k that disagrees, or
-    k = -1 when the coefficient of an out-of-range P_{n-1} or P_{n-2} is
-    nonzero. Sequences with negative index are zero, matching C_0 = 0 and
-    a_0 = b_0 = c_0 = 0.
+    are checked against pi * S_q P_n, one five-term check per n in the
+    returned report. Each coefficient is formed as an unreduced `Ratio`
+    and normalized once; the check compares r1_n P_{n+2} + ... + r5_n
+    P_{n-2} with pi * S_q P_n on integers (`_is_combination`), and only a
+    failing one expands pi * S_q P_n in the monic P basis. A failing
+    check's witness names the first basis index k where that expansion
+    disagrees, or k = -1 when the coefficient of an out-of-range P_{n-1}
+    or P_{n-2} is nonzero. Sequences with negative index are zero,
+    matching C_0 = 0 and a_0 = b_0 = c_0 = 0.
     """
     if not fit.is_exact:
         raise ValueError("five_term requires an exact fit")
     N = fit.horizon
-    alpha = ctx.alpha
     ttrr = ops.ttrr
     zero = Fraction(0)
-    a, B, C = padded(fit.a), padded(ttrr.b), padded((zero,) + ttrr.c)
-    g_seq = tuple(fit.b[n] + fit.a[n] * B(n) for n in range(N + 1))
-    s_seq = tuple(fit.c[n] + fit.a[n] * C(n) for n in range(N + 1))
-    g, s = padded(g_seq), padded(s_seq)
+    g_seq = tuple(fit.b[n] + fit.a[n] * ttrr.b[n] for n in range(N + 1))
+    s_seq = tuple(fit.c[n] + fit.a[n] * c_n for n, c_n in enumerate((zero,) + ttrr.c[:N]))
     horizon = min(N - 1, ops.degree - 2)
     if horizon < 0:
         raise ValueError("OPS table too short for any five-term index")
+    # each sequence as Ratios from index -1 on (x[n + 1] is x_n), and the
+    # products with alpha that two coefficients read
+    of, nil = Ratio.of, Ratio(0)
+    alpha = of(ctx.alpha)
+    one_minus_alpha = Ratio(1) - alpha
+    a = [nil] + [of(v) for v in fit.a]
+    g = [nil] + [of(v) for v in g_seq]
+    s = [nil] + [of(v) for v in s_seq]
+    B = [nil] + [of(v) for v in ttrr.b[: N + 1]]
+    C = [nil, nil] + [of(v) for v in ttrr.c[:N]]
+    alpha_a = [alpha * v for v in a]
+    alpha_g = [alpha * v for v in g]
+    alpha_B = [alpha * v for v in B]
     r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
     for n in range(horizon + 1):
-        v1 = a(n + 1) - alpha * a(n)
-        v2 = g(n + 1) - alpha * g(n) + a(n) * (B(n) - alpha * B(n + 1))
+        am1, a0, a1 = a[n : n + 3]
+        gm1, g0, g1 = g[n : n + 3]
+        sm1, s0, s1 = s[n : n + 3]
+        Cm1, C0, C1 = C[n : n + 3]
+        B0 = B[n + 1]
+        alpha_a0, alpha_g0 = alpha_a[n + 1], alpha_g[n + 1]
+        v1 = (a1 - alpha_a0).fraction()
+        v2 = (g1 - alpha_g0 + a0 * (B0 - alpha_B[n + 2])).fraction()
         v3 = (
-            s(n + 1)
-            - alpha * s(n)
-            + g(n) * (1 - alpha) * B(n)
-            + a(n - 1) * C(n)
-            - alpha * a(n) * C(n + 1)
-        )
-        v4 = (g(n - 1) - alpha * g(n)) * C(n) + s(n) * (B(n) - alpha * B(n - 1))
-        v5 = C(n) * s(n - 1) - alpha * C(n - 1) * s(n)
+            s1 - alpha * s0 + g0 * one_minus_alpha * B0 + am1 * C0 - alpha_a0 * C1
+        ).fraction()
+        v4 = ((gm1 - alpha_g0) * C0 + s0 * (B0 - alpha_B[n])).fraction()
+        v5 = (C0 * sm1 - alpha * Cm1 * s0).fraction()
 
-        formula = [zero] * (n + 3)
-        formula[n + 2] = v1
-        formula[n + 1] = v2
-        formula[n] = v3
-        if n >= 1:
-            formula[n - 1] = v4
-        if n >= 2:
-            formula[n - 2] = v5
-        expanded = ops.expand(fit.pi * sq_apply(ctx, ops[n]))
-        expanded += [zero] * (n + 3 - len(expanded))
-        # Indices below n-2 must vanish, and the formula coefficients for
-        # out-of-range P_{n-1}, P_{n-2} must agree with the convention.
-        k = next((k for k in range(n + 3) if formula[k] != expanded[k]), None)
-        if k is None and ((n == 0 and v4 != 0) or (n < 2 and v5 != 0)):
-            k = -1
+        formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
+        lhs = fit.pi * sq_apply(ctx, ops[n])
+        k = None
+        if not _is_combination(lhs, ops, formula):
+            # the first basis index where the expansion of lhs disagrees
+            expanded = ops.expand(lhs)
+            expanded += [zero] * (n + 3 - len(expanded))
+            coeffs = [zero] * max(n - 2, 0) + [v for v, _ in formula]
+            k = next(k for k in range(n + 3) if coeffs[k] != expanded[k])
+        elif (n == 0 and v4 != 0) or (n < 2 and v5 != 0):
+            k = -1  # a nonzero coefficient of an out-of-range P_{n-1} or P_{n-2}
         witness = "" if k is None else f"five-term mismatch at n = {n}, basis index k = {k}"
         checks.append(Check("five-term", n, k is None, witness))
         r1.append(v1)

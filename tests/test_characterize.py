@@ -1,8 +1,11 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from test_structure import exact_family_fits, padded, perturbed_entries
 
 from qstruct import awops
 from qstruct.characterize import (
@@ -23,6 +26,7 @@ from qstruct.characterize import (
     verify_difference_system,
 )
 from qstruct.families import (
+    IrregularParameters,
     OPSTable,
     TTRRSpec,
     generate_ops,
@@ -33,7 +37,8 @@ from qstruct.families import (
     ttrr_equal,
     ttrr_qhermite,
 )
-from qstruct.scalar import QContext, gamma_n, qpow
+from qstruct.report import Check, Report
+from qstruct.scalar import QContext, format_rational, gamma_n, qpow
 from qstruct.structure import fit_structure
 
 CTX = QContext(F(1, 2))
@@ -204,6 +209,176 @@ def test_difference_system_catches_perturbation():
     assert len(report.failures()) > 0
 
 
+def reference_difference_system(ctx, ttrr, fit, aux):
+    """verify_difference_system with every equation a closure over padded
+    Fraction sequences, evaluated and reduced term by term."""
+    N = fit.horizon
+    alpha = ctx.alpha
+    a, b, c = padded(fit.a), padded(fit.b), padded(fit.c)
+    B, C = padded(ttrr.b), padded((F(0),) + ttrr.c)
+    t, r = padded(aux.t), padded(aux.r)
+    quarter = F(1, 4)
+
+    def reduced_1(n):
+        return a(n + 2) - 2 * alpha * a(n + 1) + a(n)
+
+    def reduced_2(n):
+        return t(n + 2) - 2 * alpha * t(n + 1) + t(n)
+
+    def reduced_3(n):
+        return r(n + 3) * B(n + 2) - (r(n + 2) + r(n + 1)) * B(n + 1) + r(n) * B(n)
+
+    def reduced_4(n):
+        lhs = r(n) * (B(n) ** 2 - 2 * alpha * B(n) * B(n - 1) + B(n - 1) ** 2)
+        rhs = (
+            (r(n + 1) + r(n + 2)) * (C(n + 1) - quarter)
+            - 2 * (1 + alpha) * r(n) * (C(n) - quarter)
+            + (r(n - 1) + r(n - 2)) * (C(n - 1) - quarter)
+        )
+        return lhs - rhs
+
+    def reduced_5(n):
+        rhs = (
+            2 * (1 - alpha) * (a(n) * B(n) + b(n)) * B(n) ** 2
+            + (t(n + 1) + a(n + 1) - a(n + 2)) * B(n + 1) * C(n + 1)
+            + (t(n) + a(n - 1) - a(n - 2)) * B(n - 1) * C(n)
+            + (
+                (2 * a(n) - a(n + 2) - a(n - 1)) * C(n + 1)
+                + (2 * a(n) - a(n + 1) - a(n - 2)) * C(n)
+                + (1 - 2 * alpha) * (c(n) + c(n + 1))
+                + (alpha**2 - 1) * a(n)
+            )
+            * B(n)
+            + 2 * (b(n) - alpha * b(n + 1)) * C(n + 1)
+            + 2 * (b(n) - alpha * b(n - 1)) * C(n)
+        )
+        return (1 - alpha**2) * b(n) - rhs
+
+    def raw_3(n):
+        return (
+            (a(n + 1) - a(n + 2)) * B(n + 1)
+            + (a(n) - a(n - 1)) * B(n)
+            + b(n + 2)
+            - 2 * alpha * b(n + 1)
+            + b(n)
+        )
+
+    def raw_4(n):
+        return (
+            (a(n + 1) - a(n + 2) - t(n + 2)) * B(n + 1)
+            + (a(n) - a(n - 1) + t(n + 1) + t(n)) * B(n)
+            - t(n - 1) * B(n - 1)
+            + b(n + 1)
+            - 2 * alpha * b(n)
+            + b(n - 1)
+        )
+
+    def raw_5(n):
+        return (
+            (a(n + 1) - a(n + 2)) * B(n + 1) ** 2
+            + 2 * (1 - alpha) * a(n) * B(n) ** 2
+            + (a(n) - a(n - 1)) * B(n) * B(n + 1)
+            + (a(n) - a(n + 2)) * C(n + 1)
+            + (b(n + 1) + b(n) - 2 * alpha * b(n + 1)) * B(n + 1)
+            + (b(n + 1) + b(n) - 2 * alpha * b(n)) * B(n)
+            + (a(n) - a(n - 2)) * C(n)
+            + c(n + 2)
+            - 2 * alpha * c(n + 1)
+            + c(n)
+            - (1 - alpha**2) * a(n)
+        )
+
+    def raw_6(n):
+        return (
+            (2 * (1 - alpha) * a(n) + t(n)) * B(n) ** 2
+            + (t(n) + a(n - 1) - a(n - 2)) * B(n - 1) ** 2
+            + (b(n) + b(n - 1) - 2 * alpha * b(n)) * B(n)
+            + (a(n) - t(n - 1) - t(n + 1) - a(n + 1)) * B(n) * B(n - 1)
+            + (b(n - 1) + b(n) - 2 * alpha * b(n - 1)) * B(n - 1)
+            + (a(n) - a(n + 2) - t(n + 2) - t(n + 1)) * C(n + 1)
+            + (2 * (1 + alpha) * t(n) + a(n) - a(n - 2)) * C(n)
+            - (t(n - 2) + t(n - 1)) * C(n - 1)
+            + c(n + 1)
+            - 2 * alpha * c(n)
+            + c(n - 1)
+            - (1 - alpha**2) * (t(n) + a(n))
+        )
+
+    def raw_7(n):
+        return (
+            2 * (1 - alpha) * a(n) * B(n) ** 3
+            + 2 * (1 - alpha) * b(n) * B(n) ** 2
+            + (
+                (2 * a(n) - a(n + 2) - a(n - 1)) * C(n + 1)
+                + (2 * a(n) - a(n + 1) - a(n - 2)) * C(n)
+                + c(n + 1)
+                - 2 * alpha * c(n)
+                + c(n)
+                - 2 * alpha * c(n + 1)
+                - (1 - alpha**2) * a(n)
+            )
+            * B(n)
+            + (c(n + 1) + a(n + 1) * C(n + 1) - a(n + 2) * C(n + 1)) * B(n + 1)
+            + (c(n) + a(n - 1) * C(n) - a(n - 2) * C(n)) * B(n - 1)
+            + 2 * (b(n) - alpha * b(n + 1)) * C(n + 1)
+            + 2 * (b(n) - alpha * b(n - 1)) * C(n)
+            - (1 - alpha**2) * b(n)
+        )
+
+    equations = [
+        ("reduced-1", reduced_1),
+        ("reduced-2", reduced_2),
+        ("reduced-3", reduced_3),
+        ("reduced-4", reduced_4),
+        ("reduced-5", reduced_5),
+        ("raw-3", raw_3),
+        ("raw-4", raw_4),
+        ("raw-5", raw_5),
+        ("raw-6", raw_6),
+        ("raw-7", raw_7),
+    ]
+    checks = []
+    for name, fn in equations:
+        for n in range(2, N - 2):
+            residual = fn(n)
+            checks.append(
+                Check(
+                    f"system:{name}",
+                    n,
+                    residual == 0,
+                    "" if residual == 0 else f"residual {format_rational(residual)}",
+                )
+            )
+    return Report(tuple(checks)).sorted()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(exact_family_fits(), perturbed_entries(["a", "b", "c", "t", "r", "B", "C"]))
+def test_difference_system_matches_the_closure_oracle(case, entry):
+    # one entry of the fit, the aux sequences or the recurrence moves, and
+    # every check (name, n, passed, witness) equals the oracle's
+    ctx, ttrr, _, fit = case
+    aux = aux_sequences(ctx, ttrr, fit)
+    field, k, delta = entry
+    if field in ("B", "C"):
+        try:
+            moved = {k: getattr(ttrr, field)(k) + delta}
+            ttrr = ttrr.replaced(**{f"{field.lower()}_overrides": moved})
+        except (IndexError, IrregularParameters):
+            assume(False)
+    else:
+        holder = aux if field in ("t", "r") else fit
+        values = list(getattr(holder, field))
+        assume(k < len(values))
+        values[k] += delta
+        if holder is aux:
+            aux = replace(aux, **{field: tuple(values)})
+        else:
+            fit = replace(fit, **{field: tuple(values)})
+    report = verify_difference_system(ctx, ttrr, fit, aux)
+    assert report == reference_difference_system(ctx, ttrr, fit, aux)
+
+
 def test_lemma_predicates_deg1():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
     _, fit = fitted(ttrr, 1)
@@ -236,6 +411,39 @@ def test_lemma_predicates_qjacobi_regularity():
     assert ledger["regularity-product-nonzero"].holds
     assert not ledger["chebyshev-data"].holds
     assert not ledger["k-pair-is-minus-plus-2u"].holds
+
+
+@pytest.mark.parametrize("t", [F(1, 2), F(2, 3)])
+@pytest.mark.parametrize(
+    "inverse, p_a, p_b",
+    [
+        (False, F(1, 4), F(1, 16)),
+        (False, F(1, 3), F(2, 5)),
+        (False, F(1, 4), F(1, 4)),
+        (True, F(3), F(5, 2)),
+        (True, F(4), F(4)),
+        (None, None, None),  # Chebyshev-T
+    ],
+)
+def test_t_equals_minus_two_gamma_is_the_k_pair_rule(t, inverse, p_a, p_b):
+    # both predicates state k1 = -2u, k2 = 2u; the per-n rule is the reference
+    ctx = QContext(t)
+    if p_a is None:
+        ttrr = ttrr_chebyshev_t()
+    else:
+        ttrr = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse)
+    fit = fit_structure(ctx, generate_ops(ttrr, N), 2, N)
+    assert fit.is_exact
+    aux = aux_sequences(ctx, ttrr, fit)
+    ledger = lemma_predicates(ctx, aux, pearson_data(ctx, ttrr, fit), 2)
+    per_n = all(aux.t[n] == -2 * gamma_n(ctx, n) for n in range(N + 1))
+    assert ledger["t-equals-minus-two-gamma"].holds == per_n
+    assert ledger["k-pair-is-minus-plus-2u"].holds == per_n
+    assert per_n == (p_a is None)
+    assert ledger["t-equals-minus-two-gamma"].witness == {
+        "t1": format_rational(aux.t[1]),
+        "gamma1": "1",
+    }
 
 
 def test_recover_asc_params_round_trip():

@@ -75,6 +75,29 @@ def test_asc_regularity_failure_named():
         ttrr_alsalam_chihara(CTX, 1, 1)
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["q", "q-inverse"])
+@pytest.mark.parametrize(
+    "t, c, d", [(F(1, 2), F(1, 4), 1), (F(2, 3), F(-3, 7), F(5, 2)), (F(1, 3), 0, F(9, 8))]
+)
+def test_asc_matches_its_per_n_closed_forms(t, c, d, inverse):
+    ctx = QContext(t)
+    q = 1 / ctx.q if inverse else ctx.q
+    ttrr = ttrr_alsalam_chihara(ctx, c, d, inverse=inverse, n_max=32)
+    assert ttrr.b == tuple((c + d) * q**n / 2 for n in range(33))
+    assert ttrr.c == tuple((1 - c * d * q ** (n - 1)) * (1 - q**n) / 4 for n in range(1, 33))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["q", "q-inverse"])
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_asc_irregular_parameters_name_the_first_vanishing_factor(n, inverse):
+    # c d = q**(1-n) makes 1 - c d q**(n-1) vanish at n and at no earlier index
+    q = 1 / CTX.q if inverse else CTX.q
+    with pytest.raises(IrregularParameters) as info:
+        ttrr_alsalam_chihara(CTX, q ** (1 - n), 1, inverse=inverse, n_max=32)
+    assert str(info.value) == f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
+    assert ttrr_alsalam_chihara(CTX, q ** (1 - n), 1, inverse=inverse, n_max=n - 1).n_max == n - 1
+
+
 def test_chebyshev_coefficients():
     t = ttrr_chebyshev_t()
     assert t.B(3) == 0

@@ -2,9 +2,13 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qstruct.awops import dq_apply
+from qstruct.awops import dq_apply, sq_apply
 from qstruct.families import (
+    FamilySpec,
+    IrregularParameters,
     OPSTable,
     generate_ops,
     ttrr_alsalam_chihara,
@@ -14,10 +18,12 @@ from qstruct.families import (
 )
 from qstruct.poly import Poly
 from qstruct.scalar import QContext, gamma_n, qpow
+from qstruct.report import Check, Report
 from qstruct.structure import (
     STATUS_DEGENERATE_C,
     STATUS_EXACT,
     STATUS_NO_SOLUTION,
+    FiveTermExpansion,
     StructureFit,
     fit_auto,
     fit_structure,
@@ -377,3 +383,124 @@ def test_fit_rejects_bad_arguments():
         fit_structure(CTX, ops, 1, 2)
     with pytest.raises(ValueError):
         fit_structure(CTX, ops, 1, N + 5)
+
+
+def padded(seq):
+    """Accessor n -> seq[n] that reads zero at every negative n, the
+    convention for sequences such as a_n, B_n or C_n (with C_0 = 0)."""
+    zero = F(0)
+    return lambda n: seq[n] if n >= 0 else zero
+
+
+def reference_five_term(ctx, ops, fit):
+    """five_term with the closed coefficients as Fraction closures and every
+    index checked against the full expansion of pi * S_q P_n in the P basis
+    (the first mismatching basis index k, or k = -1 for a nonzero
+    coefficient of an out-of-range P_{n-1} or P_{n-2})."""
+    N = fit.horizon
+    alpha = ctx.alpha
+    ttrr = ops.ttrr
+    zero = F(0)
+    a, B, C = padded(fit.a), padded(ttrr.b), padded((zero,) + ttrr.c)
+    g_seq = tuple(fit.b[n] + fit.a[n] * B(n) for n in range(N + 1))
+    s_seq = tuple(fit.c[n] + fit.a[n] * C(n) for n in range(N + 1))
+    g, s = padded(g_seq), padded(s_seq)
+    horizon = min(N - 1, ops.degree - 2)
+    r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
+    for n in range(horizon + 1):
+        v1 = a(n + 1) - alpha * a(n)
+        v2 = g(n + 1) - alpha * g(n) + a(n) * (B(n) - alpha * B(n + 1))
+        v3 = (
+            s(n + 1)
+            - alpha * s(n)
+            + g(n) * (1 - alpha) * B(n)
+            + a(n - 1) * C(n)
+            - alpha * a(n) * C(n + 1)
+        )
+        v4 = (g(n - 1) - alpha * g(n)) * C(n) + s(n) * (B(n) - alpha * B(n - 1))
+        v5 = C(n) * s(n - 1) - alpha * C(n - 1) * s(n)
+        formula = [zero] * (n + 3)
+        formula[n + 2], formula[n + 1], formula[n] = v1, v2, v3
+        if n >= 1:
+            formula[n - 1] = v4
+        if n >= 2:
+            formula[n - 2] = v5
+        expanded = ops.expand(fit.pi * sq_apply(ctx, ops[n]))
+        expanded += [zero] * (n + 3 - len(expanded))
+        k = next((k for k in range(n + 3) if formula[k] != expanded[k]), None)
+        if k is None and ((n == 0 and v4 != 0) or (n < 2 and v5 != 0)):
+            k = -1
+        witness = "" if k is None else f"five-term mismatch at n = {n}, basis index k = {k}"
+        checks.append(Check("five-term", n, k is None, witness))
+        for out, v in zip((r1, r2, r3, r4, r5), (v1, v2, v3, v4, v5)):
+            out.append(v)
+    return FiveTermExpansion(
+        *map(tuple, (r1, r2, r3, r4, r5)), g_seq, s_seq, horizon, Report(tuple(checks))
+    )
+
+
+@st.composite
+def exact_family_fits(draw):
+    """(ctx, ttrr, ops, fit): an exact fit to N = n_max - 2 of a regular
+    point of one of the four families, in either base, on a table of degree
+    n_max. Al-Salam-Chihara points take c/d = q**(+-1/2), which fits."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)))
+    family = draw(
+        st.sampled_from(["q-hermite", "alsalam-chihara", "chebyshev-t", "continuous-q-jacobi"])
+    )
+    params = ()
+    if family == "alsalam-chihara":
+        d = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool))
+        params = (("c", d * ctx.t ** draw(st.sampled_from([2, -2]))), ("d", d))
+    elif family == "continuous-q-jacobi":
+        positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+        params = (("p_a", draw(positive)), ("p_b", draw(positive)))
+    n_max = draw(st.integers(min_value=7, max_value=12))
+    try:
+        ttrr = FamilySpec(family, params, draw(st.sampled_from(["q", "q-inverse"]))).to_ttrr(
+            ctx, n_max=n_max
+        )
+    except IrregularParameters:
+        assume(False)
+    ops = generate_ops(ttrr, n_max)
+    fit = fit_auto(ctx, ops, n_max - 2)[-1]
+    assume(fit.is_exact)
+    return ctx, ttrr, ops, fit
+
+
+def perturbed_entries(fields):
+    """(field, k, delta): which entry to move, and by how much (delta = 0
+    leaves the input as it was). Index 0 is drawn often: the conventions
+    live there."""
+    return st.tuples(
+        st.sampled_from(fields),
+        st.just(0) | st.integers(min_value=0, max_value=10),
+        st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(exact_family_fits(), perturbed_entries(["a", "b", "c"]))
+def test_five_term_matches_the_expansion_oracle_on_broken_fits(case, entry):
+    # index 0 entries included: c_0 != 0 makes r5_1 nonzero while every
+    # in-range coefficient of n = 1 still matches, the k = -1 convention
+    ctx, _, ops, fit = case
+    field, k, delta = entry
+    values = list(getattr(fit, field))
+    assume(k < len(values))
+    values[k] += delta
+    broken = replace(fit, **{field: tuple(values)})
+    assert five_term(ctx, ops, broken) == reference_five_term(ctx, ops, broken)
+
+
+def test_five_term_names_k_minus_one_for_an_out_of_range_coefficient():
+    ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
+    ops = ops_for(ttrr)
+    fit = fit_structure(CTX, ops, 2, N - 2)
+    broken = replace(fit, c=(F(1, 7),) + fit.c[1:])
+    report = five_term(CTX, ops, broken).report
+    assert report == reference_five_term(CTX, ops, broken).report
+    assert [(c.n, c.witness) for c in report.failures()][:2] == [
+        (0, "five-term mismatch at n = 0, basis index k = 0"),
+        (1, "five-term mismatch at n = 1, basis index k = -1"),
+    ]
