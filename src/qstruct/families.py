@@ -91,12 +91,6 @@ class TTRRSpec:
             raise IndexError(f"C_{n} outside materialized horizon 1..{self.n_max}")
         return self.c[n - 1]
 
-    def b_list(self, upto: int) -> list[Fraction]:
-        return [self.B(n) for n in range(upto + 1)]
-
-    def c_list(self, upto: int) -> list[Fraction]:
-        return [self.C(n) for n in range(1, upto + 1)]
-
     @classmethod
     def from_lists(
         cls, b_values: Sequence, c_values: Sequence, label: str = "explicit"
@@ -304,7 +298,7 @@ class OPSTable:
     def __getitem__(self, n: int) -> Poly:
         """P_n for 0 <= n <= degree."""
         built = self._built
-        return built[n] if n < len(built) else self._grow(n)[n]
+        return built[n] if 0 <= n < len(built) else self._grow(n)[n]
 
     @property
     def polys(self) -> tuple[Poly, ...]:
@@ -315,8 +309,8 @@ class OPSTable:
     def _grow(self, n: int) -> tuple[Poly, ...]:
         """The stored prefix extended through P_n:
         P_1 = x - B_0, P_{k+1} = (x - B_k) P_k - C_k P_{k-1}."""
-        if n > self.degree:
-            raise IndexError(f"P_{n} outside the table's degree {self.degree}")
+        if not 0 <= n <= self.degree:
+            raise IndexError(f"P_{n} outside the table's degrees 0..{self.degree}")
         polys, x, B, C = list(self._built), Poly.x(), self.ttrr.B, self.ttrr.C
         for k in range(len(polys) - 1, n):  # P_{k+1} from P_k and P_{k-1}
             step = (x - B(k)) * polys[k]
@@ -329,8 +323,10 @@ class OPSTable:
         """D_q P_n under ctx, for 0 <= n <= degree. Reading it builds every
         missing D_q P_k with k <= n (and the P_k they need) and keeps them."""
         images = self._images.get(ctx, ())
-        if n < len(images):
+        if 0 <= n < len(images):
             return images[n]
+        if n < 0:
+            raise IndexError(f"D_q P_{n} outside the table's degrees 0..{self.degree}")
         grown = images + tuple(dq_apply(ctx, self[k]) for k in range(len(images), n + 1))
         self._images[ctx] = grown
         return grown[n]
@@ -433,8 +429,8 @@ def ttrr_equal(first: TTRRSpec, second: TTRRSpec, N: int) -> tuple[str, int] | N
 def ttrr_to_json(ctx: QContext, ttrr: TTRRSpec, N: int) -> dict:
     return {
         "q_quarter": format_rational(ctx.t),
-        "B": [format_rational(v) for v in ttrr.b_list(N)],
-        "C": [format_rational(v) for v in ttrr.c_list(N)],
+        "B": [format_rational(ttrr.B(n)) for n in range(N + 1)],
+        "C": [format_rational(ttrr.C(n)) for n in range(1, N + 1)],
     }
 
 

@@ -7,25 +7,28 @@ is reduced by one back-substitution: P_n and P_{n-1} are monic, so the
 coefficients of x**(n+1), x**n and x**(n-1) of pi * D_q P_n give a_n, b_n
 and c_n, and identity n holds exactly when the remaining residual (see
 `structure_residual`) is the zero polynomial. That residual is linear in pi
-and has degree at most n - 2. The fitter pins pi by exact elimination on
-the reduced residual coefficients of identity 2 and then of identities
-2..3, at most three equations in the d lower coefficients of pi, reporting
-failure at 2 or 3 with pi zero when they are inconsistent. Identity 1
-leaves no residual coefficient, so these equations are consistent exactly
-when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
-their solution is the pi shown unique below. With pi fixed, the fitter
-reduces each index in turn, and the first nonzero residual is the reported
-failure index. `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2
-in order and stops at the first exact fit, reducing each residual of
-x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read once for all three
-attempts. The fits, `verify_structure` and `structure_residual` read P_n
-and D_q P_n from the OPS table, which builds each of them the first time
-it is read and keeps it (`OPSTable.dq`). So the degree attempts and a
-later verify on the same table share one set of images. A fit grows the
-context's operator rows to degree 3 for its pin and to the horizon only
-once pi pins, so a recurrence whose fits all fail at n = 3 pays for
-P_0..P_3, D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the
-horizon.
+and has degree at most n - 2. The fitter pins pi on the reduced residual
+coefficients of identities 2 and 3, at most three equations in the d lower
+coefficients of pi. Identity 2 is one equation, inconsistent exactly when
+all of its coefficients vanish and its rhs does not: then the fit fails at
+2 with pi zero. Otherwise one elimination over the equations of 2..3
+solves them, or the fit fails at 3 with pi zero, when a leftover equation
+has a nonzero rhs or a column has no pivot (by the proof below, a
+consistent system has no free column). Identity 1 leaves no residual
+coefficient, so these equations are consistent exactly when the identities
+n = 1..3 hold together for some (a_n, b_n, c_n), and their solution is
+the pi shown unique below. With pi fixed, the fitter reduces each index in
+turn, and the first nonzero residual is the reported failure index.
+`fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
+stops at the first exact fit, reducing each residual of x**j * D_q P_n
+(j <= 2, n = 2, 3) that the pins read once for all three attempts. The fits,
+`verify_structure` and `structure_residual` read P_n and D_q P_n from the
+OPS table, which builds each of them the first time it is read and keeps it
+(`OPSTable.dq`). So the degree attempts and a later verify on the same
+table share one set of images. A fit grows the context's operator rows to
+degree 3 for its pin and to the horizon only once pi pins, so a recurrence
+whose fits all fail at n = 3 pays for P_0..P_3, D_q P_0..D_q P_3 and the
+rows to degree 3 only, whatever the horizon.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -158,43 +161,22 @@ class FiveTermExpansion:
     report: Report
 
 
-def _solve(m: list[list[Fraction]]) -> list[Fraction] | None:
-    """Gauss-Jordan elimination over Fractions on augmented rows
-    (coefficients, then the rhs): a solution x of the system with every
-    free variable at zero, or None when it is inconsistent. The fitter only
-    hands it the reduced pin equations, at most three rows in the d <= 2
-    lower coefficients of pi, which have no free column when consistent
-    (see the module docstring)."""
-    ncols = len(m[0]) - 1
-    m = list(m)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
+def _pin(rows: list[list[Fraction]]) -> list[Fraction] | None:
+    """The solution of the pin equations, augmented rows (coefficients, then
+    the rhs) in the d <= 2 lower coefficients of pi, or None when they are
+    inconsistent: when a leftover row has a nonzero rhs, or when a column
+    has no pivot, since consistent pin equations have no free column (see
+    the module docstring)."""
+    width, solved = len(rows[0]) - 1, []
+    for col in range(width):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
             return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = m[row][ncols]
-    return x
+        rows = [row for row in rows if row is not pivot]
+        pivot = [v / pivot[col] for v in pivot]
+        rows = [[v - row[col] * w for v, w in zip(row, pivot)] for row in rows]
+        solved = [[v - row[col] * w for v, w in zip(row, pivot)] for row in solved] + [pivot]
+    return None if any(row[width] for row in rows) else [row[width] for row in solved]
 
 
 def _check_horizon(ops: OPSTable, N: int) -> None:
@@ -235,9 +217,10 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
 
 
 def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list[Poly]]):
-    """Augmented rows, one per coefficient of x**0 .. x**(n-2), saying that
-    the reduced residual of pi * D_q P_n vanishes; the unknowns are pi's
-    lower coefficients p_0..p_{d-1}, and the monic part goes to the rhs.
+    """Augmented rows for `_pin`, one per coefficient of x**0 .. x**(n-2),
+    saying that the reduced residual of pi * D_q P_n vanishes; the unknowns
+    are pi's lower coefficients p_0..p_{d-1}, and the monic part goes to the
+    rhs, so identity 2 gives one row and identity 3 two.
     residuals[n] holds the reduced residuals of x**j * D_q P_n computed so
     far, j = 0, 1, ...; it is extended to j = d, so the degree attempts of
     one problem reduce each (j, n) once."""
@@ -251,15 +234,18 @@ def _fit(
 ) -> StructureFit:
     """fit_structure for degree d, reading P_n and D_q P_n from the table
     in increasing n and the pin residuals from residuals (see `_pin_rows`).
-    The context's operator rows grow in one step to degree 3 for the pin,
-    which reads D_q P_2 and D_q P_3, and in one more to N once pi pins."""
+    The row of identity 2 alone decides failure at 2; D_q P_3 is read only
+    past it, and one `_pin` over the rows of 2..3 pins pi or fails at 3.
+    The context's operator rows grow in one step to degree 3 for the pin
+    and in one more to N once pi pins."""
     operator_rows(ctx, 3)
-    rows: list[list[Fraction]] = []
-    for m in (2, 3):  # identities 2..3 pin pi whenever consistent (module docstring)
-        rows += _pin_rows(ctx, P, d, m, residuals)
-        solution = _solve(rows)
-        if solution is None:
-            return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, m, N)
+    rows = _pin_rows(ctx, P, d, 2, residuals)
+    *coeffs, rhs = rows[0]
+    if rhs and not any(coeffs):
+        return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 2, N)
+    solution = _pin(rows + _pin_rows(ctx, P, d, 3, residuals))
+    if solution is None:
+        return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 3, N)
     pi = Poly(tuple(solution) + (Fraction(1),))
 
     operator_rows(ctx, N)
@@ -312,7 +298,7 @@ def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
     for n in range(fit.horizon + 1):
-        res = _residual(fit.pi * ops.dq(ctx, n), ops, fit.a[n], fit.b[n], fit.c[n], n)
+        res = structure_residual(ctx, ops, fit.pi, fit.a[n], fit.b[n], fit.c[n], n)
         checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
     return Report(tuple(checks))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
+    OPSTable,
     TTRRSpec,
     generate_ops,
     moments,
@@ -393,3 +394,16 @@ def test_horizon_guard():
         t.C(6)
     with pytest.raises(IndexError):
         generate_ops(t, 7)
+    with pytest.raises(IndexError):
+        ttrr_to_json(CTX, t, 6)
+
+
+def test_table_reads_below_index_0_raise():
+    # a negative index must not read the last stored entry
+    ops = OPSTable(ttrr_chebyshev_t(n_max=10), 10)
+    for built in (0, 5):
+        ops.dq(CTX, built)
+        for read in (ops.__getitem__, lambda n: ops.dq(CTX, n)):
+            for n in (-1, -2, 11):
+                with pytest.raises(IndexError):
+                    read(n)

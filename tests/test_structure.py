@@ -10,6 +10,7 @@ from qstruct.families import (
     FamilySpec,
     IrregularParameters,
     OPSTable,
+    TTRRSpec,
     generate_ops,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
@@ -19,6 +20,7 @@ from qstruct.families import (
 from qstruct.poly import Poly
 from qstruct.scalar import QContext, gamma_n, qpow
 from qstruct.report import Check, Report
+from qstruct import structure
 from qstruct.structure import (
     STATUS_DEGENERATE_C,
     STATUS_EXACT,
@@ -224,6 +226,21 @@ def test_wrong_degree_requests_fail():
     assert fit_structure(CTX, ops, 1, N).status == STATUS_NO_SOLUTION
     ops_h = ops_for(ttrr_qhermite(CTX))
     assert fit_structure(CTX, ops_h, 2, N).status == STATUS_NO_SOLUTION
+
+
+def test_each_pin_branch_fails_where_the_reference_fit_fails():
+    # B_n = 0: for d = 1 the one row of identity 2 reads 0 = -17/16; for
+    # d = 2 no row of identities 2..3 has p_0 and one reads 0 = -273/128;
+    # d = 0 pins and fails at 4
+    ttrr = TTRRSpec.from_lists([0] * 7, [F(1, 4), F(1, 2), 1, 1, 1, 1])
+    ops = generate_ops(ttrr, 6)
+    assert structure._pin_rows(CTX, ops, 1, 2, {}) == [[0, F(-17, 16)]]
+    rows = structure._pin_rows(CTX, ops, 2, 2, {}) + structure._pin_rows(CTX, ops, 2, 3, {})
+    assert rows == [[0, F(17, 16), 0], [0, 0, F(-273, 128)], [0, F(273, 32), 0]]
+    fits = [fit_structure(CTX, ops, d, 6) for d in (0, 1, 2)]
+    assert [(fit.status, fit.failure_n) for fit in fits] == [(STATUS_NO_SOLUTION, n) for n in (4, 2, 3)]
+    assert fits == [reference_fit(CTX, ops, d, 6) for d in (0, 1, 2)]
+    assert fit_auto(CTX, OPSTable(ttrr, 6), 6) == fits
 
 
 def test_verify_structure_passes_and_detects_perturbation():
