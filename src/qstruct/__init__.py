@@ -17,7 +17,7 @@ from qstruct.scalar import (
     qpow,
 )
 from qstruct.poly import Poly, from_cheb, to_cheb
-from qstruct.awops import dq_apply, dq_oracle, lattice_polys, sq_apply, sq_oracle
+from qstruct.awops import dq_apply, sq_apply
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
@@ -65,9 +65,6 @@ __all__ = [
     "from_cheb",
     "dq_apply",
     "sq_apply",
-    "dq_oracle",
-    "sq_oracle",
-    "lattice_polys",
     "TTRRSpec",
     "OPSTable",
     "MomentVector",

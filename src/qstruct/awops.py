@@ -10,7 +10,7 @@ where e(x) = x. The apply functions are exact matrix-vector products against
 the power-basis rows D_q x**k and S_q x**k. Each row is a `Poly`, integer
 numerators over its own denominator; an image is summed as one integer
 vector over the lcm of the row denominators it reads and normalized once.
-The rows come from the g = x product rules (see `LatticePolys`),
+The rows come from the g = x product rules,
 
     D_q(x f) = S_q f + alpha x D_q f,
     S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f,
@@ -23,8 +23,8 @@ directly.
 
 The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
 D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
-for the rows. The *_oracle functions instead evaluate the defining quotient
-literally at a rational sample point z; they share no code with either route.
+for the rows. The tests also evaluate the defining quotients literally at
+rational sample points z, sharing no code with either route.
 
 All functions are pure; nothing here mutates its inputs, and the row memo
 changes no result.
@@ -33,52 +33,12 @@ changes no result.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from qstruct.poly import Poly
-from qstruct.scalar import QContext, as_fraction
+from qstruct.scalar import QContext
 
-__all__ = [
-    "DegenerateSamplePoint",
-    "LatticePolys",
-    "lattice_polys",
-    "operator_rows",
-    "dq_apply",
-    "sq_apply",
-    "dq_oracle",
-    "sq_oracle",
-]
-
-
-class DegenerateSamplePoint(ValueError):
-    """The z-substitution denominator vanishes at the requested sample point."""
-
-
-@dataclass(frozen=True)
-class LatticePolys:
-    """The companion polynomials of the quadratic lattice.
-
-    u1(x) = (alpha**2 - 1) * x and u2(x) = (alpha**2 - 1) * (x**2 - 1) are the
-    unique choices making the averaging product rule
-
-        S_q(f*g) = S_q(f) S_q(g) + u2 * D_q(f) D_q(g)
-
-    hold; the test suite validates that identity (and the D_q product rule)
-    before anything downstream relies on operator algebra.
-    """
-
-    u1: Poly
-    u2: Poly
-
-
-def lattice_polys(ctx: QContext) -> LatticePolys:
-    s = ctx.alpha**2 - 1
-    return LatticePolys(
-        u1=Poly((Fraction(0), s)),
-        u2=Poly((-s, Fraction(0), s)),
-    )
+__all__ = ["operator_rows", "dq_apply", "sq_apply"]
 
 
 # Rows per live context, keyed weakly so that they die with it; see `operator_rows`.
@@ -99,7 +59,8 @@ def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, 
     if len(table[0]) > n:
         return table
     d_rows, s_rows = list(table[0]), list(table[1])
-    alpha_x, u2 = Poly((0, ctx.alpha)), lattice_polys(ctx).u2
+    s = ctx.alpha**2 - 1
+    alpha_x, u2 = Poly((0, ctx.alpha)), Poly((-s, 0, s))  # u2 = (alpha**2 - 1)(x**2 - 1)
     for k in range(len(d_rows) - 1, n):  # row k + 1 from row k
         d, sq = d_rows[k], s_rows[k]
         d_rows.append(sq + alpha_x * d)  # D_q(x f) = S_q f + alpha x D_q f
@@ -137,36 +98,3 @@ def sq_apply(ctx: QContext, f: Poly) -> Poly:
     scaled by alpha_{deg f}. Computed as sum_k f_k S_q x**k over the
     context's memoized rows."""
     return _image(operator_rows(ctx, len(f.nums) - 1)[1], f, 0)
-
-
-def _shift_points(ctx: QContext, z: Fraction) -> tuple[Fraction, Fraction]:
-    """x-images of the two lattice shifts, ((w + 1/w)/2 for w = q**(+-1/2) z)."""
-    w_up = ctx.q_half * z
-    w_dn = z / ctx.q_half
-    return (w_up + 1 / w_up) / 2, (w_dn + 1 / w_dn) / 2
-
-
-def dq_oracle(ctx: QContext, f: Poly, sample_z) -> Fraction:
-    """Literal divided-difference quotient at x = (z + 1/z)/2.
-
-    Independent brute-force route: no Chebyshev machinery is involved, so the
-    value can be compared against eval(dq_apply(f), (z + 1/z)/2) as a genuine
-    cross-check. The denominator vanishes exactly for z in {0, +1, -1}.
-    """
-    z = as_fraction(sample_z)
-    if z == 0:
-        raise DegenerateSamplePoint("z = 0 is not on the lattice")
-    e_up, e_dn = _shift_points(ctx, z)
-    den = e_up - e_dn
-    if den == 0:
-        raise DegenerateSamplePoint(f"substitution denominator vanishes at z = {z}")
-    return (f.eval(e_up) - f.eval(e_dn)) / den
-
-
-def sq_oracle(ctx: QContext, f: Poly, sample_z) -> Fraction:
-    """Literal shift average at x = (z + 1/z)/2; counterpart of `dq_oracle`."""
-    z = as_fraction(sample_z)
-    if z == 0:
-        raise DegenerateSamplePoint("z = 0 is not on the lattice")
-    e_up, e_dn = _shift_points(ctx, z)
-    return (f.eval(e_up) + f.eval(e_dn)) / 2

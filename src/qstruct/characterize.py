@@ -572,8 +572,9 @@ def recover_qjacobi_params(
             raise IrrationalRoots(diff, -prod, disc)
         p_a = (root + diff) / 2
         p_b = (root - diff) / 2
-    if p_a <= 0 or p_b <= 0:
-        raise ConstraintViolated("recovered parameters are not positive")
+    # Both are positive without a check: prod > 0, so p = sqrt(prod) > 0 in
+    # the symmetric branch, and otherwise root**2 = diff**2 + 4 prod > diff**2
+    # gives root > |diff|, so (root + diff)/2 > 0 and (root - diff)/2 > 0.
 
     # b_hat = u q**(1/2) (1 + q**(-(a+b+2)/2)); q**((a+b+2)/2) = prod * q
     expected_b_hat = u * tq**2 * (1 + 1 / (prod * tq**4))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -70,10 +71,20 @@ def _capped_n(requested: int) -> int:
 
 def _load_ttrr(path: str):
     """Read and schema-check a TTRR document: an object with a rational
-    string q_quarter and lists of rational strings B and C."""
+    string q_quarter and lists of rational strings B and C. NaN, Infinity
+    and numbers past the float range are refused: `verify` echoes the
+    document, and json.dumps would write them back as invalid JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not a finite JSON number")
+
+    def finite(token):
+        value = float(token)
+        return value if math.isfinite(value) else refuse(token)
+
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=refuse, parse_float=finite)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):

@@ -366,10 +366,6 @@ class MomentVector:
     nums: tuple[int, ...]
     den: int
 
-    @property
-    def mu(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.nums)
-
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""
         if f.degree != float("-inf") and f.degree >= len(self.nums):

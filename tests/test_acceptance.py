@@ -10,8 +10,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from test_awops import dq_oracle, sq_oracle, u2_poly
 
-from qstruct.awops import dq_apply, dq_oracle, lattice_polys, sq_apply, sq_oracle
+from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import (
     FAMILY_ASC,
     FAMILY_CHEBYSHEV_T,
@@ -103,7 +104,7 @@ def test_criterion_01_operator_correctness():
 @criterion(2, "product rules")
 def test_criterion_02_product_rules():
     rng = random.Random(202)
-    u2 = lattice_polys(CTX).u2
+    u2 = u2_poly(CTX)
     for _ in range(100):
         f, g = rand_poly(rng, 10), rand_poly(rng, 10)
         dq_f, dq_g = dq_apply(CTX, f), dq_apply(CTX, g)

@@ -8,21 +8,59 @@ import pytest
 from test_scalar import alpha_n
 
 from qstruct import awops
-from qstruct.awops import (
-    DegenerateSamplePoint,
-    dq_apply,
-    dq_oracle,
-    lattice_polys,
-    sq_apply,
-    sq_oracle,
-)
+from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import classify
 from qstruct.families import ttrr_cq_jacobi
 from qstruct.poly import Poly, from_cheb, to_cheb
-from qstruct.scalar import QContext, gamma_n
+from qstruct.scalar import QContext, as_fraction, gamma_n
 
 CTX = QContext(F(1, 2))
 CTX_B = QContext(F(2, 3))
+
+
+class DegenerateSamplePoint(ValueError):
+    """The z-substitution denominator vanishes at the requested sample point."""
+
+
+def _shift_points(ctx, z):
+    """x-images of the two lattice shifts, ((w + 1/w)/2 for w = q**(+-1/2) z)."""
+    w_up = ctx.q_half * z
+    w_dn = z / ctx.q_half
+    return (w_up + 1 / w_up) / 2, (w_dn + 1 / w_dn) / 2
+
+
+def dq_oracle(ctx, f, sample_z):
+    """Literal divided-difference quotient at x = (z + 1/z)/2.
+
+    Independent brute-force route: no operator rows and no Chebyshev
+    machinery are involved, so the value can be compared against
+    eval(dq_apply(f), (z + 1/z)/2) as a genuine cross-check. The denominator
+    vanishes exactly for z in {0, +1, -1}.
+    """
+    z = as_fraction(sample_z)
+    if z == 0:
+        raise DegenerateSamplePoint("z = 0 is not on the lattice")
+    e_up, e_dn = _shift_points(ctx, z)
+    den = e_up - e_dn
+    if den == 0:
+        raise DegenerateSamplePoint(f"substitution denominator vanishes at z = {z}")
+    return (f.eval(e_up) - f.eval(e_dn)) / den
+
+
+def sq_oracle(ctx, f, sample_z):
+    """Literal shift average at x = (z + 1/z)/2; counterpart of `dq_oracle`."""
+    z = as_fraction(sample_z)
+    if z == 0:
+        raise DegenerateSamplePoint("z = 0 is not on the lattice")
+    e_up, e_dn = _shift_points(ctx, z)
+    return (f.eval(e_up) + f.eval(e_dn)) / 2
+
+
+def u2_poly(ctx):
+    """u2(x) = (alpha**2 - 1)(x**2 - 1), the unique polynomial for which the
+    averaging product rule S_q(f g) = S_q f S_q g + u2 D_q f D_q g holds."""
+    s = ctx.alpha**2 - 1
+    return Poly((-s, F(0), s))
 
 
 def t_basis_dq(ctx, f):
@@ -134,7 +172,7 @@ def test_linearity():
 @pytest.mark.parametrize("ctx", [CTX, CTX_B])
 def test_product_rules(ctx):
     rng = random.Random(37)
-    u2 = lattice_polys(ctx).u2
+    u2 = u2_poly(ctx)
     for _ in range(40):
         f, g = rand_poly(rng, 10), rand_poly(rng, 10)
         assert dq_apply(ctx, f * g) == dq_apply(ctx, f) * sq_apply(ctx, g) + sq_apply(
@@ -149,7 +187,7 @@ def test_product_rules_with_g_equal_x():
     # the multiply-by-x commutation identities are the g = x product rules
     rng = random.Random(41)
     x = Poly.x()
-    u2 = lattice_polys(CTX).u2
+    u2 = u2_poly(CTX)
     for _ in range(25):
         f = rand_poly(rng, 12)
         assert dq_apply(CTX, x * f) == dq_apply(CTX, f) * sq_apply(CTX, x) + sq_apply(
@@ -158,13 +196,6 @@ def test_product_rules_with_g_equal_x():
         assert sq_apply(CTX, x * f) == sq_apply(CTX, f) * sq_apply(CTX, x) + u2 * dq_apply(
             CTX, f
         ) * dq_apply(CTX, x)
-
-
-def test_lattice_polys_values():
-    lp = lattice_polys(CTX)
-    s = CTX.alpha**2 - 1
-    assert lp.u1 == Poly((F(0), s))
-    assert lp.u2 == Poly((-s, F(0), s))
 
 
 def test_rows_die_with_their_contexts():

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
+from test_families import cq_jacobi_yz
 from test_structure import exact_family_fits, padded, perturbed_entries
 
 from qstruct import awops
@@ -668,6 +669,76 @@ def test_recovery_ledger_on_b_n_perturbation(ttrr, n, detail):
         assert not record.holds
         assert record.witness == {"detail": detail}
     assert "regenerated-chebyshev-t" not in result.predicates
+
+
+def cq_jacobi_from_yz(p_a, p_b, n_max):
+    """B_n = (p_a t + 1/(p_a t) - y_n - z_n)/2 and C_{n+1} = y_n z_{n+1}/4 at
+    CTX, taken from the per-n oracle; unlike the generator it accepts any
+    nonzero parameters."""
+    t = CTX.t
+    yz = [cq_jacobi_yz(CTX, p_a, p_b, n) for n in range(n_max + 1)]
+    edge = p_a * t + 1 / (p_a * t)
+    bs = [(edge - y - z) / 2 for y, z in yz]
+    return TTRRSpec.from_lists(bs, [yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1)])
+
+
+def cq_jacobi_symmetric(s, n_max):
+    """Continuous q-Jacobi with p_a = p_b = p at CTX, written in s = p**2:
+    B_n = 0, and in C_n = y_{n-1} z_n / 4 the factor p t of y_{n-1}'s
+    denominator cancels the one of z_n's numerator, so p need not be
+    rational."""
+    t = CTX.t
+    cs = []
+    for n in range(1, n_max + 1):
+        m = 4 * n
+        y = (1 - t**m * s) * (1 - t**m * s * s) * (1 + t ** (m - 2) * s) * (1 + t**m * s)
+        y /= (1 - t ** (2 * m - 4) * s * s) * (1 - t ** (2 * m) * s * s)
+        z = (1 - t**m) * (1 - t**m * s) * (1 + t**m * s) * (1 + t ** (m + 2) * s)
+        z /= (1 - t ** (2 * m) * s * s) * (1 - t ** (2 * m + 4) * s * s)
+        cs.append(y * z / 4)
+    return TTRRSpec.from_lists([F(0)] * (n_max + 1), cs)
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(1, 4)])
+def test_symmetric_helper_is_the_family_at_rational_p(p):
+    ttrr = cq_jacobi_symmetric(p * p, N)
+    assert ttrr_equal(ttrr, ttrr_cq_jacobi(CTX, p, p, n_max=N), N) is None
+    result = classify(CTX, ttrr, N)
+    assert (result.family, result.params, result.base) == (
+        FAMILY_CQ_JACOBI,
+        {"p_a": p, "p_b": p},
+        "q",
+    )
+
+
+@pytest.mark.parametrize(
+    "ttrr, details",
+    [
+        (
+            cq_jacobi_from_yz(F(-1, 3), F(2, 5), N),
+            ["recovered q**((a+b)/2) is not positive"] * 2,
+        ),
+        (
+            cq_jacobi_symmetric(F(1, 3), N),
+            [
+                "quadratic with sum 0, product 1/3 has non-square discriminant 1/3",
+                "quadratic with sum 0, product 3 has non-square discriminant 3",
+            ],
+        ),
+    ],
+    ids=["negative-p-a", "p-squared-one-third"],
+)
+def test_recovery_witnesses_of_family_members_with_parameters_outside_q_plus(ttrr, details):
+    # both recurrences are continuous q-Jacobi (p_a = -1/3, p_b = 2/5; and
+    # p_a = p_b = sqrt(1/3)) and fit exactly at deg pi = 2, but recovery
+    # reads positive rational parameters only, so they are not characterized
+    result = classify(CTX, ttrr, N)
+    assert result.family == FAMILY_NOT_CHARACTERIZED
+    assert result.predicates["fit-deg-2"].holds
+    for base, detail in zip(("q", "q-inverse"), details):
+        record = result.predicates[f"qjacobi-recovery-{base}"]
+        assert not record.holds
+        assert record.witness == {"detail": detail}
 
 
 def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():

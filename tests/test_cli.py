@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import weakref
 from fractions import Fraction as F
 from random import Random
 
@@ -292,6 +293,31 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command)
     assert out == ""
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_non_finite_json_numbers_exit_2(tmp_path, capsys, command, token, to_file):
+    # verify echoes the document, and json.dumps writes these back as
+    # NaN or Infinity, which no JSON parser has to accept
+    path = tmp_path / "note.json"
+    path.write_text(json.dumps(CHEB_DOC)[:-1] + f', "note": {token}}}')
+    out_path = tmp_path / "report.json"
+    argv = [command, str(path)] + (["--out", str(out_path)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert_bad_input(code, err)
+    assert str(path) in err and token in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_finite_json_numbers_outside_b_and_c_are_echoed(tmp_path, capsys):
+    path = tmp_path / "note.json"
+    path.write_text(json.dumps(CHEB_DOC)[:-1] + ', "note": 1.5e300}')
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["input"]["note"] == 1.5e300
+
+
 def test_generate_zero_denominator_exits_2(capsys):
     code, out, err = run(capsys, "generate", "--family", "q-hermite", "--q-quarter", "1/0")
     assert_bad_input(code, err)
@@ -492,8 +518,13 @@ def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_veri
     # image would take N steps, and up front to N before the pin would
     # build rows that a rejected recurrence never reads)
     calls = []
-    lattice_polys = awops.lattice_polys
-    monkeypatch.setattr(awops, "lattice_polys", lambda ctx: calls.append(ctx) or lattice_polys(ctx))
+
+    class CountedRows(weakref.WeakKeyDictionary):
+        def __setitem__(self, ctx, table):  # every growth stores one table
+            calls.append(ctx)
+            super().__setitem__(ctx, table)
+
+    monkeypatch.setattr(awops, "_ROWS", CountedRows())
     gc.collect()
     ctx = QContext(F(7, 13))  # held by no other live context
     assert ctx not in awops._ROWS

@@ -293,9 +293,10 @@ def test_generate_ops_satisfies_recurrence(ttrr):
 def test_moment_anchors():
     t = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
     mom = moments(t, 6)
-    assert mom.mu[0] == 1
-    assert mom.mu[1] == t.B(0)
-    assert mom.mu[2] == t.B(0) ** 2 + t.C(1)
+    mu = [F(v, mom.den) for v in mom.nums]
+    assert mu[0] == 1
+    assert mu[1] == t.B(0)
+    assert mu[2] == t.B(0) ** 2 + t.C(1)
 
 
 @pytest.mark.parametrize(

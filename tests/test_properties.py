@@ -37,12 +37,12 @@ from threading import Thread
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_awops import t_basis_dq, t_basis_sq
+from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
 from test_poly import FractionPoly
 from test_structure import reference_fit, reference_joint_system, reference_solve
 
 from qstruct import awops, cli
-from qstruct.awops import dq_apply, dq_oracle, sq_apply, sq_oracle
+from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import (
     Classification,
     RecurrenceViolated,
@@ -519,7 +519,7 @@ def test_moments_match_the_recurrence_and_weighting_matches_products(case, w, f)
     _, ttrr = case
     N = ttrr.n_max
     mom = moments(ttrr, N)
-    assert mom.mu == reference_moments(ttrr, N)
+    assert tuple(F(v, mom.den) for v in mom.nums) == reference_moments(ttrr, N)
     assert gcd(mom.den, *mom.nums) == 1
     assume(w.degree + f.degree <= N)
     assert mom.weighted(w).apply(f) == mom.apply(w * f)
