@@ -9,13 +9,7 @@ arbitrary three-term recurrences against those families.
 
 __version__ = "0.1.0"
 
-from qstruct.scalar import (
-    QContext,
-    format_rational,
-    gamma_n,
-    parse_rational,
-    qpow,
-)
+from qstruct.scalar import QContext, format_rational, parse_rational
 from qstruct.poly import Poly, from_cheb, to_cheb
 from qstruct.awops import dq_apply, sq_apply
 from qstruct.families import (
@@ -56,8 +50,6 @@ from qstruct.characterize import (
 __all__ = [
     "__version__",
     "QContext",
-    "qpow",
-    "gamma_n",
     "parse_rational",
     "format_rational",
     "Poly",

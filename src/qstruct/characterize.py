@@ -14,10 +14,13 @@ four families:
 
 Each family also occurs in a q -> 1/q parameterization; the classifier
 detects those by re-deriving parameters under the mirrored reading (where
-q**(n/2) and q**(-n/2) swap roles, so k1 <-> k2 and a_hat <-> b_hat) and
-regenerating the family recurrence with inverted powers. `classify` is a
-total function: every failure mode is recorded as data in the predicate
-ledger rather than raised.
+q**(n/2) and q**(-n/2) swap roles, so k1 <-> k2 and a_hat <-> b_hat). A
+q-Hermite or Al-Salam-Chihara candidate is regenerated with inverted powers
+and compared with the input; continuous q-Jacobi parameters are checked
+against the family's closed forms instead, which fix every coefficient to
+the horizon but B_N, and B_N is checked on its own (see
+`recover_qjacobi_params`). `classify` is a total function: every failure
+mode is recorded as data in the predicate ledger rather than raised.
 """
 
 from __future__ import annotations
@@ -31,16 +34,18 @@ from qstruct.families import (
     IrregularParameters,
     OPSTable,
     TTRRSpec,
+    cq_jacobi_powers,
+    cq_jacobi_scan,
+    cq_jacobi_terms,
     moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
-    ttrr_cq_jacobi,
     ttrr_equal,
     ttrr_qhermite,
 )
 from qstruct.poly import Poly
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, Ratio, format_rational, qpow
+from qstruct.scalar import QContext, Ratio, format_rational
 from qstruct.structure import StructureFit, fit_auto
 
 __all__ = [
@@ -202,8 +207,8 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
     c1, c2 = fit.c[1], fit.c[2]
     C1, C2 = ttrr.C(1), ttrr.C(2)
     q = ctx.q
-    qh_plus = qpow(ctx, 2)  # q**(1/2)
-    qh_minus = qpow(ctx, -2)  # q**(-1/2)
+    qh_plus = ctx.q_half  # q**(1/2)
+    qh_minus = 1 / qh_plus  # q**(-1/2)
     k1 = (c2 * C1 - qh_minus * c1 * C2) / ((q - 1) * C1 * C2)
     k2 = (c2 * C1 - qh_plus * c1 * C2) / ((1 / q - 1) * C1 * C2)
 
@@ -535,9 +540,49 @@ def recover_qjacobi_params(
     t -> 1/t.
 
     Recovered parameters are cross-checked against the b_hat closed form
-    u q**(1/2) (1 + q**(-(a+b+2)/2)), the fitted b_n and c_n closed forms,
-    and full regeneration of the recurrence; any mismatch raises
-    ConstraintViolated.
+    u q**(1/2) (1 + q**(-(a+b+2)/2)), the fitted b_n and c_n closed forms
+    (n = 1..N), the family's regularity to N (`cq_jacobi_scan`, the
+    generator's own scan) and the closed form of B_N; any mismatch raises
+    ConstraintViolated. These checks pass exactly when
+    ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse, n_max=N) is regular and
+    equals the input to N, so the family is not regenerated. Proof, for aux
+    and pd derived from this (ctx, ttrr, fit), as `classify` passes them;
+    F is the family at (p_a, p_b), and x^F its value of x. The closed forms
+    are those of F's own structure fit and b_hat, and recovery run on F
+    gives back (p_a, p_b).
+
+    1. C_1. The b_hat check and p_a p_b = -a_hat / b_hat give
+       (a_hat, b_hat) = (a_hat^F, b_hat^F), hence (k1, k2) = (k1^F, k2^F)
+       (a_1 = 1 for both), hence t_1 = k1 q**(1/2) + k2 q**(-1/2) = t_1^F
+       and C_1 = c_1 / t_1 = C_1^F.
+    2. B_0. If B_n = 0 to N, then p_a = p_b, and F is symmetric, so
+       B_0^F = 0. Otherwise the first recovery formula holds for the input
+       and for F with the same p_a - p_b, b_hat and
+       r_1 = t_1 + 1 = r_1^F, which is nonzero (`pearson_data` raises
+       DegenerateR1 when C_1 r_1 = a_1 C_1 + c_1 vanishes); so B_0 = B_0^F.
+    3. pi. Identity 1 reads pi = (a_1 x + b_1)(x - B_0) + c_1, so pi = pi^F.
+    4. P_0..P_N. For fixed pi and (a_n, b_n, c_n), identity n fixes monic
+       P_n given P_{n-1}: f -> pi D_q f - (a_n x + b_n) f sends x**k to
+       (gamma_k - gamma_n) x**(k+1) + lower terms (a_n = gamma_n, monic
+       pi of degree 2), and gamma_k = q**(-(k-1)/2) (1 + q + ... + q**(k-1))
+       grows with k for 0 < q < 1, so the coefficients of x**n .. x**1 of
+       the identity solve for those of P_n below x**n one at a time. Both
+       fits are exact to N, so P_n = P_n^F for n <= N by induction from
+       P_0 = 1, and P_{n+1} = (x - B_n) P_n - C_n P_{n-1} gives
+       B_n = B_n^F and C_n = C_n^F for n < N.
+    5. C_N. `aux_sequences` has checked t_N = k1 q**(N/2) + k2 q**(-N/2),
+       which is t_N^F by step 1, so C_N = c_N / t_N = C_N^F.
+
+    Only B_N is left: it first enters P_{N+1}, which neither the fit to N
+    nor the Pearson check reads (the moments it needs stop at mu_{N+1},
+    and <u, P_N> = 0 leaves mu_{N+1} independent of B_N). A B_N off its
+    closed form keeps the witness "regenerated recurrence differs at B_N".
+    Regularity is not implied: a factor of the generator's scan past N can
+    vanish while every check to N passes (1 - q**(N+1) p_a**2 sits in y_N,
+    so only C_{N+1} = 0), and the scan's message keeps the witness
+    "recovered parameters are irregular: ...". Past the scan, the generator
+    raises nothing: p_a, p_b > 0 (below), the scan covers every
+    denominator, and no C_n vanishes.
     """
     if not fit.is_exact:
         raise ValueError("recover_qjacobi_params requires an exact fit")
@@ -612,15 +657,17 @@ def recover_qjacobi_params(
         if fit.c[n] != c_closed / (denom_shift * denom_ab * denom_ab):
             raise ConstraintViolated(f"fitted c_{n} disagrees with the closed form")
 
-    # Full regeneration must reproduce the input recurrence.
+    # What the checks above leave open (see the docstring): the family's
+    # regularity to N, and B_N.
+    qm = cq_jacobi_powers(tq, N)
     try:
-        regen = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse, n_max=N)
+        cq_jacobi_scan(qm, p_a, p_b, N)
     except IrregularParameters as exc:
         raise ConstraintViolated(f"recovered parameters are irregular: {exc}") from exc
-    mismatch = ttrr_equal(ttrr, regen, N)
-    if mismatch is not None:
-        kind, n = mismatch
-        raise ConstraintViolated(f"regenerated recurrence differs at {kind}_{n}")
+    ((y_N, z_N),) = cq_jacobi_terms(tq, p_a, p_b, qm, range(N, N + 1))
+    pt = p_a * tq
+    if ttrr.B(N) != (pt + 1 / pt - y_N - z_N) / 2:
+        raise ConstraintViolated(f"regenerated recurrence differs at B_{N}")
     return p_a, p_b
 
 

@@ -73,7 +73,10 @@ def _load_ttrr(path: str):
     """Read and schema-check a TTRR document: an object with a rational
     string q_quarter and lists of rational strings B and C. NaN, Infinity
     and numbers past the float range are refused: `verify` echoes the
-    document, and json.dumps would write them back as invalid JSON."""
+    document, and json.dumps would write them back as invalid JSON. A JSON
+    decode error names the file, and so does an integer past the
+    interpreter's digit limit, reported as such, not with the int parser's
+    advice."""
 
     def refuse(token):
         raise ValueError(f"{path}: {token} is not a finite JSON number")
@@ -82,9 +85,18 @@ def _load_ttrr(path: str):
         value = float(token)
         return value if math.isfinite(value) else refuse(token)
 
+    def integer(token):
+        try:
+            return int(token)
+        except ValueError:  # a JSON integer token fails only the digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{path}: a number has more than {limit} digits") from None
+
     with open(path) as fh:
         try:
-            data = json.load(fh, parse_constant=refuse, parse_float=finite)
+            data = json.load(fh, parse_constant=refuse, parse_float=finite, parse_int=integer)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -39,6 +40,9 @@ __all__ = [
     "ttrr_alsalam_chihara",
     "ttrr_chebyshev_t",
     "ttrr_cq_jacobi",
+    "cq_jacobi_powers",
+    "cq_jacobi_scan",
+    "cq_jacobi_terms",
     "generate_ops",
     "moments",
     "ttrr_equal",
@@ -180,7 +184,10 @@ def ttrr_cq_jacobi(
               (1 + q**n t**2 p_a p_b) / (e_{2n} e_{2n+1}),
 
     with t = q**(1/4) and e_m = 1 - q**m p_a**2 p_b**2. Each power q**m is
-    built once, as a running product, and each factor list once from those.
+    built once, as a running product (`cq_jacobi_powers`), and each factor
+    once from those (`cq_jacobi_terms`); `cq_jacobi_scan` decides
+    regularity first. `recover_qjacobi_params` checks its parameters with
+    the same three.
 
     Symmetric parameters (p_a = p_b) force B_n = 0 identically. Raises
     IrregularParameters naming the vanishing factor whenever the recurrence
@@ -190,41 +197,11 @@ def ttrr_cq_jacobi(
     if p_a <= 0 or p_b <= 0:
         raise ValueError("p_a and p_b must be positive (they are real powers of q)")
     t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
-    q, ab, aa, bb = t**4, p_a * p_b, p_a * p_a, p_b * p_b
-    pp, abt = ab * ab, ab * t * t
-    qm = [Fraction(1)]  # q**m for m <= 2 n_max + 4
-    for _ in range(2 * n_max + 4):
-        qm.append(qm[-1] * q)
-    e = [1 - v * pp for v in qm]
-    ea = [1 - v * aa for v in qm[: n_max + 2]]
-    eb = [1 - v * bb for v in qm[: n_max + 2]]
-    f = [1 + v * ab for v in qm[: n_max + 2]]
-    ft = [1 + v * abt for v in qm[: n_max + 1]]
-
-    # e_0 = 0 only when p_a p_b = 1 (p_a p_b > 0). The scan of e_m, m = 1 ..
-    # 2 n_max + 4, named by the parity of m, covers every other e read below,
-    # so e_{n+1}, the factor (1 - q^(n+a+b+1)) of y_n, needs no check of its own.
-    if ab == 1:
-        raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
-    for m in range(1, 2 * n_max + 5):
-        if e[m] == 0:
-            text = "(1 - q^(2n+a+b+2))" if m % 2 == 0 else "(1 - q^(2n+a+b+1))"
-            raise IrregularParameters(f"regularity factor {text} vanishes at n = {(m - 1) // 2}")
-    for n in range(0, n_max + 1):
-        for factor, text in ((ea[n + 1], "(1 - q^(n+a+1))"), (eb[n + 1], "(1 - q^(n+b+1))")):
-            if factor == 0:
-                raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
-
+    qm = cq_jacobi_powers(t, n_max)
+    cq_jacobi_scan(qm, p_a, p_b, n_max)
     pt = p_a * t
     edge = pt + 1 / pt  # q**((2a+1)/4) + q**(-(2a+1)/4)
-    y = [
-        ea[n + 1] * e[n + 1] * ft[n] * f[n + 1] / (pt * e[2 * n + 1] * e[2 * n + 2])
-        for n in range(n_max + 1)
-    ]
-    z = [
-        pt * (1 - qm[n]) * eb[n] * f[n] * ft[n] / (e[2 * n] * e[2 * n + 1])
-        for n in range(n_max + 1)
-    ]
+    y, z = zip(*cq_jacobi_terms(t, p_a, p_b, qm, range(n_max + 1)))
     label = f"cq-jacobi({format_rational(p_a)},{format_rational(p_b)})" + (
         "-qinv" if inverse else ""
     )
@@ -233,6 +210,58 @@ def ttrr_cq_jacobi(
         tuple(y[n - 1] * z[n] / 4 for n in range(1, n_max + 1)),
         label,
     )
+
+
+def cq_jacobi_powers(t: Fraction, n_max: int) -> list[Fraction]:
+    """q**m for m = 0 .. 2 n_max + 4, with q = t**4, as a running product:
+    every power that the continuous q-Jacobi closed forms read to n_max."""
+    q, qm = t**4, [Fraction(1)]
+    for _ in range(2 * n_max + 4):
+        qm.append(qm[-1] * q)
+    return qm
+
+
+def cq_jacobi_scan(qm: list[Fraction], p_a: Fraction, p_b: Fraction, n_max: int) -> None:
+    """Raise IrregularParameters, naming the first vanishing factor, unless
+    the continuous q-Jacobi recurrence is regular to n_max; qm holds the
+    powers of `cq_jacobi_powers`. A factor 1 - q**m c vanishes exactly when
+    q**m = 1/c, so each test is one comparison. e_0 = 1 - (p_a p_b)**2
+    vanishes only when p_a p_b = 1 (p_a p_b > 0). The scan of e_m,
+    m = 1 .. 2 n_max + 4, named by the parity of m, covers every other e
+    that `cq_jacobi_terms` reads, so e_{n+1}, the factor (1 - q^(n+a+b+1))
+    of y_n, needs no check of its own."""
+    ab = p_a * p_b
+    if ab == 1:
+        raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
+    root = 1 / (ab * ab)  # e_m = 1 - q**m (p_a p_b)**2
+    for m in range(1, 2 * n_max + 5):
+        if qm[m] == root:
+            text = "(1 - q^(2n+a+b+2))" if m % 2 == 0 else "(1 - q^(2n+a+b+1))"
+            raise IrregularParameters(f"regularity factor {text} vanishes at n = {(m - 1) // 2}")
+    roots = ((1 / (p_a * p_a), "(1 - q^(n+a+1))"), (1 / (p_b * p_b), "(1 - q^(n+b+1))"))
+    for n in range(0, n_max + 1):
+        for power, text in roots:
+            if qm[n + 1] == power:
+                raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
+
+
+def cq_jacobi_terms(
+    t: Fraction, p_a: Fraction, p_b: Fraction, qm: list[Fraction], ns: range
+) -> list[tuple[Fraction, Fraction]]:
+    """(y_n, z_n) of `ttrr_cq_jacobi` for each n in ns, read from the powers
+    qm of `cq_jacobi_powers` once `cq_jacobi_scan` has passed. A factor
+    that several n read (e_m, 1 + q**m p_a p_b) is built once."""
+    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
+    pp, abt, pt = ab * ab, ab * t * t, p_a * t
+    e = cache(lambda m: 1 - qm[m] * pp)  # e_m
+    f = cache(lambda m: 1 + qm[m] * ab)
+    out = []
+    for n in ns:
+        ft, e_odd = 1 + qm[n] * abt, e(2 * n + 1)
+        y_n = (1 - qm[n + 1] * aa) * e(n + 1) * ft * f(n + 1) / (pt * e_odd * e(2 * n + 2))
+        z_n = pt * (1 - qm[n]) * (1 - qm[n] * bb) * f(n) * ft / (e(2 * n) * e_odd)
+        out.append((y_n, z_n))
+    return out
 
 
 @dataclass(frozen=True)

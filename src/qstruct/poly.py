@@ -38,6 +38,7 @@ __all__ = [
     "from_cheb",
     "poly_to_json",
     "poly_from_json",
+    "int_product",
 ]
 
 # Degree of the zero polynomial. Never -1: -inf makes deg(p*q) = deg p + deg q
@@ -172,13 +173,7 @@ class Poly:
             self, other = other, self
         if len(a) == 1:
             return _scaled(other, a[0], self.den)
-        # integer convolution, one shifted row of the longer factor at a time
-        out = [0] * (len(a) + len(b) - 1)
-        nb = len(b)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
-        return Poly.from_ints(out, self.den * other.den)
+        return Poly.from_ints(*int_product(self, other))
 
     __rmul__ = __mul__
 
@@ -239,6 +234,23 @@ def _scaled(p: Poly, num: int, den: int) -> Poly:
     g, h = gcd(num, p.den), gcd(den, *p.nums)
     num = num // g
     return _make(tuple([v // h * num for v in p.nums]), p.den // g * (den // h))
+
+
+def int_product(f: Poly, g: Poly) -> tuple[list[int], int]:
+    """f * g as integer numerators over f.den * g.den, not normalized: the
+    integer convolution that `Poly.__mul__` normalizes, for callers that
+    only compare the product (see `structure`). Its last numerator is
+    nonzero unless a factor is zero, and then the list is empty."""
+    a, b = f.nums, g.nums
+    if len(a) > len(b):
+        a, b = b, a
+    # one shifted row of the longer factor at a time
+    out = [0] * (len(a) + len(b) - 1) if a else []
+    nb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+    return out, f.den * g.den
 
 
 def _lincomb(p: Poly, r: Poly, sign: int) -> Poly:

@@ -11,13 +11,12 @@ verification checks without a gcd per operation.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "QContext",
-    "qpow",
-    "gamma_n",
     "as_fraction",
     "parse_rational",
     "format_rational",
@@ -42,8 +41,8 @@ def as_fraction(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or plain "p") into an exact rational: after strip(), the
     text must match [+-]?[0-9]+(/[0-9]+)? in ASCII digits. Anything else
-    (exponents, decimals, underscores, other digits) and a zero denominator
-    are ValueErrors."""
+    (exponents, decimals, underscores, other digits), a zero denominator
+    and a number past the interpreter's digit limit are ValueErrors."""
     m = _RATIONAL.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational p/q string: {text!r}")
@@ -51,6 +50,9 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # digits that fail int() exceed the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a rational string has a number of more than {limit} digits") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -138,21 +140,3 @@ class QContext:
     def u(self) -> Fraction:
         return 1 / (self.t**2 - self.t**-2)
 
-
-def qpow(ctx: QContext, k: int) -> Fraction:
-    """q**(k/4) as an exact rational, for any integer k (negative allowed)."""
-    return ctx.t**k
-
-
-def gamma_n(ctx: QContext, n: int) -> Fraction:
-    """q-bracket (q**(n/2) - q**(-n/2)) / (q**(1/2) - q**(-1/2)).
-
-    gamma_0 = 0, gamma_1 = 1, and the sequence solves the recurrence
-    x_{n+2} - 2*alpha*x_{n+1} + x_n = 0. It is the eigenfactor by which the
-    divided-difference operator lowers a degree-n leading term.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    num = ctx.t ** (2 * n) - ctx.t ** (-2 * n)
-    den = ctx.t**2 - ctx.t**-2
-    return num / den

@@ -17,8 +17,16 @@ has a nonzero rhs or a column has no pivot (by the proof below, a
 consistent system has no free column). Identity 1 leaves no residual
 coefficient, so these equations are consistent exactly when the identities
 n = 1..3 hold together for some (a_n, b_n, c_n), and their solution is
-the pi shown unique below. With pi fixed, the fitter reduces each index in
-turn, and the first nonzero residual is the reported failure index.
+the pi shown unique below; the pin rows are the only reader of the
+residual's coefficients (`_reduce`). With pi fixed, the fitter decides each
+index in turn on integers: pi * D_q P_n is one unnormalized integer
+convolution (`int_product`), a_n, b_n and c_n are read from its top three
+coefficients, and identity n holds exactly when that product equals
+(a_n x + b_n) P_n + c_n P_{n-1}, compared cross-multiplied over a common
+denominator (`_is_combination`, which `five_term` uses too), with no gcd
+over the coefficients. The first index that fails is the reported failure
+index. `verify_structure` decides each index by the same step and forms
+the residual only for a failing one, as its witness.
 `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
 stops at the first exact fit, reducing each residual of x**j * D_q P_n
 (j <= 2, n = 2, 3) that the pins read once for all three attempts. The fits,
@@ -74,11 +82,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from qstruct.awops import operator_rows, sq_apply
 from qstruct.families import OPSTable
-from qstruct.poly import Poly, poly_to_json
+from qstruct.poly import Poly, int_product, poly_to_json
 from qstruct.report import Check, Report
 from qstruct.scalar import QContext, Ratio, format_rational
 
@@ -251,8 +259,9 @@ def _fit(
     operator_rows(ctx, N)
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        a_n, b_n, c_n, res = _reduce(pi * P.dq(ctx, n), P, n)
-        if res:
+        nums, den = int_product(pi, P.dq(ctx, n))
+        a_n, b_n, c_n = _coefficients(nums, den, P[n], n)
+        if not _holds(nums, den, P, a_n, b_n, c_n, n):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
         a.append(a_n)
         b.append(b_n)
@@ -263,16 +272,36 @@ def _fit(
     return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
 
 
+def _coefficients(nums: list[int], den: int, p: Poly, n: int):
+    """(a_n, b_n, c_n) for lhs = sum(nums[k] x**k) / den, n >= 1, such
+    that lhs - (a_n x + b_n) P_n - c_n P_{n-1} has degree at most n - 2:
+    P_n = p and P_{n-1} are monic, so the coefficients of x**(n+1), x**n
+    and x**(n-1) of lhs give a_n, b_n and c_n by back-substitution, done
+    on integers and normalized once per coefficient."""
+    top = [*nums[n - 1 : n + 2]]
+    lhs_c, lhs_b, lhs_a = top + [0] * (3 - len(top))
+    pd, p1 = p.den, p.nums[n - 1]  # p.nums[n] == pd, as p is monic
+    p2 = p.nums[n - 2] if n >= 2 else 0
+    b_num = lhs_b * pd - lhs_a * p1  # b_n = b_num / (den pd)
+    c_num = (lhs_c * pd - lhs_a * p2) * pd - b_num * p1  # c_n = c_num / (den pd**2)
+    return Fraction(lhs_a, den), Fraction(b_num, den * pd), Fraction(c_num, den * pd * pd)
+
+
 def _reduce(lhs: Poly, P: OPSTable, n: int):
     """(a_n, b_n, c_n, residual) for lhs = (a_n x + b_n) P_n + c_n P_{n-1}
-    + residual, n >= 1. P_n and P_{n-1} are monic, so the coefficients of
-    x**(n+1), x**n and x**(n-1) of lhs give a_n, b_n and c_n by
-    back-substitution, leaving a residual of degree at most n - 2."""
-    p = P[n]
-    a_n = lhs.coeff(n + 1)
-    b_n = lhs.coeff(n) - a_n * p.coeff(n - 1)
-    c_n = lhs.coeff(n - 1) - a_n * p.coeff(n - 2) - b_n * p.coeff(n - 1)
+    + residual, n >= 1, with the residual as a polynomial of degree at most
+    n - 2; the pin rows read its coefficients."""
+    a_n, b_n, c_n = _coefficients(lhs.nums, lhs.den, P[n], n)
     return a_n, b_n, c_n, _residual(lhs, P, a_n, b_n, c_n, n)
+
+
+def _holds(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n: int) -> bool:
+    """Whether identity n holds: sum(nums[k] x**k) / den, the product
+    pi * D_q P_n, equals (a_n x + b_n) P_n + c_n P_{n-1} (no P_{-1} term at
+    n = 0), decided by `_is_combination`."""
+    p = P[n]
+    terms = [(a_n, 1, p), (b_n, 0, p)]
+    return _is_combination(nums, den, terms + [(c_n, 0, P[n - 1])] if n else terms)
 
 
 def _residual(lhs: Poly, P: OPSTable, a_n, b_n, c_n, n: int) -> Poly:
@@ -289,34 +318,39 @@ def structure_residual(
 
 
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
-    """Recompute every residual of an exact fit and demand the zero
-    polynomial. The report holds one structure-residual check per
-    n = 0..horizon; a nonzero residual fails its check and is the witness.
-    The images D_q P_n are read from ops, so a verify on the table the fit
-    was made on reuses the fit's images."""
+    """Check every identity of an exact fit again. The report holds one
+    structure-residual check per n = 0..horizon, decided on integers by the
+    fit's own step (`_holds`); a failing check carries the nonzero residual
+    (`structure_residual`) as its witness. The images D_q P_n are read from
+    ops, so a verify on the table the fit was made on reuses the fit's
+    images."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
     for n in range(fit.horizon + 1):
-        res = structure_residual(ctx, ops, fit.pi, fit.a[n], fit.b[n], fit.c[n], n)
-        checks.append(Check("structure-residual", n, not res, str(res) if res else ""))
+        a_n, b_n, c_n = fit.a[n], fit.b[n], fit.c[n]
+        nums, den = int_product(fit.pi, ops.dq(ctx, n))
+        holds = _holds(nums, den, ops, a_n, b_n, c_n, n)
+        witness = "" if holds else str(structure_residual(ctx, ops, fit.pi, a_n, b_n, c_n, n))
+        checks.append(Check("structure-residual", n, holds, witness))
     return Report(tuple(checks))
 
 
-def _is_combination(f: Poly, P: OPSTable, terms: list[tuple[Fraction, int]]) -> bool:
-    """Whether f = sum v * P_k over the (v, k) in terms, decided on
-    integers: the sum is one integer vector over the lcm of the term
-    denominators, compared with the numerators of f. f is in normal form,
-    so it can equal the sum only when its denominator divides that lcm,
-    and then the comparison needs one multiplication per coefficient."""
-    terms = [(v, P[k]) for v, k in terms if v]
-    den = lcm(*(v.denominator * p.den for v, p in terms))
-    out = [0] * max((len(p.nums) for _, p in terms), default=0)
-    for v, p in terms:
-        m = v.numerator * (den // (v.denominator * p.den))
-        out[: len(p.nums)] = [o + m * x for o, x in zip(out, p.nums)]
-    scale, rest = divmod(den, f.den)
-    return not rest and all(x == y * scale for x, y in zip_longest(out, f.nums, fillvalue=0))
+def _is_combination(nums: list[int], den: int, terms) -> bool:
+    """Whether sum(nums[k] x**k) / den, den > 0, equals the sum of
+    v * x**s * p over the (v, s, p) in terms (a Fraction, a shift and a
+    Poly), decided on integers: that sum is one integer vector over the lcm
+    of the term denominators, and the two sides are compared
+    cross-multiplied, so neither needs a gcd over its coefficients."""
+    terms = [(v, s, p) for v, s, p in terms if v]
+    common = lcm(*(v.denominator * p.den for v, _, p in terms))
+    out = [0] * max((s + len(p.nums) for _, s, p in terms), default=0)
+    for v, s, p in terms:
+        m = v.numerator * (common // (v.denominator * p.den))
+        out[s : s + len(p.nums)] = [o + m * x for o, x in zip(out[s:], p.nums)]
+    g = gcd(common, den)
+    left, right = common // g, den // g
+    return all(x * left == y * right for x, y in zip_longest(nums, out, fillvalue=0))
 
 
 def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpansion:
@@ -381,11 +415,11 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         v5 = (C0 * sm1 - alpha * Cm1 * s0).fraction()
 
         formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
-        lhs = fit.pi * sq_apply(ctx, ops[n])
+        nums, den = int_product(fit.pi, sq_apply(ctx, ops[n]))
         k = None
-        if not _is_combination(lhs, ops, formula):
-            # the first basis index where the expansion of lhs disagrees
-            expanded = ops.expand(lhs)
+        if not _is_combination(nums, den, [(v, 0, ops[j]) for v, j in formula if v]):
+            # the first basis index where the expansion of pi * S_q P_n disagrees
+            expanded = ops.expand(Poly.from_ints(nums, den))
             expanded += [zero] * (n + 3 - len(expanded))
             coeffs = [zero] * max(n - 2, 0) + [v for v, _ in formula]
             k = next(k for k in range(n + 3) if coeffs[k] != expanded[k])

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 from test_awops import dq_oracle, sq_oracle, u2_poly
+from test_scalar import gamma_n, qpow
 
 from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import (
@@ -37,7 +38,7 @@ from qstruct.families import (
     ttrr_qhermite,
 )
 from qstruct.poly import Poly
-from qstruct.scalar import QContext, gamma_n, qpow
+from qstruct.scalar import QContext
 from qstruct.structure import (
     STATUS_NO_SOLUTION,
     fit_structure,

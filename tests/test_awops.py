@@ -5,14 +5,14 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from test_scalar import alpha_n
+from test_scalar import alpha_n, gamma_n
 
 from qstruct import awops
 from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import classify
 from qstruct.families import ttrr_cq_jacobi
 from qstruct.poly import Poly, from_cheb, to_cheb
-from qstruct.scalar import QContext, as_fraction, gamma_n
+from qstruct.scalar import QContext, as_fraction
 
 CTX = QContext(F(1, 2))
 CTX_B = QContext(F(2, 3))

@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
@@ -5,7 +6,9 @@ from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_families import cq_jacobi_yz
+from test_scalar import gamma_n, qpow
 from test_structure import exact_family_fits, padded, perturbed_entries
 
 from qstruct import awops
@@ -17,6 +20,8 @@ from qstruct.characterize import (
     FAMILY_QHERMITE,
     ConstraintViolated,
     DegenerateR1,
+    IrrationalRoots,
+    RecurrenceViolated,
     aux_sequences,
     classify,
     lemma_predicates,
@@ -27,6 +32,7 @@ from qstruct.characterize import (
     verify_difference_system,
 )
 from qstruct.families import (
+    FamilySpec,
     IrregularParameters,
     OPSTable,
     TTRRSpec,
@@ -39,8 +45,8 @@ from qstruct.families import (
     ttrr_qhermite,
 )
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, format_rational, gamma_n, qpow
-from qstruct.structure import fit_structure
+from qstruct.scalar import QContext, format_rational
+from qstruct.structure import fit_auto, fit_structure
 
 CTX = QContext(F(1, 2))
 N = 10
@@ -669,6 +675,157 @@ def test_recovery_ledger_on_b_n_perturbation(ttrr, n, detail):
         assert not record.holds
         assert record.witness == {"detail": detail}
     assert "regenerated-chebyshev-t" not in result.predicates
+
+
+def recover_by_regeneration(ctx, ttrr, fit, aux, *, inverse=False):
+    """recover_qjacobi_params as it was while it regenerated the family: the
+    same parameters and closed-form checks (with each power of q taken
+    afresh), then the recurrence regenerated by ttrr_cq_jacobi to N and
+    compared with the input coefficient by coefficient. Returns (outcome,
+    regen): outcome is (p_a, p_b) or the message of the first failing check,
+    and regen is the regenerated recurrence, or None when no regeneration
+    was reached."""
+    N = fit.horizon
+    if inverse:
+        tq, u, a_hat, b_hat = 1 / ctx.t, -ctx.u, aux.b_hat, aux.a_hat
+    else:
+        tq, u, a_hat, b_hat = ctx.t, ctx.u, aux.a_hat, aux.b_hat
+    if a_hat == 0 or b_hat == 0:
+        return "a_hat and b_hat must both be nonzero", None
+    prod = -a_hat / b_hat
+    if prod <= 0:
+        return "recovered q**((a+b)/2) is not positive", None
+
+    def square_root(x):
+        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        return F(rn, rd) if x >= 0 and rn * rn == x.numerator and rd * rd == x.denominator else None
+
+    if all(ttrr.B(n) == 0 for n in range(N + 1)):
+        p = square_root(prod)
+        if p is None:
+            return str(IrrationalRoots(F(0), prod, prod)), None
+        p_a = p_b = p
+    else:
+        diff = 2 * aux.r[1] * ttrr.B(0) * tq / (b_hat * (1 + tq**2))
+        root = square_root(diff**2 + 4 * prod)
+        if root is None:
+            return str(IrrationalRoots(diff, -prod, diff**2 + 4 * prod)), None
+        p_a, p_b = (root + diff) / 2, (root - diff) / 2
+    expected_b_hat = u * tq**2 * (1 + 1 / (prod * tq**4))
+    if b_hat != expected_b_hat:
+        return (
+            f"b_hat = {format_rational(b_hat)} but the parameter closed form "
+            f"gives {format_rational(expected_b_hat)}"
+        ), None
+    q, s, ab = tq**4, tq**2, p_a * p_b
+    for n in range(1, N + 1):
+        g = gamma_n(ctx, n)
+        denom_ab, denom_shift = 1 - q**n * ab, 1 - q**n * ab / s
+        if denom_ab == 0 or denom_shift == 0:
+            return f"degenerate denominator at n = {n}", None
+        if fit.b[n] != (p_a - p_b) * g * (1 + q**n * s * ab**2) / (2 * ab * tq * denom_ab):
+            return f"fitted b_{n} disagrees with the closed form", None
+        c_n = (
+            -(1 + 1 / (ab * s)) * g * (1 - q**n * p_a**2) * (1 - q**n * p_b**2) * (1 - q**n * ab**2)
+            / (4 * denom_shift * denom_ab**2)
+        )
+        if fit.c[n] != c_n:
+            return f"fitted c_{n} disagrees with the closed form", None
+    try:
+        regen = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse, n_max=N)
+    except IrregularParameters as exc:
+        return f"recovered parameters are irregular: {exc}", None
+    mismatch = ttrr_equal(ttrr, regen, N)
+    if mismatch is not None:
+        return f"regenerated recurrence differs at {mismatch[0]}_{mismatch[1]}", regen
+    return (p_a, p_b), regen
+
+
+@st.composite
+def cq_jacobi_inputs(draw):
+    """(ctx, ttrr, N): a regular continuous q-Jacobi point in either base,
+    symmetric or not, with at most one B_k or C_k moved. The moves are
+    weighted to those that keep the fit to N exact: B_N and C_N, which
+    first enter P_{N+1}, and entries past N."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)))
+    positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+    p_a = draw(positive | st.sampled_from([ctx.t, 1 / ctx.t]))
+    p_b = draw(st.just(p_a) | positive | st.sampled_from([ctx.t, 1 / ctx.t]))
+    n_max = draw(st.integers(min_value=7, max_value=11))
+    N = draw(st.sampled_from([n_max, n_max - 2]))
+    spec = FamilySpec("continuous-q-jacobi", (("p_a", p_a), ("p_b", p_b)), draw(st.sampled_from(["q", "q-inverse"])))
+    try:
+        ttrr = spec.to_ttrr(ctx, n_max=n_max)
+    except IrregularParameters:
+        assume(False)
+    kind, k = draw(
+        st.tuples(st.just("B"), st.just(N) | st.integers(min_value=N, max_value=n_max))
+        | st.tuples(st.just("C"), st.integers(min_value=N, max_value=n_max))
+        | st.tuples(st.sampled_from("BC"), st.integers(min_value=1, max_value=n_max))
+        | st.just(("B", 0))
+    )
+    delta = draw(st.sampled_from([F(0), F(1, 1000), F(-3), F(5, 7)]))
+    b, c = list(ttrr.b), list(ttrr.c)
+    if kind == "B":
+        b[k] += delta
+    else:
+        c[k - 1] += delta
+    try:
+        return ctx, TTRRSpec.from_lists(b, c), N
+    except IrregularParameters:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cq_jacobi_inputs())
+def test_recovery_without_regeneration_matches_the_regenerating_oracle(case):
+    # B_N is the only coefficient that the closed-form checks leave open: a
+    # returned pair regenerates the input to N, and "differs at B_N" comes
+    # exactly when the regeneration differs from the input at B_N alone
+    ctx, ttrr, N = case
+    fits = fit_auto(ctx, OPSTable(ttrr, N), N)
+    assume(len(fits) == 3 and fits[-1].is_exact)
+    fit = fits[-1]
+    try:
+        aux, pd = aux_sequences(ctx, ttrr, fit), pearson_data(ctx, ttrr, fit)
+    except (RecurrenceViolated, DegenerateR1):
+        assume(False)
+    for inverse in (False, True):
+        expected, regen = recover_by_regeneration(ctx, ttrr, fit, aux, inverse=inverse)
+        try:
+            got = recover_qjacobi_params(ctx, ttrr, fit, aux, pd, inverse=inverse)
+        except (ConstraintViolated, IrrationalRoots) as exc:
+            got = str(exc)
+        assert got == expected
+        if not isinstance(got, str):
+            regenerated = ttrr_cq_jacobi(ctx, *got, inverse=inverse, n_max=N)
+            assert ttrr_equal(ttrr, regenerated, N) is None
+        differing = regen and [
+            (kind, n)
+            for kind, first, stop in (("B", 0, N + 1), ("C", 1, N + 1))
+            for n in range(first, stop)
+            if getattr(ttrr, kind)(n) != getattr(regen, kind)(n)
+        ]
+        assert (got == f"regenerated recurrence differs at B_{N}") == (differing == [("B", N)])
+
+
+@pytest.mark.parametrize(
+    "p_a, p_b, factor",
+    [(F(4) ** 7, F(1, 3), "(1 - q^(n+a+1))"), (F(1, 3), F(4) ** 7, "(1 - q^(n+b+1))")],
+    ids=["a", "b"],
+)
+def test_recovery_names_a_regularity_factor_that_vanishes_just_past_n(p_a, p_b, factor):
+    # at q = 1/16, p = 4**7 = q**(-7/2) makes 1 - q**7 p**2 vanish: the
+    # factor sits in y_6, so B_0..B_6 and C_1..C_6 are finite (C_7 would
+    # be 0), every closed-form check to N = 6 passes, and only the family's
+    # regularity scan to N rejects the pair
+    n = 6
+    result = classify(CTX, cq_jacobi_from_yz(p_a, p_b, n), n)
+    assert result.family == FAMILY_NOT_CHARACTERIZED and result.predicates["fit-deg-2"].holds
+    for base in ("q", "q-inverse"):
+        assert result.predicates[f"qjacobi-recovery-{base}"].witness == {
+            "detail": f"recovered parameters are irregular: regularity factor {factor} vanishes at n = {n}"
+        }
 
 
 def cq_jacobi_from_yz(p_a, p_b, n_max):

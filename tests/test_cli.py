@@ -318,6 +318,45 @@ def test_finite_json_numbers_outside_b_and_c_are_echoed(tmp_path, capsys):
     assert json.loads(out)["input"]["note"] == 1.5e300
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_a_truncated_document_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(CHEB_DOC)[:27])
+    code, out, err = run(capsys, command, str(path))
+    assert_bad_input(code, err)
+    assert err.startswith(f"error: {path}: Expecting value: line 1 column 28")
+    assert out == ""
+
+
+@pytest.fixture
+def digit_limit_4300():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("where", ["note", "C"])
+def test_a_number_past_the_digit_limit_exits_2_without_python_advice(
+    tmp_path, capsys, digit_limit_4300, command, where
+):
+    # a JSON integer outside B and C, or a rational string inside C
+    digits = "7" * 5001
+    if where == "note":
+        doc, message = json.dumps(CHEB_DOC)[:-1] + f', "note": {digits}}}', "a number has"
+    else:
+        doc, message = json.dumps(dict(CHEB_DOC, C=[digits] + CHEB_DOC["C"][1:])), "a rational string has a number of"
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, str(path))
+    assert_bad_input(code, err)
+    assert f"{message} more than 4300 digits" in err
+    assert (str(path) in err) == (where == "note")
+    assert "sys.set_int_max_str_digits" not in err
+    assert out == ""
+
+
 def test_generate_zero_denominator_exits_2(capsys):
     code, out, err = run(capsys, "generate", "--family", "q-hermite", "--q-quarter", "1/0")
     assert_bad_input(code, err)

@@ -28,7 +28,7 @@ CTX = QContext(F(1, 2))  # q = 1/16
 def cq_jacobi_yz(ctx, p_a, p_b, n, *, inverse=False):
     """The (y_n, z_n) building blocks of the continuous q-Jacobi recurrence,
     each power of q**(1/4) taken afresh: the per-n oracle that the
-    generator's shared factor lists are checked against."""
+    generator's shared powers and factors are checked against."""
     p_a, p_b = F(p_a), F(p_b)
     t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
     pp = p_a * p_a * p_b * p_b  # q**(a+b)

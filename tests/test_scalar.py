@@ -6,12 +6,29 @@ from qstruct.scalar import (
     QContext,
     as_fraction,
     format_rational,
-    gamma_n,
     parse_rational,
-    qpow,
 )
 
 CTX = QContext(F(1, 2))  # q = 1/16
+
+
+def qpow(ctx: QContext, k: int) -> F:
+    """q**(k/4) as an exact rational, for any integer k (negative allowed)."""
+    return ctx.t**k
+
+
+def gamma_n(ctx: QContext, n: int) -> F:
+    """q-bracket (q**(n/2) - q**(-n/2)) / (q**(1/2) - q**(-1/2)).
+
+    gamma_0 = 0, gamma_1 = 1, and the sequence solves the recurrence
+    x_{n+2} - 2*alpha*x_{n+1} + x_n = 0. It is the eigenfactor by which the
+    divided-difference operator lowers a degree-n leading term.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    num = ctx.t ** (2 * n) - ctx.t ** (-2 * n)
+    den = ctx.t**2 - ctx.t**-2
+    return num / den
 
 
 def alpha_n(ctx, n):

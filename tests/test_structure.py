@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_scalar import gamma_n, qpow
 
 from qstruct.awops import dq_apply, sq_apply
 from qstruct.families import (
@@ -18,7 +19,7 @@ from qstruct.families import (
     ttrr_qhermite,
 )
 from qstruct.poly import Poly
-from qstruct.scalar import QContext, gamma_n, qpow
+from qstruct.scalar import QContext
 from qstruct.report import Check, Report
 from qstruct import structure
 from qstruct.structure import (
@@ -380,6 +381,62 @@ def test_five_term_qhermite_r1_vanishes():
     fit = fit_structure(CTX, ops, 0, N)
     ft = five_term(CTX, ops, fit)
     assert all(v == 0 for v in ft.r1)
+
+
+def constant_residual_recurrence(ctx, n_fail, n_max):
+    """A recurrence on which pi = 1 fits identities 1..n_fail - 1 exactly
+    and leaves at n_fail a nonzero residual whose only nonzero coefficient
+    is that of x**0. For pi = 1, a_n = b_n = 0 and c_n = gamma_n, so the
+    residual of identity k is D_q P_k - gamma_k P_{k-1}, of degree at most
+    k - 2 and affine in (B_{k-1}, C_{k-1}). From k = 3 to n_fail those two
+    are solved to cancel its two top coefficients; identity 2 has only its
+    constant term, which does not read C_1 and fixes B_1. Later entries
+    are arbitrary."""
+    b, c = [F(1, 2)], [F(1)]  # B_0, C_1
+
+    def residual(k, b_k, c_k):  # identity k with B_{k-1} = b_k and C_{k-1} = c_k
+        spec = TTRRSpec.from_lists(b[: k - 1] + [b_k, 0], c[: k - 2] + [c_k, 1])
+        ops = generate_ops(spec, k)
+        return structure_residual(ctx, ops, Poly.one(), F(0), F(0), gamma_n(ctx, k), k)
+
+    for k in range(2, n_fail + 1):
+        r0, rb, rc = residual(k, 0, 1), residual(k, 1, 1), residual(k, 0, 2)
+        # coefficient i of the residual reads u B_{k-1} + v C_{k-1} + w
+        u1, v1, w1, u2, v2, w2 = (
+            x
+            for i in (k - 2, k - 3)
+            for x in (rb.coeff(i) - r0.coeff(i), rc.coeff(i) - r0.coeff(i), 2 * r0.coeff(i) - rc.coeff(i))
+        )
+        if k == 2:
+            b.append(-w1 / u1)
+            continue
+        det = u1 * v2 - u2 * v1
+        b.append((w2 * v1 - w1 * v2) / det)
+        c.append((u2 * w1 - u1 * w2) / det)
+    b += [F(0)] * (n_max + 1 - len(b))
+    c += [F(1)] * (n_max - len(c))
+    return TTRRSpec.from_lists(b, c)
+
+
+def test_a_residual_left_only_in_x0_fails_its_index():
+    # the integer step compares every coefficient of the residual, the
+    # constant term included: at n = 4 it is the only nonzero one
+    n_fail = 4
+    ops = generate_ops(constant_residual_recurrence(CTX, n_fail, N), N)
+    residuals = [
+        structure_residual(CTX, ops, Poly.one(), F(0), F(0), gamma_n(CTX, n), n)
+        for n in range(1, N + 1)
+    ]
+    assert not any(residuals[: n_fail - 1])
+    assert residuals[n_fail - 1].degree == 0
+
+    fit = fit_structure(CTX, ops, 0, N)
+    assert (fit.status, fit.failure_n) == (STATUS_NO_SOLUTION, n_fail)
+    assert fit == reference_fit(CTX, ops, 0, N)
+    hermite = fit_structure(CTX, ops_for(ttrr_qhermite(CTX)), 0, N)  # pi = 1, c_n = gamma_n
+    assert hermite.is_exact and hermite.c == (0,) + tuple(gamma_n(CTX, n) for n in range(1, N + 1))
+    first = verify_structure(CTX, ops, hermite).failures()[0]
+    assert (first.n, first.witness) == (n_fail, str(residuals[n_fail - 1]))
 
 
 def test_degenerate_c_status():
