@@ -29,7 +29,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
-from qstruct.scalar import as_fraction, format_rational, parse_rational
+from qstruct.scalar import as_fraction, format_rational
 
 __all__ = [
     "NEG_INF",
@@ -37,7 +37,6 @@ __all__ = [
     "to_cheb",
     "from_cheb",
     "poly_to_json",
-    "poly_from_json",
     "int_product",
 ]
 
@@ -239,8 +238,9 @@ def _scaled(p: Poly, num: int, den: int) -> Poly:
 def int_product(f: Poly, g: Poly) -> tuple[list[int], int]:
     """f * g as integer numerators over f.den * g.den, not normalized: the
     integer convolution that `Poly.__mul__` normalizes, for callers that
-    only compare the product (see `structure`). Its last numerator is
-    nonzero unless a factor is zero, and then the list is empty."""
+    read an integer residual off the product (see `structure`). Its last
+    numerator is nonzero unless a factor is zero, and then the list is
+    empty."""
     a, b = f.nums, g.nums
     if len(a) > len(b):
         a, b = b, a
@@ -314,7 +314,3 @@ def from_cheb(c: Sequence[Fraction]) -> Poly:
 def poly_to_json(p: Poly) -> list[str]:
     """Ascending-power list of rational strings."""
     return [format_rational(c) for c in p.coeffs]
-
-
-def poly_from_json(data: Sequence[str]) -> Poly:
-    return Poly(tuple(parse_rational(s) for s in data))

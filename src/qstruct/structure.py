@@ -3,32 +3,31 @@
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
 for a monic OPS table, with pi monic of degree 0, 1, or 2. Every identity
-is reduced by one back-substitution: P_n and P_{n-1} are monic, so the
-coefficients of x**(n+1), x**n and x**(n-1) of pi * D_q P_n give a_n, b_n
-and c_n, and identity n holds exactly when the remaining residual (see
-`structure_residual`) is the zero polynomial. That residual is linear in pi
-and has degree at most n - 2. The fitter pins pi on the reduced residual
-coefficients of identities 2 and 3, at most three equations in the d lower
-coefficients of pi. Identity 2 is one equation, inconsistent exactly when
-all of its coefficients vanish and its rhs does not: then the fit fails at
-2 with pi zero. Otherwise one elimination over the equations of 2..3
-solves them, or the fit fails at 3 with pi zero, when a leftover equation
-has a nonzero rhs or a column has no pivot (by the proof below, a
-consistent system has no free column). Identity 1 leaves no residual
-coefficient, so these equations are consistent exactly when the identities
-n = 1..3 hold together for some (a_n, b_n, c_n), and their solution is
-the pi shown unique below; the pin rows are the only reader of the
-residual's coefficients (`_reduce`). With pi fixed, the fitter decides each
-index in turn on integers: pi * D_q P_n is one unnormalized integer
-convolution (`int_product`), a_n, b_n and c_n are read from its top three
-coefficients, and identity n holds exactly when that product equals
-(a_n x + b_n) P_n + c_n P_{n-1}, compared cross-multiplied over a common
-denominator (`_is_combination`, which `five_term` uses too), with no gcd
-over the coefficients. The first index that fails is the reported failure
-index. `verify_structure` decides each index by the same step and forms
-the residual only for a failing one, as its witness.
+is decided by one integer residual (`_identity_residual`). Its lhs
+pi * D_q P_n is one unnormalized integer convolution (`int_product`);
+P_n and P_{n-1} are monic, so the coefficients of x**(n+1), x**n and
+x**(n-1) of the lhs give a_n, b_n and c_n by back-substitution
+(`_coefficients`); and lhs - (a_n x + b_n) P_n - c_n P_{n-1} is formed as
+integer numerators over one denominator, cross-multiplied over the lcm of
+the term denominators with no gcd over the coefficients (`_residual`,
+which `five_term` uses too). Identity n holds exactly when every numerator
+is zero. That residual is linear in pi and has degree at most n - 2. The
+fitter pins pi on the residual coefficients of identities 2 and 3, at most
+three equations in the d lower coefficients of pi. Identity 2 is one
+equation, inconsistent exactly when all of its coefficients vanish and its
+rhs does not: then the fit fails at 2 with pi zero. Otherwise one
+elimination over the equations of 2..3 solves them, or the fit fails at 3
+with pi zero, when a leftover equation has a nonzero rhs or a column has
+no pivot (by the proof below, a consistent system has no free column).
+Identity 1 leaves no residual coefficient, so these equations are
+consistent exactly when the identities n = 1..3 hold together for some
+(a_n, b_n, c_n), and their solution is the pi shown unique below. With pi
+fixed, the fitter decides each index in turn by its residual; the first
+index that fails is the reported failure index. `verify_structure`
+decides each index by the same residual and normalizes it only for a
+failing one, as its witness; `structure_residual` returns it normalized.
 `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
-stops at the first exact fit, reducing each residual of x**j * D_q P_n
+stops at the first exact fit, computing each residual of x**j * D_q P_n
 (j <= 2, n = 2, 3) that the pins read once for all three attempts. The fits,
 `verify_structure` and `structure_residual` read P_n and D_q P_n from the
 OPS table, which builds each of them the first time it is read and keeps it
@@ -213,9 +212,9 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
     exact one. Each entry equals fit_structure(ctx, ops, d, N); the attempts
-    share the table's D_q P_n images and the reduced pin residuals."""
+    share the table's D_q P_n images and the pin residuals."""
     _check_horizon(ops, N)
-    residuals: dict[int, list[Poly]] = {}
+    residuals: dict[int, list] = {}
     fits = []
     for d in (0, 1, 2):
         fits.append(_fit(ctx, ops, d, N, residuals))
@@ -224,21 +223,24 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     return fits
 
 
-def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list[Poly]]):
+def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list]):
     """Augmented rows for `_pin`, one per coefficient of x**0 .. x**(n-2),
-    saying that the reduced residual of pi * D_q P_n vanishes; the unknowns
-    are pi's lower coefficients p_0..p_{d-1}, and the monic part goes to the
-    rhs, so identity 2 gives one row and identity 3 two.
-    residuals[n] holds the reduced residuals of x**j * D_q P_n computed so
-    far, j = 0, 1, ...; it is extended to j = d, so the degree attempts of
-    one problem reduce each (j, n) once."""
+    saying that the residual of identity n with lhs pi * D_q P_n vanishes;
+    the unknowns are pi's lower coefficients p_0..p_{d-1}, and the monic
+    part goes to the rhs, so identity 2 gives one row and identity 3 two.
+    residuals[n] holds the coefficients x**0 .. x**(n-2) of the residuals
+    of x**j * D_q P_n computed so far, j = 0, 1, ...; it is extended to
+    j = d, so the degree attempts of one problem compute each (j, n) once."""
     res, image = residuals.setdefault(n, []), P.dq(ctx, n)
-    res += [_reduce(Poly.monomial(j) * image, P, n)[3] for j in range(len(res), d + 1)]
-    return [[r.coeff(i) for r in res[:d]] + [-res[d].coeff(i)] for i in range(n - 1)]
+    for j in range(len(res), d + 1):
+        nums, den = [0] * j + list(image.nums), image.den
+        r, r_den = _identity_residual(nums, den, P, *_coefficients(nums, den, P[n], n), n)
+        res.append([Fraction(v, r_den) for v in r[: n - 1]])
+    return [[r[i] for r in res[:d]] + [-res[d][i]] for i in range(n - 1)]
 
 
 def _fit(
-    ctx: QContext, P: OPSTable, d: int, N: int, residuals: dict[int, list[Poly]]
+    ctx: QContext, P: OPSTable, d: int, N: int, residuals: dict[int, list]
 ) -> StructureFit:
     """fit_structure for degree d, reading P_n and D_q P_n from the table
     in increasing n and the pin residuals from residuals (see `_pin_rows`).
@@ -261,7 +263,7 @@ def _fit(
     for n in range(1, N + 1):
         nums, den = int_product(pi, P.dq(ctx, n))
         a_n, b_n, c_n = _coefficients(nums, den, P[n], n)
-        if not _holds(nums, den, P, a_n, b_n, c_n, n):
+        if any(_identity_residual(nums, den, P, a_n, b_n, c_n, n)[0]):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
         a.append(a_n)
         b.append(b_n)
@@ -287,61 +289,13 @@ def _coefficients(nums: list[int], den: int, p: Poly, n: int):
     return Fraction(lhs_a, den), Fraction(b_num, den * pd), Fraction(c_num, den * pd * pd)
 
 
-def _reduce(lhs: Poly, P: OPSTable, n: int):
-    """(a_n, b_n, c_n, residual) for lhs = (a_n x + b_n) P_n + c_n P_{n-1}
-    + residual, n >= 1, with the residual as a polynomial of degree at most
-    n - 2; the pin rows read its coefficients."""
-    a_n, b_n, c_n = _coefficients(lhs.nums, lhs.den, P[n], n)
-    return a_n, b_n, c_n, _residual(lhs, P, a_n, b_n, c_n, n)
-
-
-def _holds(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n: int) -> bool:
-    """Whether identity n holds: sum(nums[k] x**k) / den, the product
-    pi * D_q P_n, equals (a_n x + b_n) P_n + c_n P_{n-1} (no P_{-1} term at
-    n = 0), decided by `_is_combination`."""
-    p = P[n]
-    terms = [(a_n, 1, p), (b_n, 0, p)]
-    return _is_combination(nums, den, terms + [(c_n, 0, P[n - 1])] if n else terms)
-
-
-def _residual(lhs: Poly, P: OPSTable, a_n, b_n, c_n, n: int) -> Poly:
-    """lhs - (a_n x + b_n) P_n - c_n P_{n-1}, with lhs = pi * D_q P_n."""
-    res = lhs - Poly((b_n, a_n)) * P[n]
-    return res - c_n * P[n - 1] if n >= 1 else res
-
-
-def structure_residual(
-    ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
-) -> Poly:
-    """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
-    return _residual(pi * ops.dq(ctx, n), ops, a_n, b_n, c_n, n)
-
-
-def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
-    """Check every identity of an exact fit again. The report holds one
-    structure-residual check per n = 0..horizon, decided on integers by the
-    fit's own step (`_holds`); a failing check carries the nonzero residual
-    (`structure_residual`) as its witness. The images D_q P_n are read from
-    ops, so a verify on the table the fit was made on reuses the fit's
-    images."""
-    if not fit.is_exact:
-        raise ValueError("verify_structure requires an exact fit")
-    checks = []
-    for n in range(fit.horizon + 1):
-        a_n, b_n, c_n = fit.a[n], fit.b[n], fit.c[n]
-        nums, den = int_product(fit.pi, ops.dq(ctx, n))
-        holds = _holds(nums, den, ops, a_n, b_n, c_n, n)
-        witness = "" if holds else str(structure_residual(ctx, ops, fit.pi, a_n, b_n, c_n, n))
-        checks.append(Check("structure-residual", n, holds, witness))
-    return Report(tuple(checks))
-
-
-def _is_combination(nums: list[int], den: int, terms) -> bool:
-    """Whether sum(nums[k] x**k) / den, den > 0, equals the sum of
-    v * x**s * p over the (v, s, p) in terms (a Fraction, a shift and a
-    Poly), decided on integers: that sum is one integer vector over the lcm
-    of the term denominators, and the two sides are compared
-    cross-multiplied, so neither needs a gcd over its coefficients."""
+def _residual(nums: list[int], den: int, terms) -> tuple[list[int], int]:
+    """sum(nums[k] x**k) / den, den > 0, minus the sum of v * x**s * p over
+    the (v, s, p) in terms (a Fraction, a shift and a Poly), as integer
+    numerators over a positive denominator, not normalized: the terms are
+    summed as one integer vector over the lcm of their denominators, and
+    the two sides are cross-multiplied, so neither needs a gcd over its
+    coefficients. The residual is zero exactly when every numerator is."""
     terms = [(v, s, p) for v, s, p in terms if v]
     common = lcm(*(v.denominator * p.den for v, _, p in terms))
     out = [0] * max((s + len(p.nums) for _, s, p in terms), default=0)
@@ -350,7 +304,42 @@ def _is_combination(nums: list[int], den: int, terms) -> bool:
         out[s : s + len(p.nums)] = [o + m * x for o, x in zip(out[s:], p.nums)]
     g = gcd(common, den)
     left, right = common // g, den // g
-    return all(x * left == y * right for x, y in zip_longest(nums, out, fillvalue=0))
+    return [x * left - y * right for x, y in zip_longest(nums, out, fillvalue=0)], den * left
+
+
+def _identity_residual(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n: int):
+    """The residual of identity n, lhs - (a_n x + b_n) P_n - c_n P_{n-1}
+    with lhs = sum(nums[k] x**k) / den (no P_{-1} term at n = 0), by
+    `_residual`."""
+    p = P[n]
+    terms = [(a_n, 1, p), (b_n, 0, p)]
+    return _residual(nums, den, terms + [(c_n, 0, P[n - 1])] if n else terms)
+
+
+def structure_residual(
+    ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
+) -> Poly:
+    """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
+    nums, den = int_product(pi, ops.dq(ctx, n))
+    return Poly.from_ints(*_identity_residual(nums, den, ops, a_n, b_n, c_n, n))
+
+
+def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
+    """Check every identity of an exact fit again. The report holds one
+    structure-residual check per n = 0..horizon, decided by the fit's own
+    integer residual; a failing check carries that residual, normalized,
+    as its witness. The images D_q P_n are read from ops, so a verify on
+    the table the fit was made on reuses the fit's images."""
+    if not fit.is_exact:
+        raise ValueError("verify_structure requires an exact fit")
+    checks = []
+    for n in range(fit.horizon + 1):
+        nums, den = int_product(fit.pi, ops.dq(ctx, n))
+        res, res_den = _identity_residual(nums, den, ops, fit.a[n], fit.b[n], fit.c[n], n)
+        holds = not any(res)
+        witness = "" if holds else str(Poly.from_ints(res, res_den))
+        checks.append(Check("structure-residual", n, holds, witness))
+    return Report(tuple(checks))
 
 
 def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpansion:
@@ -368,7 +357,7 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     are checked against pi * S_q P_n, one five-term check per n in the
     returned report. Each coefficient is formed as an unreduced `Ratio`
     and normalized once; the check compares r1_n P_{n+2} + ... + r5_n
-    P_{n-2} with pi * S_q P_n on integers (`_is_combination`), and only a
+    P_{n-2} with pi * S_q P_n on integers (`_residual`), and only a
     failing one expands pi * S_q P_n in the monic P basis. A failing
     check's witness names the first basis index k where that expansion
     disagrees, or k = -1 when the coefficient of an out-of-range P_{n-1}
@@ -417,7 +406,7 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
         nums, den = int_product(fit.pi, sq_apply(ctx, ops[n]))
         k = None
-        if not _is_combination(nums, den, [(v, 0, ops[j]) for v, j in formula if v]):
+        if any(_residual(nums, den, [(v, 0, ops[j]) for v, j in formula if v])[0]):
             # the first basis index where the expansion of pi * S_q P_n disagrees
             expanded = ops.expand(Poly.from_ints(nums, den))
             expanded += [zero] * (n + 3 - len(expanded))

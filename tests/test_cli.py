@@ -596,9 +596,12 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
         assert fit_structure(ctx, OPSTable(ttrr, n), d, n).failure_n <= 3
         assert len(awops._ROWS[ctx][0]) == 4
 
+    # no index past the pin is decided, so every identity residual is a pin's
     reduced = []
-    reduce = structure._reduce
-    monkeypatch.setattr(structure, "_reduce", lambda *args: reduced.append(args) or reduce(*args))
+    reduce = structure._identity_residual
+    monkeypatch.setattr(
+        structure, "_identity_residual", lambda *args: reduced.append(args) or reduce(*args)
+    )
     fits = fit_auto(ctx, OPSTable(ttrr, n), n)
     assert [fit.failure_n for fit in fits] == [2, 3, 3]
     assert len(reduced) == 6

@@ -39,7 +39,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
 from test_poly import FractionPoly
-from test_structure import reference_fit, reference_joint_system, reference_solve
+from test_structure import (
+    reference_fit,
+    reference_joint_system,
+    reference_solve,
+    residual_oracle,
+)
 
 from qstruct import awops, cli
 from qstruct.awops import dq_apply, sq_apply
@@ -316,6 +321,10 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
     assert verify_structure(ctx, OPSTable(ttrr, ttrr.n_max), broken) == structure
     assert len(structure.checks) == N + 1
     assert [check.n for check in structure.failures()] == [k]
+    for check in structure.failures():
+        n = check.n
+        oracle = residual_oracle(ctx, ops, broken.pi, broken.a[n], broken.b[n], broken.c[n], n)
+        assert check.witness == str(oracle)
     expansion = five_term(ctx, ops, broken)
     assert len(expansion.report.checks) == expansion.horizon + 1
     expected = [n for n in (k - 1, k, k + 1) if n <= expansion.horizon]

@@ -153,6 +153,14 @@ def reference_fit(ctx, ops, d, n_fit):
     return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, n_fit)
 
 
+def residual_oracle(ctx, ops, pi, a_n, b_n, c_n, n):
+    """Reference structure residual pi * D_q P_n - (a_n x + b_n) P_n
+    - c_n P_{n-1}, in normalized Poly arithmetic instead of the package's
+    integer residual."""
+    res = pi * ops.dq(ctx, n) - Poly((b_n, a_n)) * ops[n]
+    return res - c_n * ops[n - 1] if n else res
+
+
 def test_qhermite_fit_deg0():
     ops = ops_for(ttrr_qhermite(CTX))
     fit = fit_structure(CTX, ops, 0, N)
@@ -423,10 +431,9 @@ def test_a_residual_left_only_in_x0_fails_its_index():
     # constant term included: at n = 4 it is the only nonzero one
     n_fail = 4
     ops = generate_ops(constant_residual_recurrence(CTX, n_fail, N), N)
-    residuals = [
-        structure_residual(CTX, ops, Poly.one(), F(0), F(0), gamma_n(CTX, n), n)
-        for n in range(1, N + 1)
-    ]
+    args = [(Poly.one(), F(0), F(0), gamma_n(CTX, n), n) for n in range(1, N + 1)]
+    residuals = [residual_oracle(CTX, ops, *arg) for arg in args]
+    assert [structure_residual(CTX, ops, *arg) for arg in args] == residuals
     assert not any(residuals[: n_fail - 1])
     assert residuals[n_fail - 1].degree == 0
 
