@@ -26,7 +26,6 @@ mode is recorded as data in the predicate ledger rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from qstruct.awops import operator_rows
@@ -45,7 +44,7 @@ from qstruct.families import (
 )
 from qstruct.poly import Poly
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, Ratio, format_rational
+from qstruct.scalar import Frozen, QContext, Ratio, format_rational
 from qstruct.structure import StructureFit, fit_auto
 
 __all__ = [
@@ -81,6 +80,8 @@ FAMILY_NOT_CHARACTERIZED = "not-characterized"
 BASE_Q = "q"
 BASE_Q_INVERSE = "q-inverse"
 
+_init = object.__setattr__
+
 
 class RecurrenceViolated(Exception):
     """t_n fails its two-geometric-terms closed form at index n."""
@@ -110,47 +111,70 @@ class IrrationalRoots(Exception):
         )
 
 
-@dataclass(frozen=True)
-class AuxSequences:
+class AuxSequences(Frozen):
     """t_n = c_n / C_n and r_n = t_n + a_n - a_{n-1} with their geometric-pair
     data. Index 0 entries follow the compatibility conventions t_0 = k1 + k2
     and r_0 = a_hat + b_hat."""
 
-    t: tuple[Fraction, ...]
-    k1: Fraction
-    k2: Fraction
-    r: tuple[Fraction, ...]
-    a_hat: Fraction
-    b_hat: Fraction
+    __slots__ = ("t", "k1", "k2", "r", "a_hat", "b_hat")
+
+    def __init__(
+        self,
+        t: tuple[Fraction, ...],
+        k1: Fraction,
+        k2: Fraction,
+        r: tuple[Fraction, ...],
+        a_hat: Fraction,
+        b_hat: Fraction,
+    ):
+        _init(self, "t", t)
+        _init(self, "k1", k1)
+        _init(self, "k2", k2)
+        _init(self, "r", r)
+        _init(self, "a_hat", a_hat)
+        _init(self, "b_hat", b_hat)
 
 
-@dataclass(frozen=True)
-class PearsonData:
+class PearsonData(Frozen):
     """Data of the x-classical (Pearson-type) equation D_q(phi u) = S_q(psi u):
     psi(X) = X - B_0 and phi(X) = (frak_a X - frak_b)(X - B_0) - (frak_a + alpha) C_1."""
 
-    frak_a: Fraction
-    frak_b: Fraction
-    phi: Poly
-    psi: Poly
+    __slots__ = ("frak_a", "frak_b", "phi", "psi")
+
+    def __init__(self, frak_a: Fraction, frak_b: Fraction, phi: Poly, psi: Poly):
+        _init(self, "frak_a", frak_a)
+        _init(self, "frak_b", frak_b)
+        _init(self, "phi", phi)
+        _init(self, "psi", psi)
 
 
-@dataclass
 class PredicateRecord:
-    holds: bool
-    witness: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: dict[str, str] | None = None):
+        self.holds = holds
+        self.witness = {} if witness is None else witness
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": dict(sorted(self.witness.items()))}
 
 
-@dataclass
 class Classification:
-    family: str
-    params: dict[str, Fraction]
-    base: str | None
-    predicates: dict[str, PredicateRecord]
-    fit: StructureFit | None
+    __slots__ = ("family", "params", "base", "predicates", "fit")
+
+    def __init__(
+        self,
+        family: str,
+        params: dict[str, Fraction],
+        base: str | None,
+        predicates: dict[str, PredicateRecord],
+        fit: StructureFit | None,
+    ):
+        self.family = family
+        self.params = params
+        self.base = base
+        self.predicates = predicates
+        self.fit = fit
 
     @property
     def characterized(self) -> bool:

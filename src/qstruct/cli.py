@@ -4,6 +4,10 @@ All JSON the tool emits is canonical (sorted keys, rational strings, no
 floats), so identical inputs produce byte-identical outputs. Timing goes to
 stderr only, keeping the reports deterministic. The environment variable
 QSTRUCT_NMAX caps every -N argument.
+
+Each command imports the layers it runs when it runs: `generate` loads the
+operator and family layers only, `fit` adds `structure`, and `classify` and
+`verify` add `characterize`, which loads `structure` and `report`.
 """
 
 from __future__ import annotations
@@ -14,17 +18,9 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 from qstruct import __version__
-from qstruct.characterize import (
-    DegenerateR1,
-    RecurrenceViolated,
-    aux_sequences,
-    classify,
-    pearson_check,
-    pearson_data,
-    verify_difference_system,
-)
 from qstruct.families import (
     FamilySpec,
     OPSTable,
@@ -33,14 +29,7 @@ from qstruct.families import (
     ttrr_from_json,
     ttrr_to_json,
 )
-from qstruct.report import Check, Report
 from qstruct.scalar import QContext, parse_rational
-from qstruct.structure import (
-    fit_auto,
-    fit_structure,
-    five_term,
-    verify_structure,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -137,6 +126,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from qstruct.structure import fit_auto, fit_structure
+
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
     ops = OPSTable(ttrr, N)
@@ -158,6 +149,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from qstruct.characterize import classify
+
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
     result = classify(ctx, ttrr, N)
@@ -165,7 +158,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK if result.characterized else EXIT_NOT_CHARACTERIZED
 
 
-def _verify_checks(ctx, ttrr, N: int, which: str) -> Report:
+def _verify_checks(ctx, ttrr, N: int, which: str):
+    """The report of `verify` for checks `which` (one of CHECK_NAMES)."""
+    from qstruct.characterize import (
+        DegenerateR1,
+        RecurrenceViolated,
+        aux_sequences,
+        pearson_check,
+        pearson_data,
+        verify_difference_system,
+    )
+    from qstruct.report import Check, Report
+    from qstruct.structure import fit_auto, five_term, verify_structure
+
     ops = OPSTable(ttrr, min(N + 2, ttrr.n_max))
     report = Report()
     fit = fit_auto(ctx, ops, N)[-1]
@@ -211,7 +216,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="qstruct",
         description="Exact structure-relation toolkit for q-orthogonal polynomials",

@@ -18,7 +18,6 @@ q**(n+a+1) = q**n * p_a**2 * q and q**((2a+1)/4) = p_a * t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -27,7 +26,7 @@ from typing import Sequence
 
 from qstruct.awops import dq_apply
 from qstruct.poly import Poly, poly_to_json
-from qstruct.scalar import QContext, as_fraction, format_rational, parse_rational
+from qstruct.scalar import Frozen, QContext, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -53,13 +52,14 @@ __all__ = [
 
 DEFAULT_N_MAX = 32
 
+_init = object.__setattr__
+
 
 class IrregularParameters(ValueError):
     """Some C_n vanishes, so the recurrence does not define an OPS."""
 
 
-@dataclass(frozen=True)
-class TTRRSpec:
+class TTRRSpec(Frozen):
     """Recurrence coefficients of a monic OPS, tabulated up to the horizon.
 
     An immutable value with no laziness: b holds B_0..B_{n_max} and c holds
@@ -68,16 +68,17 @@ class TTRRSpec:
     IndexError. A vanishing C_n raises IrregularParameters on construction.
     """
 
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    label: str = "ttrr"
+    __slots__ = ("b", "c", "label")
 
-    def __post_init__(self) -> None:
-        if len(self.b) != len(self.c) + 1:
+    def __init__(self, b: tuple[Fraction, ...], c: tuple[Fraction, ...], label: str = "ttrr"):
+        if len(b) != len(c) + 1:
             raise ValueError("need B_0..B_n and C_1..C_n for one horizon n")
-        for n, value in enumerate(self.c, 1):
+        for n, value in enumerate(c, 1):
             if value == 0:
-                raise IrregularParameters(f"C_{n} = 0 in {self.label}")
+                raise IrregularParameters(f"C_{n} = 0 in {label}")
+        _init(self, "b", b)
+        _init(self, "c", c)
+        _init(self, "label", label)
 
     @property
     def n_max(self) -> int:
@@ -107,17 +108,6 @@ class TTRRSpec:
             tuple(as_fraction(v) for v in b_values),
             tuple(as_fraction(v) for v in c_values),
             label,
-        )
-
-    def replaced(self, *, b_overrides=None, c_overrides=None, label=None) -> "TTRRSpec":
-        """Copy with selected entries overridden; used for perturbation tests.
-        Overrides outside the horizon are ignored."""
-        b_over = b_overrides or {}
-        c_over = c_overrides or {}
-        return TTRRSpec(
-            tuple(as_fraction(b_over.get(n, v)) for n, v in enumerate(self.b)),
-            tuple(as_fraction(c_over.get(n, v)) for n, v in enumerate(self.c, 1)),
-            label or f"{self.label}-perturbed",
         )
 
 
@@ -264,14 +254,18 @@ def cq_jacobi_terms(
     return out
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Declarative family selector, convertible to a TTRRSpec. base picks the
     plain parameterization ("q") or the q -> 1/q variant ("q-inverse")."""
 
-    family: str
-    params: tuple[tuple[str, Fraction], ...] = ()
-    base: str = "q"
+    __slots__ = ("family", "params", "base")
+
+    def __init__(
+        self, family: str, params: tuple[tuple[str, Fraction], ...] = (), base: str = "q"
+    ):
+        _init(self, "family", family)
+        _init(self, "params", params)
+        _init(self, "base", base)
 
     def param(self, name: str) -> Fraction:
         for key, value in self.params:
@@ -296,8 +290,7 @@ class FamilySpec:
         raise ValueError(f"unknown family {self.family!r}")
 
 
-@dataclass(frozen=True)
-class OPSTable:
+class OPSTable(Frozen):
     """Monic P_0..P_degree of a TTRRSpec; each entry satisfies the recurrence
     exactly by construction. The degree is fixed when the table is built,
     and a degree beyond the TTRR's horizon raises IndexError.
@@ -311,18 +304,15 @@ class OPSTable:
     one assignment, so concurrent readers each hold a complete tuple,
     whichever of them stores last."""
 
-    ttrr: TTRRSpec
-    degree: int
-    _built: tuple[Poly, ...] = field(
-        default=(Poly.one(),), init=False, repr=False, compare=False
-    )
-    _images: dict[QContext, tuple[Poly, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("ttrr", "degree", "_built", "_images")
 
-    def __post_init__(self) -> None:
-        if self.degree > self.ttrr.n_max:
-            raise IndexError(f"N = {self.degree} exceeds materialized horizon {self.ttrr.n_max}")
+    def __init__(self, ttrr: TTRRSpec, degree: int):
+        if degree > ttrr.n_max:
+            raise IndexError(f"N = {degree} exceeds materialized horizon {ttrr.n_max}")
+        _init(self, "ttrr", ttrr)
+        _init(self, "degree", degree)
+        _init(self, "_built", (Poly.one(),))
+        _init(self, "_images", {})
 
     def __getitem__(self, n: int) -> Poly:
         """P_n for 0 <= n <= degree."""
@@ -345,7 +335,7 @@ class OPSTable:
             step = (x - B(k)) * polys[k]
             polys.append(step - C(k) * polys[k - 1] if k else step)
         built = tuple(polys)
-        object.__setattr__(self, "_built", built)
+        _init(self, "_built", built)
         return built
 
     def dq(self, ctx: QContext, n: int) -> Poly:
@@ -385,15 +375,23 @@ def generate_ops(ttrr: TTRRSpec, N: int) -> OPSTable:
     return ops
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Frozen):
     """Moments mu_n = <u, x**n> of the regular functional normalized by
     mu_0 = 1, where u annihilates every P_n with n >= 1, stored as integer
     numerators over one common denominator: mu_n = nums[n] / den.
-    `moments` returns them with gcd(den, *nums) = 1."""
+    `moments` returns them with gcd(den, *nums) = 1. Two vectors are equal
+    when their numerators and denominators are."""
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple[int, ...], den: int):
+        _init(self, "nums", nums)
+        _init(self, "den", den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MomentVector):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
 
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""

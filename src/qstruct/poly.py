@@ -29,7 +29,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
-from qstruct.scalar import as_fraction, format_rational
+from qstruct.scalar import Frozen, as_fraction, format_rational
 
 __all__ = [
     "NEG_INF",
@@ -45,7 +45,7 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-class Poly:
+class Poly(Frozen):
     """Immutable polynomial sum(nums[k] * x**k) / den in normal form (module
     docstring). Pure value semantics.
 
@@ -83,12 +83,6 @@ class Poly:
             return _make(tuple([v // g for v in nums]), den // g)
         return _make(tuple(nums), den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
-
     def __reduce__(self):
         return (_make, (self.nums, self.den))
 
@@ -103,13 +97,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return _make((0, 1), 1)
-
-    @classmethod
-    def monomial(cls, k: int, coeff=1) -> "Poly":
-        """coeff * x**k"""
-        if k < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((Fraction(0),) * k + (as_fraction(coeff),))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -175,18 +162,6 @@ class Poly:
         return Poly.from_ints(*int_product(self, other))
 
     __rmul__ = __mul__
-
-    def eval(self, x0) -> Fraction:
-        """Exact evaluation by Horner's rule over the integers."""
-        x0 = as_fraction(x0)
-        if not self.nums:
-            return Fraction(0)
-        p, q = x0.numerator, x0.denominator
-        acc, scale = self.nums[-1], 1  # the value read so far is acc / scale
-        for v in reversed(self.nums[:-1]):
-            scale *= q
-            acc = acc * p + v * scale
-        return Fraction(acc, self.den * scale)
 
     def __str__(self) -> str:
         if not self.nums:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -62,6 +61,20 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class Frozen:
+    """Base of the package's immutable values. Their fields are slots, set
+    once in __init__ through object.__setattr__; any later assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Ratio:
     """An unreduced rational num / den with den > 0, for residuals that are
     only ever tested against zero. A sum or product costs integer
@@ -99,8 +112,7 @@ class Ratio:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(Frozen):
     """Base-field data for a fixed q = t**4 with 0 < q < 1.
 
     t is the quarter power q**(1/4). Derived constants:
@@ -113,16 +125,25 @@ class QContext:
     suite. Values are immutable and all operations on them are pure, so a
     context can be shared freely across threads. The operator rows that
     `awops` builds for a context live only as long as the context; equal
-    contexts alive at the same time share them.
+    contexts alive at the same time share them, which is why a context
+    compares and hashes by t and can be weakly referenced.
     """
 
-    t: Fraction
+    __slots__ = ("t", "__weakref__")
 
-    def __post_init__(self) -> None:
-        t = as_fraction(self.t)
+    def __init__(self, t: Fraction) -> None:
+        t = as_fraction(t)
         if not 0 < t < 1:
             raise ValueError(f"q**(1/4) must lie in (0, 1), got {t}")
         object.__setattr__(self, "t", t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QContext):
+            return NotImplemented
+        return self.t == other.t
+
+    def __hash__(self) -> int:
+        return hash(self.t)
 
     @property
     def q(self) -> Fraction:

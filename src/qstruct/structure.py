@@ -78,7 +78,6 @@ which `verify_structure` accepts happily since it only checks residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -87,7 +86,7 @@ from qstruct.awops import operator_rows, sq_apply
 from qstruct.families import OPSTable
 from qstruct.poly import Poly, int_product, poly_to_json
 from qstruct.report import Check, Report
-from qstruct.scalar import QContext, Ratio, format_rational
+from qstruct.scalar import Frozen, QContext, Ratio, format_rational
 
 __all__ = [
     "STATUS_EXACT",
@@ -106,22 +105,41 @@ STATUS_EXACT = "exact"
 STATUS_NO_SOLUTION = "no-solution"
 STATUS_DEGENERATE_C = "degenerate-c"
 
+_init = object.__setattr__
 
-@dataclass(frozen=True)
-class StructureFit:
+
+class StructureFit(Frozen):
     """Fitted structure data. pi is monic of the requested degree when the
     status is exact; a, b, c are indexed 0..horizon with a_0 = b_0 = c_0 = 0.
     On failure the sequences hold whatever indices were solved before the
     first inconsistency (failure_n), and pi is the zero polynomial if it was
-    never pinned."""
+    never pinned. Two fits are equal when all of their fields are."""
 
-    pi: Poly
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    status: str
-    failure_n: int | None
-    horizon: int
+    __slots__ = ("pi", "a", "b", "c", "status", "failure_n", "horizon")
+
+    def __init__(
+        self,
+        pi: Poly,
+        a: tuple[Fraction, ...],
+        b: tuple[Fraction, ...],
+        c: tuple[Fraction, ...],
+        status: str,
+        failure_n: int | None,
+        horizon: int,
+    ):
+        _init(self, "pi", pi)
+        _init(self, "a", a)
+        _init(self, "b", b)
+        _init(self, "c", c)
+        _init(self, "status", status)
+        _init(self, "failure_n", failure_n)
+        _init(self, "horizon", horizon)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StructureFit):
+            return NotImplemented
+        fields = lambda f: (f.pi, f.a, f.b, f.c, f.status, f.failure_n, f.horizon)
+        return fields(self) == fields(other)
 
     @property
     def is_exact(self) -> bool:
@@ -143,8 +161,7 @@ class StructureFit:
         }
 
 
-@dataclass(frozen=True)
-class FiveTermExpansion:
+class FiveTermExpansion(Frozen):
     """Coefficients of pi * S_q P_n over P_{n+2} .. P_{n-2}:
 
         pi S_q P_n = r1_n P_{n+2} + r2_n P_{n+1} + r3_n P_n
@@ -155,17 +172,26 @@ class FiveTermExpansion:
     report holds one five-term check per n: it fails when the closed
     coefficients disagree with the direct expansion of pi S_q P_n, which
     signals an implementation error and is never expected for an exact
-    fit."""
+    fit. Two expansions are equal when all of their fields are."""
 
-    r1: tuple[Fraction, ...]
-    r2: tuple[Fraction, ...]
-    r3: tuple[Fraction, ...]
-    r4: tuple[Fraction, ...]
-    r5: tuple[Fraction, ...]
-    g: tuple[Fraction, ...]
-    s: tuple[Fraction, ...]
-    horizon: int
-    report: Report
+    __slots__ = ("r1", "r2", "r3", "r4", "r5", "g", "s", "horizon", "report")
+
+    def __init__(self, r1, r2, r3, r4, r5, g, s, horizon: int, report: Report):
+        _init(self, "r1", r1)
+        _init(self, "r2", r2)
+        _init(self, "r3", r3)
+        _init(self, "r4", r4)
+        _init(self, "r5", r5)
+        _init(self, "g", g)
+        _init(self, "s", s)
+        _init(self, "horizon", horizon)
+        _init(self, "report", report)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiveTermExpansion):
+            return NotImplemented
+        fields = lambda e: (e.r1, e.r2, e.r3, e.r4, e.r5, e.g, e.s, e.horizon, e.report)
+        return fields(self) == fields(other)
 
 
 def _pin(rows: list[list[Fraction]]) -> list[Fraction] | None:

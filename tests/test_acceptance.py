@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 from test_awops import dq_oracle, sq_oracle, u2_poly
+from test_families import replaced
+from test_poly import evaluate, monomial
 from test_scalar import gamma_n, qpow
 
 from qstruct.awops import dq_apply, sq_apply
@@ -97,9 +99,9 @@ def test_criterion_01_operator_correctness():
         for _ in range(5):
             z = rand_z(rng)
             x0 = (z + 1 / z) / 2
-            assert dq_oracle(CTX, f, z) == dq_apply(CTX, f).eval(x0)
-            assert sq_oracle(CTX, f, z) == sq_apply(CTX, f).eval(x0)
-    assert dq_apply(CTX, Poly.monomial(2)) == Poly((F(0), 2 * CTX.alpha))
+            assert dq_oracle(CTX, f, z) == evaluate(dq_apply(CTX, f), x0)
+            assert sq_oracle(CTX, f, z) == evaluate(sq_apply(CTX, f), x0)
+    assert dq_apply(CTX, monomial(2)) == Poly((F(0), 2 * CTX.alpha))
 
 
 @criterion(2, "product rules")
@@ -168,7 +170,7 @@ def test_criterion_04_exclusivity():
 
     # every family perturbed by 1/1000 in one coefficient drops out of the class
     for name, ttrr, _deg in family_fixtures():
-        perturbed = ttrr.replaced(c_overrides={2: ttrr.C(2) + F(1, 1000)})
+        perturbed = replaced(ttrr, c_overrides={2: ttrr.C(2) + F(1, 1000)})
         assert classify(CTX, perturbed, N).family == FAMILY_NOT_CHARACTERIZED, name
 
 

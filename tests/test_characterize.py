@@ -1,15 +1,14 @@
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_families import cq_jacobi_yz
+from test_families import cq_jacobi_yz, replaced
 from test_scalar import gamma_n, qpow
-from test_structure import exact_family_fits, padded, perturbed_entries
+from test_structure import exact_family_fits, padded, perturbed_entries, replace
 
 from qstruct import awops
 from qstruct.characterize import (
@@ -162,8 +161,6 @@ def test_pearson_check_detects_wrong_phi():
     ttrr = ttrr_chebyshev_t()
     _, fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
-    from dataclasses import replace
-
     bad = replace(pd, phi=pd.phi + 1)
     report = pearson_check(CTX, ttrr, bad, 8)
     assert not report.ok and len(report.checks) == 9
@@ -210,7 +207,7 @@ def test_difference_system_catches_perturbation():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
     _, fit = fitted(ttrr, 1)
     aux = aux_sequences(CTX, ttrr, fit)
-    perturbed = ttrr.replaced(c_overrides={2: ttrr.C(2) + F(1, 1000)})
+    perturbed = replaced(ttrr, c_overrides={2: ttrr.C(2) + F(1, 1000)})
     report = verify_difference_system(CTX, perturbed, fit, aux)
     assert not report.ok
     assert len(report.failures()) > 0
@@ -370,7 +367,7 @@ def test_difference_system_matches_the_closure_oracle(case, entry):
     if field in ("B", "C"):
         try:
             moved = {k: getattr(ttrr, field)(k) + delta}
-            ttrr = ttrr.replaced(**{f"{field.lower()}_overrides": moved})
+            ttrr = replaced(ttrr, **{f"{field.lower()}_overrides": moved})
         except (IndexError, IrregularParameters):
             assume(False)
     else:
@@ -465,7 +462,7 @@ def test_recover_asc_params_round_trip():
 def test_recover_asc_constraint_violation():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
     _, fit = fitted(ttrr, 1)
-    perturbed = ttrr.replaced(c_overrides={1: ttrr.C(1) + F(1, 1000)})
+    perturbed = replaced(ttrr, c_overrides={1: ttrr.C(1) + F(1, 1000)})
     with pytest.raises(ConstraintViolated):
         recover_asc_params(CTX, perturbed, fit)
 
@@ -494,8 +491,6 @@ def test_recover_qjacobi_asymmetric():
 def test_recover_qjacobi_names_the_first_fitted_coefficient_off_its_closed_form(
     inverse, p_a, p_b, n, field
 ):
-    from dataclasses import replace
-
     ttrr = ttrr_cq_jacobi(CTX, p_a, p_b, inverse=inverse)
     _, fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
@@ -569,7 +564,7 @@ def test_classify_regenerated_recurrence_equals_input():
 
 def test_classify_perturbed_is_not_characterized():
     base = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
-    perturbed = base.replaced(c_overrides={2: base.C(2) + F(1, 1000)})
+    perturbed = replaced(base, c_overrides={2: base.C(2) + F(1, 1000)})
     result = classify(CTX, perturbed, N)
     assert result.family == FAMILY_NOT_CHARACTERIZED
     assert not result.characterized
@@ -596,7 +591,7 @@ def test_classify_rejected_branch_recurrence():
 
 
 def test_classify_reports_ledger_on_failure():
-    pert = ttrr_chebyshev_t().replaced(b_overrides={3: F(1, 1000)})
+    pert = replaced(ttrr_chebyshev_t(), b_overrides={3: F(1, 1000)})
     result = classify(CTX, pert, N)
     assert result.family == FAMILY_NOT_CHARACTERIZED
     assert result.predicates  # carries the attempted-fit evidence
@@ -642,8 +637,6 @@ def test_classify_across_contexts(tq):
 
 def test_degenerate_r1_raised_on_constructed_fit():
     # force a_1 C_1 + c_1 = 0 through a hand-built fit object
-    from dataclasses import replace
-
     ttrr = ttrr_qhermite(CTX)
     _, fit = fitted(ttrr, 0)
     broken = replace(fit, c=(F(0), -fit.a[1] * ttrr.C(1)) + fit.c[2:])
@@ -652,7 +645,7 @@ def test_degenerate_r1_raised_on_constructed_fit():
 
 
 def b_perturbed(ttrr, n, delta=F(1, 1000)):
-    return ttrr.replaced(b_overrides={n: ttrr.B(n) + delta})
+    return replaced(ttrr, b_overrides={n: ttrr.B(n) + delta})
 
 
 @pytest.mark.parametrize(
@@ -903,7 +896,7 @@ def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():
     cheb = ttrr_chebyshev_t(n_max=n_max)
     inputs = [cheb]
     inputs += [b_perturbed(cheb, k) for k in range(n_max + 1)]
-    inputs += [cheb.replaced(c_overrides={k: cheb.C(k) + F(1, 1000)}) for k in range(1, n_max + 1)]
+    inputs += [replaced(cheb, c_overrides={k: cheb.C(k) + F(1, 1000)}) for k in range(1, n_max + 1)]
     matched = 0
     for ttrr in inputs:
         result = classify(CTX, ttrr, horizon)

@@ -1,12 +1,16 @@
 import gc
 import json
+import os
+import subprocess
 import sys
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import qstruct
 from qstruct import awops, cli, structure
 from qstruct.cli import main
 from qstruct.characterize import classify
@@ -605,3 +609,59 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
     fits = fit_auto(ctx, OPSTable(ttrr, n), n)
     assert [fit.failure_n for fit in fits] == [2, 3, 3]
     assert len(reduced) == 6
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_loaded_by(code):
+    """The dataclasses and qstruct modules that a fresh interpreter with
+    PYTHONPATH=src has loaded after running code."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(*(m for m in sys.modules if m == 'dataclasses' or m.startswith('qstruct')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_a_cli_process_loads_only_the_layers_its_command_runs(tmp_path):
+    # every CLI process imports the cli module, so nothing it loads may pull
+    # in dataclasses; generate runs the family layer only, so the fit and
+    # classification layers stay unloaded, while classify loads them
+    assert "dataclasses" not in modules_loaded_by("import qstruct.cli")
+    path = tmp_path / "h.json"
+    command = "from qstruct import cli\ncli.main({!r})".format
+    generate = modules_loaded_by(command(["generate", "--family", "q-hermite", "--out", str(path)]))
+    assert "qstruct.families" in generate and "dataclasses" not in generate
+    assert not generate & {"qstruct.structure", "qstruct.characterize"}
+    fit_layers = modules_loaded_by(command(["classify", str(path), "--out", str(tmp_path / "c")]))
+    assert {"qstruct.structure", "qstruct.characterize"} <= fit_layers
+    assert "dataclasses" not in fit_layers
+
+
+def test_the_package_resolves_each_public_name_from_its_home_module(monkeypatch):
+    names = [name for name in qstruct.__all__ if name != "__version__"]
+    for name in names:  # resolve each name afresh, through the package hook
+        monkeypatch.delitem(vars(qstruct), name, raising=False)
+    for name in names:
+        value = getattr(qstruct, name)
+        assert value.__module__.startswith("qstruct.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert qstruct.__version__ == "0.1.0"
+    assert set(qstruct.__all__) <= set(dir(qstruct))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qstruct.no_such_name
+    with pytest.raises(ImportError):
+        from qstruct import no_such_name  # noqa: F401
+
+
+def test_main_parses_with_one_parser_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        code, out, _ = run(capsys, "generate", "--family", "chebyshev-t", "-N", "3")
+        assert code == 0 and json.loads(out)["C"] == ["1/2", "1/4", "1/4"]

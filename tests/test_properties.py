@@ -29,7 +29,6 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 from io import StringIO
 from math import gcd
@@ -38,11 +37,12 @@ from threading import Thread
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
-from test_poly import FractionPoly
+from test_poly import FractionPoly, evaluate
 from test_structure import (
     reference_fit,
     reference_joint_system,
     reference_solve,
+    replace,
     residual_oracle,
 )
 
@@ -277,8 +277,8 @@ def test_asc_closed_form_root_matches_discriminant_root(t, d, half_power, base):
 def test_dq_and_sq_match_their_z_oracles(t, f, z):
     ctx = QContext(t)
     x0 = (z + 1 / z) / 2
-    assert dq_apply(ctx, f).eval(x0) == dq_oracle(ctx, f, z)
-    assert sq_apply(ctx, f).eval(x0) == sq_oracle(ctx, f, z)
+    assert evaluate(dq_apply(ctx, f), x0) == dq_oracle(ctx, f, z)
+    assert evaluate(sq_apply(ctx, f), x0) == sq_oracle(ctx, f, z)
 
 
 @BOUNDED
@@ -377,7 +377,7 @@ def test_poly_matches_the_fraction_reference(cs, ds, c, x0):
         same(got, want)
     for k in range(-1, len(cs) + 2):
         assert p.coeff(k) == P.coeff(k) and type(p.coeff(k)) is F
-    assert p.eval(x0) == P.eval(x0)
+    assert evaluate(p, x0) == P.eval(x0)
     assert (p == q) == (P == Q)
     assert (p + q) - q == p and Poly(cs + (F(0),)) == p
     assert hash(Poly(P.coeffs)) == hash(p)

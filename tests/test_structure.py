@@ -1,9 +1,9 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_poly import evaluate
 from test_scalar import gamma_n, qpow
 
 from qstruct.awops import dq_apply, sq_apply
@@ -37,6 +37,13 @@ from qstruct.structure import (
 
 CTX = QContext(F(1, 2))
 N = 10
+
+
+def replace(record, **changes):
+    """A copy of a record (a fit, auxiliary sequences, Pearson data) with
+    the named fields changed: its __init__ takes its slots, in order."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def ops_for(ttrr):
@@ -345,7 +352,7 @@ def test_initial_data_identities_deg2():
         C1 = ttrr.C(1)
         alpha = CTX.alpha
         assert ttrr.B(0) == fit.b[1] - p1  # r + s = -p1
-        assert fit.c[1] == fit.pi.eval(B0)  # (B0 - r)(B0 - s) = pi(B0)
+        assert fit.c[1] == evaluate(fit.pi, B0)  # (B0 - r)(B0 - s) = pi(B0)
         assert fit.b[2] == (2 * alpha - 1) * (B0 + B1) + 2 * alpha * p1
         assert p0 * (B0 + B1) == fit.c[2] * B0 - fit.b[2] * (B0 * B1 - C1)
         assert fit.c[2] == fit.b[2] * (B0 + B1) - 2 * alpha * (B0 * B1 - C1) - p1 * (
