@@ -15,11 +15,25 @@ The rows come from the g = x product rules,
     D_q(x f) = S_q f + alpha x D_q f,
     S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f,
 
-starting from D_q 1 = 0 and S_q 1 = 1. They are memoized per context, so
-every call within one problem shares them; they grow to the degree a call
-needs and are dropped when the context is collected. `operator_rows` hands
-them out: they are the monomial images, which the Pearson check reads
-directly.
+starting from D_q 1 = 0 and S_q 1 = 1, run on integers. Write
+alpha = an/ad in lowest terms and w = an**2 - ad**2, and carry the integer
+vectors dt_k = ad**(k-1) D_q x**k and st_k = ad**k S_q x**k. Multiplying
+the rules for f = x**k by ad**k gives
+
+    dt_{k+1} = st_k + an x dt_k,
+    st_{k+1} = an x st_k + w (x**2 - 1) dt_k,
+
+with dt_0 = 0 and st_0 = 1: no division, so both stay integer vectors, and
+each new row is one `Poly.from_ints(dt_{k+1}, ad**k)` or
+`Poly.from_ints(st_{k+1}, ad**(k+1))`, normalized once. A stored table
+grows from its last rows, whose numerators are rescaled back to those
+ad-power denominators; the division is exact, because a normalized
+denominator divides the ad power the row was stored over.
+
+The rows are memoized per context, so every call within one problem shares
+them; they grow to the degree a call needs and are dropped when the context
+is collected. `operator_rows` hands them out: they are the monomial images,
+which the Pearson check reads directly.
 
 The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
 D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
@@ -49,7 +63,8 @@ _DEGREE_0 = ((Poly.zero(),), (Poly.one(),))  # D_q 1 = 0, S_q 1 = 1
 def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """(D, S) with D[k] = D_q x**k and S[k] = S_q x**k for k = 0..n at least,
     from this context's memo. Each row is a Poly: integer numerators over
-    its own denominator.
+    its own denominator, built by the integer recurrence of the module
+    docstring.
 
     A stored table is never changed: a longer one is built from a snapshot
     of the shorter one and stored with one assignment, so concurrent callers
@@ -59,15 +74,30 @@ def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, 
     if len(table[0]) > n:
         return table
     d_rows, s_rows = list(table[0]), list(table[1])
-    s = ctx.alpha**2 - 1
-    alpha_x, u2 = Poly((0, ctx.alpha)), Poly((-s, 0, s))  # u2 = (alpha**2 - 1)(x**2 - 1)
-    for k in range(len(d_rows) - 1, n):  # row k + 1 from row k
-        d, sq = d_rows[k], s_rows[k]
-        d_rows.append(sq + alpha_x * d)  # D_q(x f) = S_q f + alpha x D_q f
-        s_rows.append(alpha_x * sq + u2 * d)  # S_q(x f) = alpha x S_q f + u2 D_q f
+    alpha = ctx.alpha
+    an, ad = alpha.numerator, alpha.denominator
+    w = an * an - ad * ad
+    top = len(d_rows) - 1
+    # resume from the last stored rows, rescaled to ad-power denominators
+    dt, st = _rescaled(d_rows[top], ad ** max(top - 1, 0)), _rescaled(s_rows[top], ad**top)
+    power = ad**top
+    for _ in range(top, n):  # dt_{k+1}, st_{k+1} from dt_k, st_k
+        dt, st = (
+            [s + an * d for s, d in zip(st, (0, *dt))],
+            [an * s + w * (d2 - d) for s, d2, d in zip((0, *st), (0, 0, *dt), (*dt, 0, 0))],
+        )
+        d_rows.append(Poly.from_ints(dt, power))
+        power *= ad
+        s_rows.append(Poly.from_ints(st, power))
     table = (tuple(d_rows), tuple(s_rows))
     _ROWS[ctx] = table
     return table
+
+
+def _rescaled(row: Poly, power: int) -> list[int]:
+    """The numerators of row over power, a multiple of row.den."""
+    m = power // row.den
+    return [m * v for v in row.nums]
 
 
 def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> Poly:

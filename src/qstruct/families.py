@@ -18,11 +18,11 @@ q**(n+a+1) = q**n * p_a**2 * q and q**((2a+1)/4) = p_a * t.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from qstruct.awops import dq_apply
 from qstruct.poly import Poly, poly_to_json
@@ -297,12 +297,14 @@ class OPSTable(Frozen):
 
     Entries are built on demand: reading P_n (``table[n]``) builds every
     missing P_k with k <= n by the recurrence of `generate_ops` and keeps
-    them, and `polys` builds all of them. The images D_q P_n are kept the
-    same way, one prefix per context (`dq`), so every identity of one
-    problem reads one store of them. A stored prefix is never changed: a
-    longer one is built from a snapshot of the shorter one and stored with
-    one assignment, so concurrent readers each hold a complete tuple,
-    whichever of them stores last."""
+    them, and `polys` builds all of them. Each step sums
+    x P_k - B_k P_k - C_k P_{k-1} as one integer vector over a common
+    denominator and normalizes it once, with no `Poly` arithmetic. The
+    images D_q P_n are kept the same way, one prefix per context (`dq`),
+    so every identity of one problem reads one store of them. A stored
+    prefix is never changed: a longer one is built from a snapshot of the
+    shorter one and stored with one assignment, so concurrent readers each
+    hold a complete tuple, whichever of them stores last."""
 
     __slots__ = ("ttrr", "degree", "_built", "_images")
 
@@ -327,13 +329,26 @@ class OPSTable(Frozen):
 
     def _grow(self, n: int) -> tuple[Poly, ...]:
         """The stored prefix extended through P_n:
-        P_1 = x - B_0, P_{k+1} = (x - B_k) P_k - C_k P_{k-1}."""
+        P_1 = x - B_0, P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. Each step is
+        one integer vector over D = lcm(den P_k * den B_k, den P_{k-1} *
+        den C_k), normalized once."""
         if not 0 <= n <= self.degree:
             raise IndexError(f"P_{n} outside the table's degrees 0..{self.degree}")
-        polys, x, B, C = list(self._built), Poly.x(), self.ttrr.B, self.ttrr.C
+        polys, b, c = list(self._built), self.ttrr.b, self.ttrr.c
         for k in range(len(polys) - 1, n):  # P_{k+1} from P_k and P_{k-1}
-            step = (x - B(k)) * polys[k]
-            polys.append(step - C(k) * polys[k - 1] if k else step)
+            p, bk = polys[k], b[k]
+            bn, bd = bk.numerator, bk.denominator
+            # (x - B_k) P_k over p.den * bd
+            out = [bd * u - bn * v for u, v in zip((0, *p.nums), (*p.nums, 0))]
+            den = p.den * bd
+            if k:
+                prev, ck = polys[k - 1], c[k - 1]
+                cd = prev.den * ck.denominator
+                D = lcm(den, cd)
+                s, r = D // den, D // cd * ck.numerator
+                out = [s * o - r * v for o, v in zip(out, (*prev.nums, 0, 0))]
+                den = D
+            polys.append(Poly.from_ints(out, den))
         built = tuple(polys)
         _init(self, "_built", built)
         return built

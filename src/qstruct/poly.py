@@ -24,10 +24,10 @@ test suite checks it against those T-basis actions through these conversions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Sequence
 
 from qstruct.scalar import Frozen, as_fraction, format_rational
 

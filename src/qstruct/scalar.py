@@ -74,6 +74,13 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __repr__(self) -> str:
+        """Class name and public slots, so a failing comparison shows the
+        fields; nothing in the package reads a repr."""
+        names = [n for c in type(self).__mro__ for n in getattr(c, "__slots__", ())]
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names if not n.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
 
 class Ratio:
     """An unreduced rational num / den with den > 0, for residuals that are

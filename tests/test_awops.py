@@ -5,11 +5,13 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_poly import evaluate, monomial
 from test_scalar import alpha_n, gamma_n
 
 from qstruct import awops
-from qstruct.awops import dq_apply, sq_apply
+from qstruct.awops import dq_apply, operator_rows, sq_apply
 from qstruct.characterize import classify
 from qstruct.families import ttrr_cq_jacobi
 from qstruct.poly import Poly, from_cheb, to_cheb
@@ -62,6 +64,20 @@ def u2_poly(ctx):
     averaging product rule S_q(f g) = S_q f S_q g + u2 D_q f D_q g holds."""
     s = ctx.alpha**2 - 1
     return Poly((-s, F(0), s))
+
+
+def rows_oracle(ctx, n):
+    """D_q x**k and S_q x**k for k = 0..n by `Poly` arithmetic from the
+    g = x product rules, D_q(x f) = S_q f + alpha x D_q f and
+    S_q(x f) = alpha x S_q f + u2 D_q f: the reference for the integer
+    recurrence of `operator_rows`."""
+    d_rows, s_rows = [Poly.zero()], [Poly.one()]
+    alpha_x, u2 = Poly((F(0), ctx.alpha)), u2_poly(ctx)
+    for k in range(n):
+        d, s = d_rows[k], s_rows[k]
+        d_rows.append(s + alpha_x * d)
+        s_rows.append(alpha_x * s + u2 * d)
+    return d_rows, s_rows
 
 
 def t_basis_dq(ctx, f):
@@ -260,3 +276,27 @@ def test_concurrent_growth_gives_single_threaded_images():
             del ctx
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def normal_forms(rows):
+    return [(p.nums, p.den) for p in rows]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(2, 80).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+    st.integers(1, 30),
+    st.lists(st.integers(0, 30), max_size=4),
+)
+def test_rows_match_the_poly_oracle_in_stages_and_in_one_step(ab, N, stages):
+    # a table resumed from its stored rows, in fixed or random stages, holds
+    # the same normal forms as one grown at once and as Poly arithmetic
+    ctx = QContext(F(*ab))
+    d_want, s_want = map(normal_forms, rows_oracle(ctx, max(3, N, *stages)))
+    for reads in ((1, 2, 3, N), (*stages, N), (N,)):
+        awops._ROWS.pop(ctx, None)  # grow from degree 0, even if an equal context holds rows
+        for n in reads:
+            d_rows, s_rows = operator_rows(ctx, n)
+            assert len(d_rows) == len(s_rows) > n
+            assert normal_forms(d_rows) == d_want[: len(d_rows)]
+            assert normal_forms(s_rows) == s_want[: len(s_rows)]

@@ -644,6 +644,28 @@ def test_a_cli_process_loads_only_the_layers_its_command_runs(tmp_path):
     assert "dataclasses" not in fit_layers
 
 
+def test_a_cli_process_without_site_loads_no_typing(tmp_path):
+    # the package annotates with collections.abc, so neither the import nor
+    # generate nor classify loads typing; -S keeps site, which may import
+    # typing itself, out of the probe
+    path = tmp_path / "h.json"
+    probe = (
+        "import qstruct.cli, sys\n"
+        "loaded = ['typing' in sys.modules]\n"
+        f"qstruct.cli.main(['generate', '--family', 'q-hermite', '--out', {str(path)!r}])\n"
+        "loaded.append('typing' in sys.modules)\n"
+        f"qstruct.cli.main(['classify', {str(path)!r}, '--out', {str(tmp_path / 'c')!r}])\n"
+        "loaded.append('typing' in sys.modules)\n"
+        "print(loaded)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False, False]"
+
+
 def test_the_package_resolves_each_public_name_from_its_home_module(monkeypatch):
     names = [name for name in qstruct.__all__ if name != "__version__"]
     for name in names:  # resolve each name afresh, through the package hook

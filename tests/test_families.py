@@ -420,3 +420,61 @@ def test_table_reads_below_index_0_raise():
             for n in (-1, -2, 11):
                 with pytest.raises(IndexError):
                     read(n)
+
+
+def ops_oracle(ttrr, n):
+    """P_0..P_n by `Poly` arithmetic, P_{k+1} = (x - B_k) P_k - C_k P_{k-1}:
+    the reference for the table's one-vector integer step."""
+    polys, x = [Poly.one()], Poly.x()
+    for k in range(n):
+        step = (x - ttrr.B(k)) * polys[k]
+        polys.append(step - ttrr.C(k) * polys[k - 1] if k else step)
+    return polys
+
+
+def normal_forms(polys):
+    return [(p.nums, p.den) for p in polys]
+
+
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+
+
+@st.composite
+def random_ttrrs(draw):
+    """A random recurrence to a horizon of 1..24: B_k of either sign or
+    zero, C_k nonzero of either sign."""
+    n = draw(st.integers(1, 24))
+    b = draw(st.lists(rationals, min_size=n + 1, max_size=n + 1))
+    c = draw(st.lists(rationals.filter(bool), min_size=n, max_size=n))
+    return TTRRSpec.from_lists(b, c, "random")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(random_ttrrs(), st.lists(st.integers(0, 24), max_size=4))
+def test_ops_table_matches_the_poly_oracle_in_stages_and_in_one_step(ttrr, stages):
+    # the integer step stores the same normal form as Poly arithmetic,
+    # whether the table grows entry by entry, in random stages or at once
+    N = ttrr.n_max
+    expected = normal_forms(ops_oracle(ttrr, N))
+    for reads in ((1, 2, 3, N), (*stages, N), (N,)):
+        table = OPSTable(ttrr, N)
+        for n in (min(k, N) for k in reads):
+            assert (table[n].nums, table[n].den) == expected[n]
+        assert normal_forms(table.polys) == expected
+    assert normal_forms(generate_ops(ttrr, N).polys) == expected
+
+
+@pytest.mark.parametrize("base", ["q", "q-inverse"])
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("q-hermite", ()),
+        ("alsalam-chihara", (("c", F(1, 3)), ("d", F(-2, 5)))),
+        ("chebyshev-t", ()),
+        ("continuous-q-jacobi", (("p_a", F(1, 3)), ("p_b", F(2, 5)))),
+    ],
+)
+def test_ops_table_matches_the_poly_oracle_on_family_points(family, params, base):
+    for t in (F(1, 2), F(2, 3)):
+        ttrr = FamilySpec(family, params, base).to_ttrr(QContext(t), n_max=32)
+        assert normal_forms(generate_ops(ttrr, 32).polys) == normal_forms(ops_oracle(ttrr, 32))

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qstruct.report import Check, Report
 from qstruct.scalar import (
     QContext,
     as_fraction,
@@ -141,3 +142,11 @@ def test_as_fraction_reads_strings_by_the_rational_grammar():
     with pytest.raises(ValueError, match="not a rational p/q string: '0.5'"):
         QContext("0.5")
     assert QContext("1/2") == CTX
+
+
+def test_a_record_repr_names_its_public_fields():
+    check = Check("pearson", 3, False, "Pearson identity fails at n = 3")
+    text = "Check(name='pearson', n=3, passed=False, witness='Pearson identity fails at n = 3')"
+    assert repr(check) == text
+    assert repr(Report((check,))) == f"Report(checks=({text},))"
+    assert repr(QContext(F(1, 2))) == "QContext(t=Fraction(1, 2))"  # no __weakref__
