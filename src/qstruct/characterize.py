@@ -80,8 +80,6 @@ FAMILY_NOT_CHARACTERIZED = "not-characterized"
 BASE_Q = "q"
 BASE_Q_INVERSE = "q-inverse"
 
-_init = object.__setattr__
-
 
 class RecurrenceViolated(Exception):
     """t_n fails its two-geometric-terms closed form at index n."""
@@ -118,22 +116,6 @@ class AuxSequences(Frozen):
 
     __slots__ = ("t", "k1", "k2", "r", "a_hat", "b_hat")
 
-    def __init__(
-        self,
-        t: tuple[Fraction, ...],
-        k1: Fraction,
-        k2: Fraction,
-        r: tuple[Fraction, ...],
-        a_hat: Fraction,
-        b_hat: Fraction,
-    ):
-        _init(self, "t", t)
-        _init(self, "k1", k1)
-        _init(self, "k2", k2)
-        _init(self, "r", r)
-        _init(self, "a_hat", a_hat)
-        _init(self, "b_hat", b_hat)
-
 
 class PearsonData(Frozen):
     """Data of the x-classical (Pearson-type) equation D_q(phi u) = S_q(psi u):
@@ -141,40 +123,21 @@ class PearsonData(Frozen):
 
     __slots__ = ("frak_a", "frak_b", "phi", "psi")
 
-    def __init__(self, frak_a: Fraction, frak_b: Fraction, phi: Poly, psi: Poly):
-        _init(self, "frak_a", frak_a)
-        _init(self, "frak_b", frak_b)
-        _init(self, "phi", phi)
-        _init(self, "psi", psi)
 
+class PredicateRecord(Frozen):
+    """One ledger entry: whether a predicate holds, and its witness."""
 
-class PredicateRecord:
     __slots__ = ("holds", "witness")
-
-    def __init__(self, holds: bool, witness: dict[str, str] | None = None):
-        self.holds = holds
-        self.witness = {} if witness is None else witness
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": dict(sorted(self.witness.items()))}
 
 
-class Classification:
-    __slots__ = ("family", "params", "base", "predicates", "fit")
+class Classification(Frozen):
+    """The family a recurrence was classified into, with its parameters,
+    base, predicate ledger and fit."""
 
-    def __init__(
-        self,
-        family: str,
-        params: dict[str, Fraction],
-        base: str | None,
-        predicates: dict[str, PredicateRecord],
-        fit: StructureFit | None,
-    ):
-        self.family = family
-        self.params = params
-        self.base = base
-        self.predicates = predicates
-        self.fit = fit
+    __slots__ = ("family", "params", "base", "predicates", "fit")
 
     @property
     def characterized(self) -> bool:
@@ -740,7 +703,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops).failures()
     if failures:
         return not_characterized("pearson", failures[0].witness)
-    ledger["pearson"] = PredicateRecord(holds=True)
+    ledger["pearson"] = PredicateRecord(True, {})
 
     def regen_matches(candidate: TTRRSpec, name: str) -> bool:
         mismatch = ttrr_equal(ttrr, candidate, N)
@@ -785,7 +748,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     # deg == 2: Chebyshev first kind (recorded only on a match) or
     # continuous q-Jacobi
     if ttrr_equal(ttrr, ttrr_chebyshev_t(n_max=N), N) is None:
-        ledger["regenerated-chebyshev-t"] = PredicateRecord(holds=True)
+        ledger["regenerated-chebyshev-t"] = PredicateRecord(True, {})
         return Classification(FAMILY_CHEBYSHEV_T, {}, BASE_Q, ledger, fit)
     for base, inverse in ((BASE_Q, False), (BASE_Q_INVERSE, True)):
         try:
@@ -795,7 +758,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
                 holds=False, witness={"detail": str(exc)}
             )
             continue
-        ledger[f"regenerated-qjacobi-{base}"] = PredicateRecord(holds=True)
+        ledger[f"regenerated-qjacobi-{base}"] = PredicateRecord(True, {})
         return Classification(
             FAMILY_CQ_JACOBI, {"p_a": p_a, "p_b": p_b}, base, ledger, fit
         )

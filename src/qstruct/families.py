@@ -259,13 +259,7 @@ class FamilySpec(Frozen):
     plain parameterization ("q") or the q -> 1/q variant ("q-inverse")."""
 
     __slots__ = ("family", "params", "base")
-
-    def __init__(
-        self, family: str, params: tuple[tuple[str, Fraction], ...] = (), base: str = "q"
-    ):
-        _init(self, "family", family)
-        _init(self, "params", params)
-        _init(self, "base", base)
+    _defaults = ((), "q")
 
     def param(self, name: str) -> Fraction:
         for key, value in self.params:
@@ -394,19 +388,9 @@ class MomentVector(Frozen):
     """Moments mu_n = <u, x**n> of the regular functional normalized by
     mu_0 = 1, where u annihilates every P_n with n >= 1, stored as integer
     numerators over one common denominator: mu_n = nums[n] / den.
-    `moments` returns them with gcd(den, *nums) = 1. Two vectors are equal
-    when their numerators and denominators are."""
+    `moments` returns them with gcd(den, *nums) = 1."""
 
     __slots__ = ("nums", "den")
-
-    def __init__(self, nums: tuple[int, ...], den: int):
-        _init(self, "nums", nums)
-        _init(self, "den", den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MomentVector):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
 
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""

@@ -6,26 +6,12 @@ from qstruct.scalar import Frozen
 
 __all__ = ["Check", "Report"]
 
-_init = object.__setattr__
-
 
 class Check(Frozen):
-    """One named check, optionally indexed by a recurrence index n. Two
-    checks are equal when all of their fields are."""
+    """One named check, optionally indexed by a recurrence index n."""
 
     __slots__ = ("name", "n", "passed", "witness")
-
-    def __init__(self, name: str, n: int | None, passed: bool, witness: str = ""):
-        _init(self, "name", name)
-        _init(self, "n", n)
-        _init(self, "passed", passed)
-        _init(self, "witness", witness)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Check):
-            return NotImplemented
-        fields = lambda c: (c.name, c.n, c.passed, c.witness)
-        return fields(self) == fields(other)
+    _defaults = ("",)
 
     def to_json(self) -> dict:
         return {
@@ -37,17 +23,10 @@ class Check(Frozen):
 
 
 class Report(Frozen):
-    """Checks in the order they were made; equal when their checks are."""
+    """Checks in the order they were made."""
 
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[Check, ...] = ()):
-        _init(self, "checks", checks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Report):
-            return NotImplemented
-        return self.checks == other.checks
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:

@@ -62,11 +62,52 @@ def format_rational(x: Fraction) -> str:
 
 
 class Frozen:
-    """Base of the package's immutable values. Their fields are slots, set
-    once in __init__ through object.__setattr__; any later assignment or
-    deletion raises AttributeError."""
+    """Base of the package's immutable records. A record is declared by its
+    `__slots__`: its fields are the public slots (no leading `_`) along the
+    MRO, base first. `__init__` binds them in that order, positionally or
+    by keyword, and the last len(_defaults) of them are optional. Two
+    records are equal when they are of the same class and all their fields
+    are equal; a record is unhashable unless its class defines `__hash__`.
+    A class that validates or builds its data defines its own `__init__`,
+    setting its slots once through object.__setattr__. Any later assignment
+    or deletion raises AttributeError."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        slots = [n for c in reversed(cls.__mro__) for n in vars(c).get("__slots__", ())]
+        cls._fields = tuple(n for n in slots if not n.startswith("_"))
+        # each field's slot descriptor stores the value without a name lookup
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call other than one positional value per
+        field; a TypeError for what a signature would refuse."""
+        cls, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} arguments but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+        optional = fields[len(fields) - len(self._defaults) :]
+        values = {**dict(zip(optional, self._defaults)), **given, **kwargs}
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing required arguments: {', '.join(missing)}")
+        return [values[name] for name in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -74,11 +115,16 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, n) for n in fields] == [getattr(other, n) for n in fields]
+
     def __repr__(self) -> str:
-        """Class name and public slots, so a failing comparison shows the
-        fields; nothing in the package reads a repr."""
-        names = [n for c in type(self).__mro__ for n in getattr(c, "__slots__", ())]
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names if not n.startswith("_"))
+        """Class name and fields, so a failing comparison shows them;
+        nothing in the package reads a repr."""
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
 
 

@@ -25,17 +25,16 @@ consistent exactly when the identities n = 1..3 hold together for some
 fixed, the fitter decides each index in turn by its residual; the first
 index that fails is the reported failure index. `verify_structure`
 decides each index by the same residual and normalizes it only for a
-failing one, as its witness; `structure_residual` returns it normalized.
-`fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
-stops at the first exact fit, computing each residual of x**j * D_q P_n
-(j <= 2, n = 2, 3) that the pins read once for all three attempts. The fits,
-`verify_structure` and `structure_residual` read P_n and D_q P_n from the
-OPS table, which builds each of them the first time it is read and keeps it
-(`OPSTable.dq`). So the degree attempts and a later verify on the same
-table share one set of images. A fit grows the context's operator rows to
-degree 3 for its pin and to the horizon only once pi pins, so a recurrence
-whose fits all fail at n = 3 pays for P_0..P_3, D_q P_0..D_q P_3 and the
-rows to degree 3 only, whatever the horizon.
+failing one, as its witness. `fit_structure` fits one degree; `fit_auto`
+tries 0, 1, 2 in order and stops at the first exact fit, computing each
+residual of x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read once for
+all three attempts. The fits and `verify_structure` read P_n and D_q P_n
+from the OPS table, which builds each of them the first time it is read
+and keeps it (`OPSTable.dq`). So the degree attempts and a later verify on
+the same table share one set of images. A fit grows the context's operator
+rows to degree 3 for its pin and to the horizon only once pi pins, so a
+recurrence whose fits all fail at n = 3 pays for P_0..P_3,
+D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the horizon.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -97,7 +96,6 @@ __all__ = [
     "fit_structure",
     "fit_auto",
     "verify_structure",
-    "structure_residual",
     "five_term",
 ]
 
@@ -105,41 +103,15 @@ STATUS_EXACT = "exact"
 STATUS_NO_SOLUTION = "no-solution"
 STATUS_DEGENERATE_C = "degenerate-c"
 
-_init = object.__setattr__
-
 
 class StructureFit(Frozen):
     """Fitted structure data. pi is monic of the requested degree when the
     status is exact; a, b, c are indexed 0..horizon with a_0 = b_0 = c_0 = 0.
     On failure the sequences hold whatever indices were solved before the
     first inconsistency (failure_n), and pi is the zero polynomial if it was
-    never pinned. Two fits are equal when all of their fields are."""
+    never pinned."""
 
     __slots__ = ("pi", "a", "b", "c", "status", "failure_n", "horizon")
-
-    def __init__(
-        self,
-        pi: Poly,
-        a: tuple[Fraction, ...],
-        b: tuple[Fraction, ...],
-        c: tuple[Fraction, ...],
-        status: str,
-        failure_n: int | None,
-        horizon: int,
-    ):
-        _init(self, "pi", pi)
-        _init(self, "a", a)
-        _init(self, "b", b)
-        _init(self, "c", c)
-        _init(self, "status", status)
-        _init(self, "failure_n", failure_n)
-        _init(self, "horizon", horizon)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureFit):
-            return NotImplemented
-        fields = lambda f: (f.pi, f.a, f.b, f.c, f.status, f.failure_n, f.horizon)
-        return fields(self) == fields(other)
 
     @property
     def is_exact(self) -> bool:
@@ -172,26 +144,9 @@ class FiveTermExpansion(Frozen):
     report holds one five-term check per n: it fails when the closed
     coefficients disagree with the direct expansion of pi S_q P_n, which
     signals an implementation error and is never expected for an exact
-    fit. Two expansions are equal when all of their fields are."""
+    fit."""
 
     __slots__ = ("r1", "r2", "r3", "r4", "r5", "g", "s", "horizon", "report")
-
-    def __init__(self, r1, r2, r3, r4, r5, g, s, horizon: int, report: Report):
-        _init(self, "r1", r1)
-        _init(self, "r2", r2)
-        _init(self, "r3", r3)
-        _init(self, "r4", r4)
-        _init(self, "r5", r5)
-        _init(self, "g", g)
-        _init(self, "s", s)
-        _init(self, "horizon", horizon)
-        _init(self, "report", report)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiveTermExpansion):
-            return NotImplemented
-        fields = lambda e: (e.r1, e.r2, e.r3, e.r4, e.r5, e.g, e.s, e.horizon, e.report)
-        return fields(self) == fields(other)
 
 
 def _pin(rows: list[list[Fraction]]) -> list[Fraction] | None:
@@ -340,14 +295,6 @@ def _identity_residual(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n:
     p = P[n]
     terms = [(a_n, 1, p), (b_n, 0, p)]
     return _residual(nums, den, terms + [(c_n, 0, P[n - 1])] if n else terms)
-
-
-def structure_residual(
-    ctx: QContext, ops: OPSTable, pi: Poly, a_n, b_n, c_n, n: int
-) -> Poly:
-    """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial."""
-    nums, den = int_product(pi, ops.dq(ctx, n))
-    return Poly.from_ints(*_identity_residual(nums, den, ops, a_n, b_n, c_n, n))
 
 
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:

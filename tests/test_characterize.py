@@ -571,6 +571,18 @@ def test_classify_perturbed_is_not_characterized():
     assert any(k.startswith("fit-deg") for k in result.predicates)
 
 
+def test_a_classification_and_its_ledger_entries_are_immutable():
+    result = classify(CTX, ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16)), N)
+    entry = result.predicates["pearson"]
+    with pytest.raises(AttributeError):
+        result.family = FAMILY_NOT_CHARACTERIZED
+    with pytest.raises(AttributeError):
+        entry.holds = False
+    with pytest.raises(AttributeError):
+        del entry.witness
+    assert (result.family, entry.holds, entry.witness) == (FAMILY_CQ_JACOBI, True, {})
+
+
 def test_classify_off_family_asc():
     result = classify(CTX, ttrr_alsalam_chihara(CTX, 1, 2), N)
     assert result.family == FAMILY_NOT_CHARACTERIZED

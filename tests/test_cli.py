@@ -615,11 +615,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def modules_loaded_by(code):
-    """The dataclasses and qstruct modules that a fresh interpreter with
-    PYTHONPATH=src has loaded after running code."""
+    """The dataclasses, inspect and qstruct modules that a fresh interpreter
+    with PYTHONPATH=src has loaded after running code."""
     probe = (
         f"{code}\nimport sys\n"
-        "print(*(m for m in sys.modules if m == 'dataclasses' or m.startswith('qstruct')))"
+        "print(*(m for m in sys.modules if m in ('dataclasses', 'inspect') or m.startswith('qstruct')))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
@@ -631,17 +631,18 @@ def modules_loaded_by(code):
 
 def test_a_cli_process_loads_only_the_layers_its_command_runs(tmp_path):
     # every CLI process imports the cli module, so nothing it loads may pull
-    # in dataclasses; generate runs the family layer only, so the fit and
-    # classification layers stay unloaded, while classify loads them
-    assert "dataclasses" not in modules_loaded_by("import qstruct.cli")
+    # in dataclasses or inspect; generate runs the family layer only, so the
+    # fit and classification layers stay unloaded, while classify loads them
+    heavy = {"dataclasses", "inspect"}
+    assert not heavy & modules_loaded_by("import qstruct.cli")
     path = tmp_path / "h.json"
     command = "from qstruct import cli\ncli.main({!r})".format
     generate = modules_loaded_by(command(["generate", "--family", "q-hermite", "--out", str(path)]))
-    assert "qstruct.families" in generate and "dataclasses" not in generate
+    assert "qstruct.families" in generate and not heavy & generate
     assert not generate & {"qstruct.structure", "qstruct.characterize"}
     fit_layers = modules_loaded_by(command(["classify", str(path), "--out", str(tmp_path / "c")]))
     assert {"qstruct.structure", "qstruct.characterize"} <= fit_layers
-    assert "dataclasses" not in fit_layers
+    assert not heavy & fit_layers
 
 
 def test_a_cli_process_without_site_loads_no_typing(tmp_path):

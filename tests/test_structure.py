@@ -18,7 +18,7 @@ from qstruct.families import (
     ttrr_cq_jacobi,
     ttrr_qhermite,
 )
-from qstruct.poly import Poly
+from qstruct.poly import Poly, int_product
 from qstruct.scalar import QContext
 from qstruct.report import Check, Report
 from qstruct import structure
@@ -31,7 +31,6 @@ from qstruct.structure import (
     fit_auto,
     fit_structure,
     five_term,
-    structure_residual,
     verify_structure,
 )
 
@@ -166,6 +165,13 @@ def residual_oracle(ctx, ops, pi, a_n, b_n, c_n, n):
     integer residual."""
     res = pi * ops.dq(ctx, n) - Poly((b_n, a_n)) * ops[n]
     return res - c_n * ops[n - 1] if n else res
+
+
+def structure_residual(ctx, ops, pi, a_n, b_n, c_n, n):
+    """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial,
+    by the package's integer residual."""
+    nums, den = int_product(pi, ops.dq(ctx, n))
+    return Poly.from_ints(*structure._identity_residual(nums, den, ops, a_n, b_n, c_n, n))
 
 
 def test_qhermite_fit_deg0():
