@@ -187,6 +187,15 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
     so in both cases r_n - t_n = a_n - a_{n-1}
     = (a_hat - k1) q**(n/2) + (b_hat - k2) q**(-n/2) at every n >= 1; for
     deg pi <= 1 the factor a_1 = 0 collapses r_n to t_n.
+
+    The closed form is checked on integers. With q**(1/2) = sn/sd and
+    k1 = k1n/k1d, k2 = k2n/k2d in lowest terms,
+
+        k1 q**(n/2) + k2 q**(-n/2)
+            = (k1n k2d sn**(2n) + k2n k1d sd**(2n)) / (k1d k2d (sn sd)**n),
+
+    and t_n = (num c_n den C_n) / (den c_n num C_n); the two are compared by
+    cross-multiplying, with the three powers carried as running products.
     """
     if not fit.is_exact:
         raise ValueError("aux_sequences requires an exact fit")
@@ -204,18 +213,25 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
     a_hat = k1 + u * a1 * (1 - qh_minus)
     b_hat = k2 - u * a1 * (1 - qh_plus)
 
+    sn, sd = qh_plus.numerator, qh_plus.denominator
+    sn2, sd2, snsd = sn * sn, sd * sd, sn * sd
+    k1n, k1d, k2n, k2d = k1.numerator, k1.denominator, k2.numerator, k2.denominator
+    # the closed form at n = 0 over its denominator, then advanced by one n per step
+    plus, minus, den = k1n * k2d, k2n * k1d, k1d * k2d
     t = [k1 + k2]
     r = [a_hat + b_hat]
-    k1_term, k2_term = k1, k2  # k1 q**(n/2) and k2 q**(-n/2), as running products
+    a, c = fit.a, fit.c
     for n in range(1, N + 1):
-        tn = fit.c[n] / ttrr.C(n)
-        k1_term *= qh_plus
-        k2_term *= qh_minus
-        if tn != k1_term + k2_term:
+        plus *= sn2
+        minus *= sd2
+        den *= snsd
+        cn, Cn = c[n], ttrr.C(n)
+        if cn.numerator * Cn.denominator * den != cn.denominator * Cn.numerator * (plus + minus):
             raise RecurrenceViolated(n, "(t)")
+        tn = cn / Cn
         t.append(tn)
-        r.append(tn + fit.a[n] - fit.a[n - 1])
-    return AuxSequences(t=tuple(t), k1=k1, k2=k2, r=tuple(r), a_hat=a_hat, b_hat=b_hat)
+        r.append(tn + a[n] - a[n - 1])
+    return AuxSequences(tuple(t), k1, k2, tuple(r), a_hat, b_hat)
 
 
 def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonData:
@@ -236,31 +252,42 @@ def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonDat
     frak_b = -B0 + (frak_a + alpha) * B1 - (b1 + a1 * B1) * C1 / r1_scale
     psi = Poly((-B0, Fraction(1)))
     phi = Poly((-frak_b, frak_a)) * psi - (frak_a + alpha) * C1
-    return PearsonData(frak_a=frak_a, frak_b=frak_b, phi=phi, psi=psi)
+    return PearsonData(frak_a, frak_b, phi, psi)
 
 
 def pearson_check(
     ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int, *, ops: OPSTable | None = None
 ) -> Report:
     """Check -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
-    exact moments (needed to order N + 2). The monomial images are the
-    context's operator rows, and each side is one dot product of a row with
-    the moments of phi u or psi u. The report holds one pearson check per
+    exact moments to order N + 1. The monomial images are the context's
+    operator rows, and each side is one dot product of a row with the
+    moments of phi u or psi u. The report holds one pearson check per
     order; a failing one carries both sides as its witness.
 
+    Order N + 1 is enough: deg phi <= 2 and deg D_q x**n = n - 1, and
+    deg psi = 1 and deg S_q x**n = n, so at n <= N both products have
+    degree at most N + 1, and <u, x**k> enters only for k <= N + 1.
+
+    Each side stays an unreduced (numerator, denominator) pair, and the
+    two are compared by cross-multiplying; only a failing order builds
+    their `Fraction`s, for its witness.
+
     ops, when given, is the OPS table of ttrr the moments are read from; it
-    must reach degree N + 2 (see `moments`)."""
+    must reach degree N + 1 (see `moments`)."""
     fr = format_rational
-    mom = moments(ttrr, N + 2, ops=ops)
+    mom = moments(ttrr, N + 1, ops=ops)
     phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
     d_rows, s_rows = operator_rows(ctx, N)
     checks = []
     for n in range(N + 1):
-        lhs = -phi_u.apply(d_rows[n])
-        rhs = psi_u.apply(s_rows[n])
-        fails = lhs != rhs
-        witness = f"Pearson identity fails at n = {n}: {fr(lhs)} != {fr(rhs)}" if fails else ""
-        checks.append(Check("pearson", n, not fails, witness))
+        lhs_num, lhs_den = phi_u.ratio(d_rows[n])
+        rhs_num, rhs_den = psi_u.ratio(s_rows[n])
+        if -lhs_num * rhs_den != rhs_num * lhs_den:
+            lhs, rhs = Fraction(-lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
+            witness = f"Pearson identity fails at n = {n}: {fr(lhs)} != {fr(rhs)}"
+            checks.append(Check("pearson", n, False, witness))
+        else:
+            checks.append(Check("pearson", n, True, ""))
     return Report(tuple(checks))
 
 
@@ -420,8 +447,7 @@ def lemma_predicates(
     if deg_pi == 1:
         product = aux.k1 * aux.k2
         ledger["k1k2-zero"] = PredicateRecord(
-            holds=product == 0,
-            witness={"k1": fr(aux.k1), "k2": fr(aux.k2), "product": fr(product)},
+            product == 0, {"k1": fr(aux.k1), "k2": fr(aux.k2), "product": fr(product)}
         )
     elif deg_pi == 2:
         u = ctx.u
@@ -429,8 +455,8 @@ def lemma_predicates(
         f_plus = 1 + 2 * pd.frak_a * u
         product = aux.a_hat * aux.b_hat * f_minus * f_plus
         ledger["regularity-product-nonzero"] = PredicateRecord(
-            holds=product != 0,
-            witness={
+            product != 0,
+            {
                 "a_hat": fr(aux.a_hat),
                 "b_hat": fr(aux.b_hat),
                 "one-minus-2au": fr(f_minus),
@@ -449,12 +475,11 @@ def lemma_predicates(
             cheb = cheb and C1 == Fraction(1, 2)
         else:
             cheb = False
-        ledger["chebyshev-data"] = PredicateRecord(holds=cheb, witness=witness)
+        ledger["chebyshev-data"] = PredicateRecord(cheb, witness)
         minus_two_u = -2 * u
         k_pair = aux.k1 == minus_two_u and aux.k2 == 2 * u
         ledger["k-pair-is-minus-plus-2u"] = PredicateRecord(
-            holds=k_pair,
-            witness={"k1": fr(aux.k1), "k2": fr(aux.k2), "minus-2u": fr(minus_two_u)},
+            k_pair, {"k1": fr(aux.k1), "k2": fr(aux.k2), "minus-2u": fr(minus_two_u)}
         )
         # The same rule: aux_sequences has checked t_n = k1 q**(n/2)
         # + k2 q**(-n/2) at every n >= 1, with t_0 = k1 + k2, and
@@ -463,7 +488,7 @@ def lemma_predicates(
         # vanishes at n = 0 and n = 1, which for q != 1 means k1 = -2u and
         # k2 = 2u.
         ledger["t-equals-minus-two-gamma"] = PredicateRecord(
-            holds=k_pair, witness={"t1": fr(aux.t[1]), "gamma1": "1"}
+            k_pair, {"t1": fr(aux.t[1]), "gamma1": "1"}
         )
     return ledger
 
@@ -620,29 +645,50 @@ def recover_qjacobi_params(
     #   b_n = (p_a - p_b) gamma_n (1 + q**n s (p_a p_b)**2) / (2 p_a p_b t (1 - q**n p_a p_b)),
     #   c_n = -(1 + 1/(p_a p_b s)) gamma_n (1 - q**n p_a**2) (1 - q**n p_b**2)
     #         (1 - q**n (p_a p_b)**2) / (4 (1 - q**n p_a p_b / s) (1 - q**n p_a p_b)**2),
-    # carrying q**n as a running product and gamma_n by its recurrence
-    # gamma_{n+1} = 2 alpha gamma_n - gamma_{n-1}.
-    q, s = tq**4, tq**2  # q and q**(1/2) of the chosen base
-    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
-    pp, pp_s, ab_s = ab * ab, ab * ab * s, ab / s
+    # compared on integers: q**n = Qn/Qd with Qn, Qd running powers, and
+    # gamma_n = G_n / Ad**(n-1) with 2 alpha = An/Ad, by the recurrence
+    # gamma_{n+1} = 2 alpha gamma_n - gamma_{n-1}, which reads
+    # G_{n+1} = An G_n - Ad**2 G_{n-1}. Each factor 1 - q**n x with x = xn/xd
+    # is (Qd xd - Qn xn) / (Qd xd), the Qd powers of each side cancel, and a
+    # fitted value is compared with its closed form by cross-multiplying.
+    s = tq**2  # q**(1/2) of the chosen base
+    ab = p_a * p_b
     b_factor = (p_a - p_b) / (2 * ab * tq)
     c_factor = -(1 + 1 / (ab * s)) / 4
+    (abn, abd), (absn, absd), (ppsn, ppsd), (aan, aad), (bbn, bbd), (ppn, ppd) = (
+        (x.numerator, x.denominator)
+        for x in (ab, ab / s, ab * ab * s, p_a * p_a, p_b * p_b, ab * ab)
+    )
     two_alpha = 2 * ctx.alpha
-    qn, g_prev, g = Fraction(1), Fraction(-1), Fraction(0)  # q**0, gamma_{-1}, gamma_0
+    An, Ad = two_alpha.numerator, two_alpha.denominator
+    Ad2 = Ad * Ad
+    qn_step, qd_step = tq.numerator**4, tq.denominator**4
+    # the factors of the closed forms that do not depend on n
+    b_num, b_den = b_factor.numerator * abd, b_factor.denominator * ppsd
+    c_num = c_factor.numerator * absd * abd * abd
+    c_den = c_factor.denominator * aad * bbd * ppd
+    Qn, Qd = 1, 1  # q**0
+    G_prev, G, Gd = 0, 1, 1  # G_0, G_1 and Ad**0: gamma_1 = 1
     for n in range(1, N + 1):
-        qn *= q
-        g_prev, g = g, two_alpha * g - g_prev
-        denom_ab = 1 - qn * ab  # 1 - q**(n+(a+b)/2)
-        if denom_ab == 0:
+        Qn *= qn_step
+        Qd *= qd_step
+        denom_ab = Qd * abd - Qn * abn  # 1 - q**(n+(a+b)/2)
+        if not denom_ab:
             raise ConstraintViolated(f"degenerate denominator at n = {n}")
-        denom_shift = 1 - qn * ab_s  # 1 - q**(n+(a+b-1)/2)
-        if denom_shift == 0:
+        denom_shift = Qd * absd - Qn * absn  # 1 - q**(n+(a+b-1)/2)
+        if not denom_shift:
             raise ConstraintViolated(f"degenerate denominator at n = {n}")
-        if fit.b[n] != b_factor * g * (1 + qn * pp_s) / denom_ab:
+        bn, cn = fit.b[n], fit.c[n]
+        b_closed = b_num * G * (Qd * ppsd + Qn * ppsn)  # (1 + q**n s (p_a p_b)**2)
+        if bn.numerator * b_den * Gd * denom_ab != bn.denominator * b_closed:
             raise ConstraintViolated(f"fitted b_{n} disagrees with the closed form")
-        c_closed = c_factor * g * (1 - qn * aa) * (1 - qn * bb) * (1 - qn * pp)
-        if fit.c[n] != c_closed / (denom_shift * denom_ab * denom_ab):
+        c_closed = (
+            c_num * G * (Qd * aad - Qn * aan) * (Qd * bbd - Qn * bbn) * (Qd * ppd - Qn * ppn)
+        )
+        if cn.numerator * c_den * Gd * denom_shift * denom_ab**2 != cn.denominator * c_closed:
             raise ConstraintViolated(f"fitted c_{n} disagrees with the closed form")
+        G_prev, G = G, An * G - Ad2 * G_prev
+        Gd *= Ad
 
     # What the checks above leave open (see the docstring): the family's
     # regularity to N, and B_N.
@@ -660,8 +706,7 @@ def recover_qjacobi_params(
 
 def _record_fit(ledger, d: int, f: StructureFit) -> None:
     ledger[f"fit-deg-{d}"] = PredicateRecord(
-        holds=f.is_exact,
-        witness={"status": f.status, "n": "" if f.failure_n is None else str(f.failure_n)},
+        f.is_exact, {"status": f.status, "n": "" if f.failure_n is None else str(f.failure_n)}
     )
 
 
@@ -677,8 +722,8 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     if N < 6:
         raise ValueError(f"classification horizon must be at least 6, got N = {N}")
     ledger: dict[str, PredicateRecord] = {}
-    # the table spans the Pearson horizon min(N + 2, n_max); N > n_max raises here
-    ops = OPSTable(ttrr, min(N + 2, max(N, ttrr.n_max)))
+    # the table spans the Pearson horizon min(N + 1, n_max); N > n_max raises here
+    ops = OPSTable(ttrr, min(N + 1, max(N, ttrr.n_max)))
 
     fits = fit_auto(ctx, ops, N)
     for d, f in enumerate(fits):
@@ -688,7 +733,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, fit)
 
     def not_characterized(reason: str, detail: str) -> Classification:
-        ledger[reason] = PredicateRecord(holds=False, witness={"detail": detail})
+        ledger[reason] = PredicateRecord(False, {"detail": detail})
         return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, fit)
 
     try:
@@ -708,8 +753,8 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     def regen_matches(candidate: TTRRSpec, name: str) -> bool:
         mismatch = ttrr_equal(ttrr, candidate, N)
         ledger[f"regenerated-{name}"] = PredicateRecord(
-            holds=mismatch is None,
-            witness={} if mismatch is None else {"first-mismatch": f"{mismatch[0]}_{mismatch[1]}"},
+            mismatch is None,
+            {} if mismatch is None else {"first-mismatch": f"{mismatch[0]}_{mismatch[1]}"},
         )
         return mismatch is None
 
@@ -729,9 +774,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
             try:
                 c, d_param = recover_asc_params(ctx, ttrr, fit, inverse=inverse)
             except ConstraintViolated as exc:
-                ledger[f"asc-constraint-{base}"] = PredicateRecord(
-                    holds=False, witness={"detail": str(exc)}
-                )
+                ledger[f"asc-constraint-{base}"] = PredicateRecord(False, {"detail": str(exc)})
                 continue
             try:
                 candidate = ttrr_alsalam_chihara(
@@ -754,9 +797,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         try:
             p_a, p_b = recover_qjacobi_params(ctx, ttrr, fit, aux, pd, inverse=inverse)
         except (ConstraintViolated, IrrationalRoots) as exc:
-            ledger[f"qjacobi-recovery-{base}"] = PredicateRecord(
-                holds=False, witness={"detail": str(exc)}
-            )
+            ledger[f"qjacobi-recovery-{base}"] = PredicateRecord(False, {"detail": str(exc)})
             continue
         ledger[f"regenerated-qjacobi-{base}"] = PredicateRecord(True, {})
         return Classification(

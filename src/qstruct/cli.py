@@ -171,7 +171,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
     from qstruct.report import Check, Report
     from qstruct.structure import fit_auto, five_term, verify_structure
 
-    ops = OPSTable(ttrr, min(N + 2, ttrr.n_max))
+    ops = OPSTable(ttrr, min(N + 1, ttrr.n_max))
     report = Report()
     fit = fit_auto(ctx, ops, N)[-1]
     if not fit.is_exact:

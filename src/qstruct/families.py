@@ -394,9 +394,14 @@ class MomentVector(Frozen):
 
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""
+        return Fraction(*self.ratio(f))
+
+    def ratio(self, f: Poly) -> tuple[int, int]:
+        """<u, f> as an unreduced (numerator, denominator) pair, with a
+        positive denominator; no gcd is taken."""
         if f.degree != float("-inf") and f.degree >= len(self.nums):
             raise ValueError(f"moments known to order {len(self.nums) - 1}, need {f.degree}")
-        return Fraction(sum(map(mul, f.nums, self.nums)), f.den * self.den)
+        return sum(map(mul, f.nums, self.nums)), f.den * self.den
 
     def weighted(self, w: Poly) -> "MomentVector":
         """The moments <u, w x**j> of the functional w u, for every j that

@@ -179,16 +179,18 @@ class QContext(Frozen):
     context can be shared freely across threads. The operator rows that
     `awops` builds for a context live only as long as the context; equal
     contexts alive at the same time share them, which is why a context
-    compares and hashes by t and can be weakly referenced.
+    compares and hashes by t and can be weakly referenced. The hash of t is
+    taken once, at construction, since every lookup of those rows needs it.
     """
 
-    __slots__ = ("t", "__weakref__")
+    __slots__ = ("t", "_hash", "__weakref__")
 
     def __init__(self, t: Fraction) -> None:
         t = as_fraction(t)
         if not 0 < t < 1:
             raise ValueError(f"q**(1/4) must lie in (0, 1), got {t}")
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_hash", hash(t))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QContext):
@@ -196,7 +198,7 @@ class QContext(Frozen):
         return self.t == other.t
 
     def __hash__(self) -> int:
-        return hash(self.t)
+        return self._hash
 
     @property
     def q(self) -> Fraction:

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction as F
@@ -17,10 +18,12 @@ from qstruct.characterize import (
     FAMILY_CQ_JACOBI,
     FAMILY_NOT_CHARACTERIZED,
     FAMILY_QHERMITE,
+    AuxSequences,
     ConstraintViolated,
     DegenerateR1,
     IrrationalRoots,
     RecurrenceViolated,
+    _sqrt_exact,
     aux_sequences,
     classify,
     lemma_predicates,
@@ -35,6 +38,9 @@ from qstruct.families import (
     IrregularParameters,
     OPSTable,
     TTRRSpec,
+    cq_jacobi_powers,
+    cq_jacobi_scan,
+    cq_jacobi_terms,
     generate_ops,
     moments,
     ttrr_alsalam_chihara,
@@ -171,15 +177,16 @@ def test_pearson_check_detects_wrong_phi():
     )
 
 
-def test_pearson_check_reads_a_given_table_reaching_n_plus_2():
+def test_pearson_check_reads_a_given_table_reaching_n_plus_1():
+    # order 8 reads mu_0..mu_9: a table to P_9 is enough, one to P_8 is not
     ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
     _, fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
-    table = OPSTable(ttrr, 10)
+    table = OPSTable(ttrr, 9)
     assert pearson_check(CTX, ttrr, pd, 8, ops=table) == pearson_check(CTX, ttrr, pd, 8)
-    assert moments(ttrr, 10, ops=table) == moments(ttrr, 10)
-    with pytest.raises(ValueError, match="OPS table reaches degree 9, moments need 10"):
-        pearson_check(CTX, ttrr, pd, 8, ops=OPSTable(ttrr, 9))
+    assert moments(ttrr, 9, ops=table) == moments(ttrr, 9)
+    with pytest.raises(ValueError, match="OPS table reaches degree 8, moments need 9"):
+        pearson_check(CTX, ttrr, pd, 8, ops=OPSTable(ttrr, 8))
 
 
 @pytest.mark.parametrize(
@@ -682,6 +689,57 @@ def test_recovery_ledger_on_b_n_perturbation(ttrr, n, detail):
     assert "regenerated-chebyshev-t" not in result.predicates
 
 
+@pytest.mark.parametrize(
+    "ttrr, expected",
+    [
+        (
+            ttrr_qhermite(CTX, n_max=N),
+            (
+                '{"base": null, "family": "not-characterized", "fit": {"a": ["0", "0", "0", "0", "0", '
+                '"0", "0", "0", "0", "0", "0"], "b": ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
+                '"0"], "c": ["0", "1", "17/4", "273/16", "4369/64", "69905/256", "1118481/1024", '
+                '"17895697/4096", "286331153/16384", "4581298449/65536", "73300775185/262144"], '
+                '"pi": ["1"], "status": "exact"}, "params": {}, '
+                '"predicates": {"fit-deg-0": {"holds": true, "witness": {"n": "", "status": "exact"}}, '
+                '"pearson": {"holds": true, "witness": {}}, "q-hermite-regeneration": {"holds": false, '
+                '"witness": {"detail": "no base matched"}}, "regenerated-q-hermite-q": {"holds": false, '
+                '"witness": {"first-mismatch": "B_10"}}, '
+                '"regenerated-q-hermite-q-inverse": {"holds": false, '
+                '"witness": {"first-mismatch": "B_10"}}}}'
+            ),
+        ),
+        (
+            ttrr_alsalam_chihara(CTX, F(1, 8), F(1, 2), n_max=N),
+            (
+                '{"base": null, "family": "not-characterized", "fit": {"a": ["0", "0", "0", "0", "0", '
+                '"0", "0", "0", "0", "0", "0"], "b": ["0", "1", "17/4", "273/16", "4369/64", '
+                '"69905/256", "1118481/1024", "17895697/4096", "286331153/16384", "4581298449/65536", '
+                '"73300775185/262144"], "c": ["0", "-15/16", "-4335/1024", "-1117935/65536", '
+                '"-286322415/4194304", "-73300635375/268435456", "-18764996210415/17179869184", '
+                '"-4803839566737135/1099511627776", "-1229782937674641135/70368744177664", '
+                '"-314824432182147084015/4503599627370496", '
+                '"-80595054640828676763375/288230376151711744"], "pi": ["-5/4", "1"], '
+                '"status": "exact"}, "params": {}, '
+                '"predicates": {"asc-constraint-q-inverse": {"holds": false, '
+                '"witness": {"detail": "(c+d)^2 = 25/64 but 2(alpha+1)cd = 6775/1024"}}, '
+                '"asc-recovery": {"holds": false, "witness": {"detail": "no base matched"}}, '
+                '"fit-deg-0": {"holds": false, "witness": {"n": "2", "status": "no-solution"}}, '
+                '"fit-deg-1": {"holds": true, "witness": {"n": "", "status": "exact"}}, '
+                '"k1k2-zero": {"holds": true, "witness": {"k1": "0", "k2": "-16/15", "product": "0"}}, '
+                '"pearson": {"holds": true, "witness": {}}, "regenerated-asc-q": {"holds": false, '
+                '"witness": {"first-mismatch": "B_10"}}}}'
+            ),
+        ),
+    ],
+    ids=["q-hermite-regeneration", "asc-recovery"],
+)
+def test_classify_pins_the_regeneration_returns_on_b_n_perturbation(ttrr, expected):
+    # B_N first enters P_{N+1}, so the fit to N stays exact and every check
+    # before the regeneration passes; each candidate then differs at B_N
+    result = classify(CTX, b_perturbed(ttrr, N), N)
+    assert json.dumps(result.to_json(), sort_keys=True) == expected
+
+
 def recover_by_regeneration(ctx, ttrr, fit, aux, *, inverse=False):
     """recover_qjacobi_params as it was while it regenerated the family: the
     same parameters and closed-form checks (with each power of q taken
@@ -985,3 +1043,190 @@ def test_classify_checks_its_horizon_before_building_anything():
     with pytest.raises(ValueError, match="at least 6, got N = 5"):
         classify(CTX, ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=4), 5)
     assert classify(CTX, ttrr, 8).family == FAMILY_CQ_JACOBI  # the table spans n_max
+
+
+# ------------------------------------------------------------------ oracles
+#
+# The post-fit decisions as they were before they moved to integers: each
+# step a Fraction operation, the closed forms evaluated as written and the
+# Pearson moments taken to order N + 2.
+
+
+def aux_oracle(ctx, ttrr, fit):
+    """aux_sequences with the closed form as Fraction running products."""
+    N = fit.horizon
+    c1, c2 = fit.c[1], fit.c[2]
+    C1, C2 = ttrr.C(1), ttrr.C(2)
+    q, qh_plus = ctx.q, ctx.q_half
+    qh_minus = 1 / qh_plus
+    k1 = (c2 * C1 - qh_minus * c1 * C2) / ((q - 1) * C1 * C2)
+    k2 = (c2 * C1 - qh_plus * c1 * C2) / ((1 / q - 1) * C1 * C2)
+    a_hat = k1 + ctx.u * fit.a[1] * (1 - qh_minus)
+    b_hat = k2 - ctx.u * fit.a[1] * (1 - qh_plus)
+    t, r = [k1 + k2], [a_hat + b_hat]
+    k1_term, k2_term = k1, k2
+    for n in range(1, N + 1):
+        tn = fit.c[n] / ttrr.C(n)
+        k1_term *= qh_plus
+        k2_term *= qh_minus
+        if tn != k1_term + k2_term:
+            raise RecurrenceViolated(n, "(t)")
+        t.append(tn)
+        r.append(tn + fit.a[n] - fit.a[n - 1])
+    return AuxSequences(tuple(t), k1, k2, tuple(r), a_hat, b_hat)
+
+
+def pearson_oracle(ctx, ttrr, pd, N):
+    """pearson_check with Fraction sides and moments to order N + 2."""
+    mom = moments(ttrr, N + 2)
+    phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
+    d_rows, s_rows = awops.operator_rows(ctx, N)
+    checks = []
+    for n in range(N + 1):
+        lhs, rhs = -phi_u.apply(d_rows[n]), psi_u.apply(s_rows[n])
+        fails = lhs != rhs
+        witness = (
+            f"Pearson identity fails at n = {n}: {format_rational(lhs)} != {format_rational(rhs)}"
+            if fails
+            else ""
+        )
+        checks.append(Check("pearson", n, not fails, witness))
+    return Report(tuple(checks))
+
+
+def recover_qjacobi_oracle(ctx, ttrr, fit, aux, pd, *, inverse=False):
+    """recover_qjacobi_params with the b_n and c_n closed forms in Fractions,
+    q**n and gamma_n carried as Fraction running values."""
+    N = fit.horizon
+    if inverse:
+        tq, u, a_hat, b_hat = 1 / ctx.t, -ctx.u, aux.b_hat, aux.a_hat
+    else:
+        tq, u, a_hat, b_hat = ctx.t, ctx.u, aux.a_hat, aux.b_hat
+    if a_hat == 0 or b_hat == 0:
+        raise ConstraintViolated("a_hat and b_hat must both be nonzero")
+    prod = -a_hat / b_hat
+    if prod <= 0:
+        raise ConstraintViolated("recovered q**((a+b)/2) is not positive")
+    if all(ttrr.B(n) == 0 for n in range(N + 1)):
+        p = _sqrt_exact(prod)
+        if p is None:
+            raise IrrationalRoots(F(0), prod, prod)
+        p_a = p_b = p
+    else:
+        diff = 2 * aux.r[1] * ttrr.B(0) * tq / (b_hat * (1 + tq**2))
+        disc = diff**2 + 4 * prod
+        root = _sqrt_exact(disc)
+        if root is None:
+            raise IrrationalRoots(diff, -prod, disc)
+        p_a, p_b = (root + diff) / 2, (root - diff) / 2
+    expected_b_hat = u * tq**2 * (1 + 1 / (prod * tq**4))
+    if b_hat != expected_b_hat:
+        raise ConstraintViolated(
+            f"b_hat = {format_rational(b_hat)} but the parameter closed form "
+            f"gives {format_rational(expected_b_hat)}"
+        )
+    q, s = tq**4, tq**2
+    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
+    pp, pp_s, ab_s = ab * ab, ab * ab * s, ab / s
+    b_factor = (p_a - p_b) / (2 * ab * tq)
+    c_factor = -(1 + 1 / (ab * s)) / 4
+    two_alpha = 2 * ctx.alpha
+    qn, g_prev, g = F(1), F(-1), F(0)
+    for n in range(1, N + 1):
+        qn *= q
+        g_prev, g = g, two_alpha * g - g_prev
+        denom_ab = 1 - qn * ab
+        if denom_ab == 0:
+            raise ConstraintViolated(f"degenerate denominator at n = {n}")
+        denom_shift = 1 - qn * ab_s
+        if denom_shift == 0:
+            raise ConstraintViolated(f"degenerate denominator at n = {n}")
+        if fit.b[n] != b_factor * g * (1 + qn * pp_s) / denom_ab:
+            raise ConstraintViolated(f"fitted b_{n} disagrees with the closed form")
+        c_closed = c_factor * g * (1 - qn * aa) * (1 - qn * bb) * (1 - qn * pp)
+        if fit.c[n] != c_closed / (denom_shift * denom_ab * denom_ab):
+            raise ConstraintViolated(f"fitted c_{n} disagrees with the closed form")
+    qm = cq_jacobi_powers(tq, N)
+    try:
+        cq_jacobi_scan(qm, p_a, p_b, N)
+    except IrregularParameters as exc:
+        raise ConstraintViolated(f"recovered parameters are irregular: {exc}") from exc
+    ((y_N, z_N),) = cq_jacobi_terms(tq, p_a, p_b, qm, range(N, N + 1))
+    pt = p_a * tq
+    if ttrr.B(N) != (pt + 1 / pt - y_N - z_N) / 2:
+        raise ConstraintViolated(f"regenerated recurrence differs at B_{N}")
+    return p_a, p_b
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's return value, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def post_fit_cases(draw):
+    """(ctx, ttrr, fit, moved, order): an exact fit to N of a family point in
+    either base, with at most one B_k or C_k of the input moved, `moved` the
+    fit with at most one b_n or c_n moved, and order the Pearson order
+    min(N, n_max - 2)."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)))
+    family = draw(
+        st.sampled_from(["q-hermite", "alsalam-chihara", "chebyshev-t", "continuous-q-jacobi"])
+    )
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool)
+    positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+    params = ()
+    if family == "alsalam-chihara":
+        d = draw(nonzero)
+        params = (("c", draw(st.sampled_from([d * ctx.t**2, d / ctx.t**2]) | nonzero)), ("d", d))
+    elif family == "continuous-q-jacobi":
+        p_a = draw(positive | st.sampled_from([ctx.t, 1 / ctx.t]))
+        params = (("p_a", p_a), ("p_b", draw(st.just(p_a) | positive)))
+    n_max = draw(st.integers(min_value=7, max_value=11))
+    N = draw(st.sampled_from([n_max, n_max - 1, n_max - 2]))
+    spec = FamilySpec(family, params, draw(st.sampled_from(["q", "q-inverse"])))
+    deltas = st.sampled_from([F(0), F(1, 1000), F(-3), F(5, 7)])
+    try:
+        ttrr = spec.to_ttrr(ctx, n_max=n_max)
+        kind, k, delta = draw(st.sampled_from("BC")), draw(st.integers(1, n_max)), draw(deltas)
+        b, c = list(ttrr.b), list(ttrr.c)
+        if kind == "B":
+            b[k] += delta
+        else:
+            c[k - 1] += delta
+        ttrr = TTRRSpec.from_lists(b, c)
+    except IrregularParameters:
+        assume(False)
+    fit = fit_auto(ctx, OPSTable(ttrr, N), N)[-1]
+    assume(fit.is_exact)
+    field, n, delta = draw(st.sampled_from("bc")), draw(st.integers(1, N)), draw(deltas)
+    values = list(getattr(fit, field))
+    values[n] += delta
+    return ctx, ttrr, fit, replace(fit, **{field: tuple(values)}), min(N, n_max - 2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(post_fit_cases())
+def test_post_fit_decisions_match_their_fraction_oracles(case):
+    # the same returns, or the same exception types and messages, for the
+    # aux closed form, the Pearson orders and the continuous q-Jacobi
+    # closed forms; the moved fit reaches each failing witness
+    ctx, ttrr, fit, moved, order = case
+    for f in (fit, moved):
+        assert outcome(aux_sequences, ctx, ttrr, f) == outcome(aux_oracle, ctx, ttrr, f)
+        pd = outcome(pearson_data, ctx, ttrr, f)
+        if isinstance(pd, tuple):
+            continue
+        got = pearson_check(ctx, ttrr, pd, order)
+        assert got == pearson_oracle(ctx, ttrr, pd, order)
+        assert got == pearson_check(ctx, ttrr, pd, order, ops=OPSTable(ttrr, order + 1))
+    aux, pd = outcome(aux_sequences, ctx, ttrr, fit), outcome(pearson_data, ctx, ttrr, fit)
+    assume(not isinstance(aux, tuple) and not isinstance(pd, tuple))
+    for f in (fit, moved):
+        for inverse in (False, True):
+            assert outcome(recover_qjacobi_params, ctx, ttrr, f, aux, pd, inverse=inverse) == (
+                outcome(recover_qjacobi_oracle, ctx, ttrr, f, aux, pd, inverse=inverse)
+            )

@@ -528,7 +528,8 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
 def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
     # the fit, the five-term expansion and the Pearson moments read one table
     # (classify and verify built P_0..P_N for the fit and again for the
-    # moments), and a recurrence whose fits all fail by n = 3 builds P_0..P_3
+    # moments), which reaches P_{N+1}: no Pearson dot product reads
+    # mu_{N+2}, and a recurrence whose fits all fail by n = 3 builds P_0..P_3
     built = []
     grow = OPSTable._grow
 
@@ -550,7 +551,7 @@ def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
             [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(22)],
         )
         assert not classify(ctx, ttrr, 20).characterized
-    assert sorted(built) == list(range(1, 4 if entry == "reject" else 13))
+    assert sorted(built) == list(range(1, 4 if entry == "reject" else 12))
 
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -150,3 +152,24 @@ def test_a_record_repr_names_its_public_fields():
     assert repr(check) == text
     assert repr(Report((check,))) == f"Report(checks=({text},))"
     assert repr(QContext(F(1, 2))) == "QContext(t=Fraction(1, 2))"  # no __weakref__
+
+
+def test_a_context_hashes_by_t_and_stays_immutable_and_weakly_referenceable():
+    # the hash is taken once, at construction, and equal contexts hash equal
+    for first, second in [(F(1, 2), "1/2"), (F(2, 6), F(1, 3)), (F(7, 23), "7/23")]:
+        a, b = QContext(first), QContext(second)
+        assert a == b and hash(a) == hash(b) == hash(a.t)
+    ctx = QContext(F(2, 3))
+    for name in ("t", "_hash"):
+        with pytest.raises(AttributeError, match="QContext is immutable"):
+            setattr(ctx, name, F(1, 3))
+        with pytest.raises(AttributeError, match="QContext is immutable"):
+            delattr(ctx, name)
+    assert ctx.t == F(2, 3) and hash(ctx) == hash(F(2, 3))
+    rows = weakref.WeakKeyDictionary({ctx: "rows"})
+    assert rows[QContext("2/3")] == "rows"
+    ref = weakref.ref(ctx)
+    assert ref() is ctx
+    del ctx
+    gc.collect()
+    assert ref() is None and len(rows) == 0
