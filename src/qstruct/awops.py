@@ -33,7 +33,10 @@ denominator divides the ad power the row was stored over.
 The rows are memoized per context, so every call within one problem shares
 them; they grow to the degree a call needs and are dropped when the context
 is collected. `operator_rows` hands them out: they are the monomial images,
-which the Pearson check reads directly.
+which the Pearson check reads directly. The D rows also give the images
+D_q P_n that the fits and `verify` read. The S rows serve the Pearson
+check and `sq_apply` callers only: the five-term check takes pi S_q P_n
+from the D_q P_n images by the product rule above (see `structure`).
 
 The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
 D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference

@@ -39,13 +39,46 @@ EXIT_NOT_CHARACTERIZED = 3
 CHECK_NAMES = ("all", "structure", "system", "pearson", "five-term")
 
 
-def _dump(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(payload, out_path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+
+
+# One row of verify's "checks" array, laid out as json.dumps(sort_keys=True,
+# indent=2) lays out a Check's to_json() at that depth.
+_CHECK_ROW = '    {\n      "n": %s,\n      "name": %s,\n      "passed": %s,\n      "witness": %s\n    }'
+
+
+def _verify_text(checks, rest: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) + "\\n" for the payload
+    {"checks": [c.to_json() for c in checks], **rest}, where rest is not
+    empty and its keys sort after "checks". With an indent, json.dumps
+    runs its pure-Python encoder, so each check is written from one row
+    template instead: n is an int or None, passed a bool, and the strings
+    go through the escaper json.dumps uses. The rest goes through
+    json.dumps."""
+    escape = json.encoder.encode_basestring_ascii
+    rows = ",\n".join(
+        [
+            _CHECK_ROW
+            % (
+                "null" if c.n is None else int.__repr__(c.n),
+                escape(c.name),
+                "true" if c.passed else "false",
+                escape(c.witness),
+            )
+            for c in checks
+        ]
+    )
+    head = '{\n  "checks": [\n' + rows + "\n  ]," if rows else '{\n  "checks": [],'
+    return head + json.dumps(rest, sort_keys=True, indent=2)[1:] + "\n"
 
 
 def _capped_n(requested: int) -> int:
@@ -159,7 +192,8 @@ def cmd_classify(args) -> int:
 
 
 def _verify_checks(ctx, ttrr, N: int, which: str):
-    """The report of `verify` for checks `which` (one of CHECK_NAMES)."""
+    """The report of `verify` for checks `which` (one of CHECK_NAMES), its
+    checks sorted as `verify` writes them."""
     from qstruct.characterize import (
         DegenerateR1,
         RecurrenceViolated,
@@ -204,13 +238,8 @@ def cmd_verify(args) -> int:
     N = min(_capped_n(args.N), ttrr.n_max - 2)
     started = time.monotonic()
     report = _verify_checks(ctx, ttrr, N, args.checks)
-    payload = {
-        "checks": report.to_json(),
-        "input": echo,
-        "ok": report.ok,
-        "version": __version__,
-    }
-    _dump(payload, args.out)
+    rest = {"input": echo, "ok": report.ok, "version": __version__}
+    _write(_verify_text(report.checks, rest), args.out)
     elapsed = time.monotonic() - started
     print(f"verify: {len(report.checks)} checks in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED

@@ -83,9 +83,6 @@ class Poly(Frozen):
             return _make(tuple([v // g for v in nums]), den // g)
         return _make(tuple(nums), den)
 
-    def __reduce__(self):
-        return (_make, (self.nums, self.den))
-
     @classmethod
     def zero(cls) -> "Poly":
         return _ZERO

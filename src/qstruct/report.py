@@ -42,6 +42,3 @@ class Report(Frozen):
         # Deterministic order regardless of evaluation schedule
         key = lambda c: (c.name, c.n if c.n is not None else -1)
         return Report(tuple(sorted(self.checks, key=key)))
-
-    def to_json(self) -> list[dict]:
-        return [c.to_json() for c in self.sorted().checks]

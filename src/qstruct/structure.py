@@ -35,6 +35,10 @@ the same table share one set of images. A fit grows the context's operator
 rows to degree 3 for its pin and to the horizon only once pi pins, so a
 recurrence whose fits all fail at n = 3 pays for P_0..P_3,
 D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the horizon.
+`five_term` reads the same images: the direct side of its check,
+pi * S_q P_n, follows from them by the product rule
+D_q(x f) = S_q f + alpha x D_q f and the recurrence
+(`_pi_sq_images`), so no S_q image of a P_n is formed.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -81,7 +85,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from qstruct.awops import operator_rows, sq_apply
+from qstruct.awops import operator_rows
 from qstruct.families import OPSTable
 from qstruct.poly import Poly, int_product, poly_to_json
 from qstruct.report import Check, Report
@@ -270,19 +274,26 @@ def _coefficients(nums: list[int], den: int, p: Poly, n: int):
     return Fraction(lhs_a, den), Fraction(b_num, den * pd), Fraction(c_num, den * pd * pd)
 
 
+def _combination(terms) -> tuple[list[int], int]:
+    """The sum of v * x**s * sum(nums[k] x**k) / den over the (v, s, nums,
+    den) in terms (a Fraction, a shift, integers and a positive integer),
+    as one integer vector over the lcm of the term denominators
+    v.denominator * den, not normalized."""
+    terms = [t for t in terms if t[0]]
+    common = lcm(*(v.denominator * den for v, _, _, den in terms))
+    out = [0] * max((s + len(nums) for _, s, nums, _ in terms), default=0)
+    for v, s, nums, den in terms:
+        m = v.numerator * (common // (v.denominator * den))
+        out[s : s + len(nums)] = [o + m * x for o, x in zip(out[s:], nums)]
+    return out, common
+
+
 def _residual(nums: list[int], den: int, terms) -> tuple[list[int], int]:
-    """sum(nums[k] x**k) / den, den > 0, minus the sum of v * x**s * p over
-    the (v, s, p) in terms (a Fraction, a shift and a Poly), as integer
-    numerators over a positive denominator, not normalized: the terms are
-    summed as one integer vector over the lcm of their denominators, and
-    the two sides are cross-multiplied, so neither needs a gcd over its
+    """sum(nums[k] x**k) / den, den > 0, minus the `_combination` of terms,
+    as integer numerators over a positive denominator, not normalized: the
+    two sides are cross-multiplied, so neither needs a gcd over its
     coefficients. The residual is zero exactly when every numerator is."""
-    terms = [(v, s, p) for v, s, p in terms if v]
-    common = lcm(*(v.denominator * p.den for v, _, p in terms))
-    out = [0] * max((s + len(p.nums) for _, s, p in terms), default=0)
-    for v, s, p in terms:
-        m = v.numerator * (common // (v.denominator * p.den))
-        out[s : s + len(p.nums)] = [o + m * x for o, x in zip(out[s:], p.nums)]
+    out, common = _combination(terms)
     g = gcd(common, den)
     left, right = common // g, den // g
     return [x * left - y * right for x, y in zip_longest(nums, out, fillvalue=0)], den * left
@@ -293,8 +304,11 @@ def _identity_residual(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n:
     with lhs = sum(nums[k] x**k) / den (no P_{-1} term at n = 0), by
     `_residual`."""
     p = P[n]
-    terms = [(a_n, 1, p), (b_n, 0, p)]
-    return _residual(nums, den, terms + [(c_n, 0, P[n - 1])] if n else terms)
+    terms = [(a_n, 1, p.nums, p.den), (b_n, 0, p.nums, p.den)]
+    if n:
+        q = P[n - 1]
+        terms.append((c_n, 0, q.nums, q.den))
+    return _residual(nums, den, terms)
 
 
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
@@ -328,10 +342,16 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         r5_n = C_n s_{n-1} - alpha C_{n-1} s_n
 
     are checked against pi * S_q P_n, one five-term check per n in the
-    returned report. Each coefficient is formed as an unreduced `Ratio`
-    and normalized once; the check compares r1_n P_{n+2} + ... + r5_n
-    P_{n-2} with pi * S_q P_n on integers (`_residual`), and only a
-    failing one expands pi * S_q P_n in the monic P basis. A failing
+    returned report. That direct side is given by the identity
+
+        pi S_q P_n = L_{n+1} + (B_n - alpha x) L_n + C_n L_{n-1},
+
+    L_k = pi * D_q P_k (`_pi_sq_images`), from the images the table holds:
+    the fit stored D_q P_0..D_q P_N, and every k <= horizon + 1 <= N. Each
+    coefficient is formed as an unreduced `Ratio` and normalized once; the
+    check compares r1_n P_{n+2} + ... + r5_n P_{n-2} with pi * S_q P_n on
+    integers (`_residual`), and only a failing one expands pi * S_q P_n in
+    the monic P basis. A failing
     check's witness names the first basis index k where that expansion
     disagrees, or k = -1 when the coefficient of an out-of-range P_{n-1}
     or P_{n-2} is nonzero. Sequences with negative index are zero,
@@ -361,7 +381,7 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     alpha_g = [alpha * v for v in g]
     alpha_B = [alpha * v for v in B]
     r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
-    for n in range(horizon + 1):
+    for n, (nums, den) in enumerate(_pi_sq_images(ctx, ops, fit.pi, horizon)):
         am1, a0, a1 = a[n : n + 3]
         gm1, g0, g1 = g[n : n + 3]
         sm1, s0, s1 = s[n : n + 3]
@@ -377,9 +397,9 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         v5 = (C0 * sm1 - alpha * Cm1 * s0).fraction()
 
         formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
-        nums, den = int_product(fit.pi, sq_apply(ctx, ops[n]))
         k = None
-        if any(_residual(nums, den, [(v, 0, ops[j]) for v, j in formula if v])[0]):
+        terms = [(v, 0, ops[j].nums, ops[j].den) for v, j in formula if v]
+        if any(_residual(nums, den, terms)[0]):
             # the first basis index where the expansion of pi * S_q P_n disagrees
             expanded = ops.expand(Poly.from_ints(nums, den))
             expanded += [zero] * (n + 3 - len(expanded))
@@ -406,3 +426,25 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         horizon=horizon,
         report=Report(tuple(checks)),
     )
+
+
+def _pi_sq_images(ctx: QContext, ops: OPSTable, pi: Poly, horizon: int):
+    """pi * S_q P_n for n = 0..horizon, in turn, each as integer numerators
+    over a positive denominator, not normalized. The product rule
+    D_q(x f) = S_q f + alpha x D_q f at f = P_n, with
+    x P_n = P_{n+1} + B_n P_n + C_n P_{n-1}, gives
+
+        pi S_q P_n = L_{n+1} + (B_n - alpha x) L_n + C_n L_{n-1},
+
+    with L_k = pi D_q P_k and L_{-1} = 0, summed by `_combination`. Each L_k
+    is one `int_product` of the table's D_q P_k, read for three
+    consecutive n; no S_q image is formed."""
+    b, c, minus_alpha, one = ops.ttrr.b, ops.ttrr.c, -ctx.alpha, Fraction(1)
+    prev, cur = ([], 1), int_product(pi, ops.dq(ctx, 0))
+    for n in range(horizon + 1):
+        nxt = int_product(pi, ops.dq(ctx, n + 1))
+        c_n = c[n - 1] if n else Fraction(0)
+        yield _combination(
+            [(one, 0, *nxt), (b[n], 0, *cur), (minus_alpha, 1, *cur), (c_n, 0, *prev)]
+        )
+        prev, cur = cur, nxt

@@ -499,10 +499,12 @@ def test_classify_reports_qjacobi_recovery_failure(tmp_path, capsys):
 
 
 def test_verify_applies_each_operator_image_once(monkeypatch):
-    # the fits carry their D_q P_n images to verify_structure and the Pearson
-    # check reads the monomial images from the operator rows, so verify at
-    # N = 10 applies D_q once per P_0..P_10 and S_q once per five-term index
-    # 0..9 (33 and 21 calls when every check made its own images)
+    # the fits carry their D_q P_n images to verify_structure and the
+    # five-term check, which takes pi S_q P_n from them by the product rule,
+    # and the Pearson check reads the monomial images from the operator
+    # rows, so verify at N = 10 applies D_q once per P_0..P_10 and S_q to no
+    # P_n (33 and 21 calls when every check made its own images, 11 and 10
+    # when the five-term check applied S_q to each P_n)
     counts = {awops.dq_apply: 0, awops.sq_apply: 0}
 
     def counting(fn):
@@ -521,7 +523,7 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
     ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
     report = cli._verify_checks(ctx, ttrr, 10, "all")
     assert report.ok
-    assert list(counts.values()) == [11, 10]
+    assert list(counts.values()) == [11, 0]
 
 
 @pytest.mark.parametrize("entry", ["verify", "classify", "reject"])

@@ -12,6 +12,10 @@ perturbed at one index must fail its structure and five-term reports
 exactly where that index enters, and classify must return a
 Classification for any regular recurrence.
 
+five_term takes pi S_q P_n from the table's D_q P_n images by the product
+rule; applying the S_q rows to each P_n is the reference, for the pi of
+each degree's fit, a pi moved off it, and a drawn monic pi.
+
 Poly stores integer numerators over one denominator; the Fraction-tuple
 polynomial it replaced is the reference for its arithmetic. Exact fits are
 also checked against the literal D_q quotient at sample points, which
@@ -21,7 +25,9 @@ generator.
 
 The CLI keeps its contract on mostly well-formed documents: each command
 exits with one of its documented codes and never raises, exit 2 comes with
-exactly one error: line, and stdout is the same on every run.
+exactly one error: line, and stdout is the same on every run. `verify`
+writes its checks from a row template; json.dumps of the whole payload is
+the reference for its text.
 """
 
 import json
@@ -46,7 +52,7 @@ from test_structure import (
     residual_oracle,
 )
 
-from qstruct import awops, cli
+from qstruct import awops, cli, structure
 from qstruct.awops import dq_apply, sq_apply
 from qstruct.characterize import (
     Classification,
@@ -67,7 +73,8 @@ from qstruct.families import (
     ttrr_equal,
     ttrr_to_json,
 )
-from qstruct.poly import Poly
+from qstruct.poly import Poly, int_product
+from qstruct.report import Check
 from qstruct.scalar import QContext
 from qstruct.structure import (
     STATUS_NO_SOLUTION,
@@ -333,6 +340,25 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
 
 
 @BOUNDED
+@given(fit_cases(), st.lists(small, min_size=2, max_size=2))
+def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
+    # pi is each degree's fitted pi (zero where the fit never pinned it),
+    # that pi with its lower coefficients moved by the drawn ones (a broken
+    # fit), or the drawn monic pi itself
+    ctx, ops, N = case
+    for d in (0, 1, 2):
+        moved = Poly(tuple(lower[:d]))
+        fitted = fit_structure(ctx, ops, d, N).pi
+        drawn = moved + Poly((F(0),) * d + (F(1),))
+        for pi in [drawn] + ([fitted, fitted + moved] if fitted else []):
+            images = list(structure._pi_sq_images(ctx, ops, pi, N - 1))
+            assert len(images) == N
+            for n, (nums, den) in enumerate(images):
+                oracle = int_product(pi, sq_apply(ctx, ops[n]))
+                assert Poly.from_ints(nums, den) == Poly.from_ints(*oracle)
+
+
+@BOUNDED
 @given(random_ttrrs(min_n=6, max_n=10))
 def test_classify_is_total_on_random_ttrrs(case):
     ctx, ttrr = case
@@ -595,3 +621,43 @@ def test_cli_keeps_its_contract(text, N, deg_pi, checks):
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
             assert run_cli(argv)[:2] == (code, out)
+
+
+# text with the characters JSON escapes or that sit outside the BMP drawn
+# often: quotes, backslashes, control characters, U+2028 and an emoji
+json_text = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=12,
+)
+checks = st.builds(
+    Check,
+    json_text,
+    st.none() | st.integers() | st.integers(min_value=2**64, max_value=2**200),
+    st.booleans(),
+    json_text,
+)
+
+
+@BOUNDED
+@given(
+    st.lists(checks, max_size=6),
+    st.dictionaries(json_text, json_values, max_size=4),
+    st.booleans(),
+    json_text,
+)
+def test_verify_text_equals_json_dumps_of_the_payload(rows, extra, ok, version):
+    # the echoed input is a TTRR document with extra keys, nested values
+    # and non-ASCII keys
+    echo = {**extra, "B": ["1", "-1/2"], "C": ["3"], "q_quarter": "1/2"}
+    rest = {"input": echo, "ok": ok, "version": version}
+    payload = {"checks": [c.to_json() for c in rows], **rest}
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli._verify_text(rows, rest) == expected
