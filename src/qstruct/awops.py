@@ -38,6 +38,11 @@ D_q P_n that the fits and `verify` read. The S rows serve the Pearson
 check and `sq_apply` callers only: the five-term check takes pi S_q P_n
 from the D_q P_n images by the product rule above (see `structure`).
 
+Only `dq_apply` and `sq_apply` normalize an image. The OPS table stores
+D_q P_n as `dq_image` returns it, with no gcd: every reader multiplies it
+by pi and decides on integers, and at N = 24 the gcds would cost as much
+as the row products while removing about 4 % of the bits.
+
 The closed actions in the Chebyshev-T basis, S_q T_k = alpha_k T_k and
 D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
 for the rows. The tests also evaluate the defining quotients literally at
@@ -55,7 +60,7 @@ from math import lcm
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
 
-__all__ = ["operator_rows", "dq_apply", "sq_apply"]
+__all__ = ["operator_rows", "dq_image", "dq_apply", "sq_apply"]
 
 
 # Rows per live context, keyed weakly so that they die with it; see `operator_rows`.
@@ -103,10 +108,10 @@ def _rescaled(row: Poly, power: int) -> list[int]:
     return [m * v for v in row.nums]
 
 
-def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> Poly:
-    """sum_k f_k * rows[k], summed as integers over the lcm of the row
-    denominators. Row k has degree k - drop and the parity of k - drop, so
-    only every other entry of it is read."""
+def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> tuple[list[int], int]:
+    """sum_k f_k * rows[k] as integer numerators over the lcm of the row
+    denominators times f.den, not normalized. Row k has degree k - drop
+    and the parity of k - drop, so only every other entry of it is read."""
     cs = f.nums
     used = [k for k in range(drop, len(cs)) if cs[k]]
     den = lcm(*(rows[k].den for k in used))
@@ -116,18 +121,25 @@ def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> Poly:
         m = cs[k] * (den // row.den)
         j = (k - drop) % 2
         out[j : k - drop + 1 : 2] = [o + m * r for o, r in zip(out[j::2], row.nums[j::2])]
-    return Poly.from_ints(out, den * f.den)
+    return out, den * f.den
+
+
+def dq_image(ctx: QContext, f: Poly) -> tuple[list[int], int]:
+    """D_q f as integer numerators over a positive denominator, not
+    normalized: the sum that `dq_apply` normalizes, for the OPS table's
+    stored images (see the module docstring)."""
+    return _image(operator_rows(ctx, len(f.nums) - 1)[0], f, 1)
 
 
 def dq_apply(ctx: QContext, f: Poly) -> Poly:
     """Askey-Wilson divided difference of f. Exact; degree drops by one and
     the leading coefficient picks up the factor gamma_{deg f}. Computed as
     sum_k f_k D_q x**k over the context's memoized rows."""
-    return _image(operator_rows(ctx, len(f.nums) - 1)[0], f, 1)
+    return Poly.from_ints(*dq_image(ctx, f))
 
 
 def sq_apply(ctx: QContext, f: Poly) -> Poly:
     """Averaging operator. Degree is preserved; the leading coefficient is
     scaled by alpha_{deg f}. Computed as sum_k f_k S_q x**k over the
     context's memoized rows."""
-    return _image(operator_rows(ctx, len(f.nums) - 1)[1], f, 0)
+    return Poly.from_ints(*_image(operator_rows(ctx, len(f.nums) - 1)[1], f, 0))

@@ -112,7 +112,8 @@ class IrrationalRoots(Exception):
 class AuxSequences(Frozen):
     """t_n = c_n / C_n and r_n = t_n + a_n - a_{n-1} with their geometric-pair
     data. Index 0 entries follow the compatibility conventions t_0 = k1 + k2
-    and r_0 = a_hat + b_hat."""
+    and r_0 = a_hat + b_hat. `aux_sequences` fills t and r to the fit
+    horizon; inside `classify` they stop at index 1 (`_aux`)."""
 
     __slots__ = ("t", "k1", "k2", "r", "a_hat", "b_hat")
 
@@ -166,7 +167,14 @@ def _sqrt_exact(x: Fraction) -> Fraction | None:
 
 def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequences:
     """Derive (k1, k2, a_hat, b_hat) and materialize t_n, r_n to the fit
-    horizon, verifying the closed form
+    horizon, verifying the closed form (`_aux`)."""
+    return _aux(ctx, ttrr, fit, fit.horizon)
+
+
+def _aux(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit, upto: int) -> AuxSequences:
+    """`aux_sequences` with t_n and r_n materialized for n <= upto only;
+    `classify` passes upto = 1, as `lemma_predicates` reads t_1 and
+    `recover_qjacobi_params` r_1 and neither reads further. The closed form
 
         t_n = k1 q**(n/2) + k2 q**(-n/2)
 
@@ -195,7 +203,8 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
             = (k1n k2d sn**(2n) + k2n k1d sd**(2n)) / (k1d k2d (sn sd)**n),
 
     and t_n = (num c_n den C_n) / (den c_n num C_n); the two are compared by
-    cross-multiplying, with the three powers carried as running products.
+    cross-multiplying, with the three powers carried as running products,
+    at every n to the horizon, whatever upto is.
     """
     if not fit.is_exact:
         raise ValueError("aux_sequences requires an exact fit")
@@ -228,9 +237,10 @@ def aux_sequences(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> AuxSequen
         cn, Cn = c[n], ttrr.C(n)
         if cn.numerator * Cn.denominator * den != cn.denominator * Cn.numerator * (plus + minus):
             raise RecurrenceViolated(n, "(t)")
-        tn = cn / Cn
-        t.append(tn)
-        r.append(tn + a[n] - a[n - 1])
+        if n <= upto:
+            tn = cn / Cn
+            t.append(tn)
+            r.append(tn + a[n] - a[n - 1])
     return AuxSequences(tuple(t), k1, k2, tuple(r), a_hat, b_hat)
 
 
@@ -737,7 +747,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         return Classification(FAMILY_NOT_CHARACTERIZED, {}, None, ledger, fit)
 
     try:
-        aux = aux_sequences(ctx, ttrr, fit)
+        aux = _aux(ctx, ttrr, fit, 1)
     except RecurrenceViolated as exc:
         return not_characterized("aux-recurrence", str(exc))
     try:

@@ -24,7 +24,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 
-from qstruct.awops import dq_apply
+from qstruct.awops import dq_image
 from qstruct.poly import Poly, poly_to_json
 from qstruct.scalar import Frozen, QContext, as_fraction, format_rational, parse_rational
 
@@ -295,10 +295,14 @@ class OPSTable(Frozen):
     x P_k - B_k P_k - C_k P_{k-1} as one integer vector over a common
     denominator and normalizes it once, with no `Poly` arithmetic. The
     images D_q P_n are kept the same way, one prefix per context (`dq`),
-    so every identity of one problem reads one store of them. A stored
-    prefix is never changed: a longer one is built from a snapshot of the
-    shorter one and stored with one assignment, so concurrent readers each
-    hold a complete tuple, whichever of them stores last."""
+    so every identity of one problem reads one store of them. They are
+    kept unnormalized, as the integer sums `awops.dq_image` returns: each
+    reader multiplies an image by pi and decides on integers, so its gcd
+    would be read by no one (only `dq_apply` and `sq_apply` normalize).
+    A stored prefix is never changed: a longer one is built from a
+    snapshot of the shorter one and stored with one assignment, so
+    concurrent readers each hold a complete tuple, whichever of them
+    stores last."""
 
     __slots__ = ("ttrr", "degree", "_built", "_images")
 
@@ -347,15 +351,17 @@ class OPSTable(Frozen):
         _init(self, "_built", built)
         return built
 
-    def dq(self, ctx: QContext, n: int) -> Poly:
-        """D_q P_n under ctx, for 0 <= n <= degree. Reading it builds every
-        missing D_q P_k with k <= n (and the P_k they need) and keeps them."""
+    def dq(self, ctx: QContext, n: int) -> tuple[list[int], int]:
+        """D_q P_n under ctx, for 0 <= n <= degree, as the pair (nums, den)
+        of `dq_image`: integer numerators over a positive denominator, not
+        normalized. Reading it builds every missing D_q P_k with k <= n (and
+        the P_k they need) and keeps them."""
         images = self._images.get(ctx, ())
         if 0 <= n < len(images):
             return images[n]
         if n < 0:
             raise IndexError(f"D_q P_{n} outside the table's degrees 0..{self.degree}")
-        grown = images + tuple(dq_apply(ctx, self[k]) for k in range(len(images), n + 1))
+        grown = images + tuple(dq_image(ctx, self[k]) for k in range(len(images), n + 1))
         self._images[ctx] = grown
         return grown[n]
 

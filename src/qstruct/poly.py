@@ -38,6 +38,7 @@ __all__ = [
     "from_cheb",
     "poly_to_json",
     "int_product",
+    "int_convolution",
 ]
 
 # Degree of the zero polynomial. Never -1: -inf makes deg(p*q) = deg p + deg q
@@ -209,11 +210,15 @@ def _scaled(p: Poly, num: int, den: int) -> Poly:
 
 def int_product(f: Poly, g: Poly) -> tuple[list[int], int]:
     """f * g as integer numerators over f.den * g.den, not normalized: the
-    integer convolution that `Poly.__mul__` normalizes, for callers that
-    read an integer residual off the product (see `structure`). Its last
-    numerator is nonzero unless a factor is zero, and then the list is
-    empty."""
-    a, b = f.nums, g.nums
+    integer convolution that `Poly.__mul__` normalizes."""
+    return int_convolution(f.nums, g.nums), f.den * g.den
+
+
+def int_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of (sum a[k] x**k) * (sum b[k] x**k), for callers
+    that read an integer residual off a product (see `structure`). Its last
+    entry is nonzero when those of a and b are, and it is empty when a or
+    b is."""
     if len(a) > len(b):
         a, b = b, a
     # one shifted row of the longer factor at a time
@@ -222,7 +227,7 @@ def int_product(f: Poly, g: Poly) -> tuple[list[int], int]:
     for i, x in enumerate(a):
         if x:
             out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
-    return out, f.den * g.den
+    return out
 
 
 def _lincomb(p: Poly, r: Poly, sign: int) -> Poly:

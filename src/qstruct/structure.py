@@ -4,28 +4,30 @@
 
 for a monic OPS table, with pi monic of degree 0, 1, or 2. Every identity
 is decided by one integer residual (`_identity_residual`). Its lhs
-pi * D_q P_n is one unnormalized integer convolution (`int_product`);
-P_n and P_{n-1} are monic, so the coefficients of x**(n+1), x**n and
-x**(n-1) of the lhs give a_n, b_n and c_n by back-substitution
-(`_coefficients`); and lhs - (a_n x + b_n) P_n - c_n P_{n-1} is formed as
-integer numerators over one denominator, cross-multiplied over the lcm of
-the term denominators with no gcd over the coefficients (`_residual`,
-which `five_term` uses too). Identity n holds exactly when every numerator
-is zero. That residual is linear in pi and has degree at most n - 2. The
-fitter pins pi on the residual coefficients of identities 2 and 3, at most
-three equations in the d lower coefficients of pi. Identity 2 is one
-equation, inconsistent exactly when all of its coefficients vanish and its
-rhs does not: then the fit fails at 2 with pi zero. Otherwise one
-elimination over the equations of 2..3 solves them, or the fit fails at 3
-with pi zero, when a leftover equation has a nonzero rhs or a column has
-no pivot (by the proof below, a consistent system has no free column).
-Identity 1 leaves no residual coefficient, so these equations are
-consistent exactly when the identities n = 1..3 hold together for some
-(a_n, b_n, c_n), and their solution is the pi shown unique below. With pi
-fixed, the fitter decides each index in turn by its residual; the first
-index that fails is the reported failure index. `verify_structure`
-decides each index by the same residual and normalizes it only for a
-failing one, as its witness. `fit_structure` fits one degree; `fit_auto`
+pi * D_q P_n is one integer convolution of pi with the table's
+unnormalized image (`_times`); P_n and P_{n-1} are monic, so the
+coefficients of x**(n+1), x**n and x**(n-1) of the lhs give a_n, b_n and
+c_n by back-substitution (`_coefficients`); and
+lhs - (a_n x + b_n) P_n - c_n P_{n-1} is formed in one pass of integer
+multiply-adds, cross-multiplied with the lhs. Identity n holds exactly
+when every numerator is zero. A gcd is taken only for what is kept or
+printed: a_n, b_n, c_n, pi, and a failing residual's witness. That
+residual is linear in pi and has degree at most n - 2. The fitter pins pi
+on the residual coefficients of identities 2 and 3, at most three
+equations in the d lower coefficients of pi, each identity's numerators
+scaled to integer rows. Identity 2 is one equation, inconsistent exactly
+when all of its coefficients vanish and its rhs does not: then the fit
+fails at 2 with pi zero. Otherwise one fraction-free elimination over the
+equations of 2..3 solves them (`_pin`), or the fit fails at 3 with pi
+zero, when a leftover equation has a nonzero rhs or a column has no pivot
+(by the proof below, a consistent system has no free column). Identity 1
+leaves no residual coefficient, so these equations are consistent exactly
+when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
+their solution is the pi shown unique below. With pi fixed, the fitter
+decides each index in turn by its residual; the first index that fails
+is the reported failure index. `verify_structure` decides each index by
+the same residual and normalizes it only for a failing one, as its
+witness. `fit_structure` fits one degree; `fit_auto`
 tries 0, 1, 2 in order and stops at the first exact fit, computing each
 residual of x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read once for
 all three attempts. The fits and `verify_structure` read P_n and D_q P_n
@@ -87,7 +89,7 @@ from math import gcd, lcm
 
 from qstruct.awops import operator_rows
 from qstruct.families import OPSTable
-from qstruct.poly import Poly, int_product, poly_to_json
+from qstruct.poly import Poly, int_convolution, poly_to_json
 from qstruct.report import Check, Report
 from qstruct.scalar import Frozen, QContext, Ratio, format_rational
 
@@ -153,22 +155,27 @@ class FiveTermExpansion(Frozen):
     __slots__ = ("r1", "r2", "r3", "r4", "r5", "g", "s", "horizon", "report")
 
 
-def _pin(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """The solution of the pin equations, augmented rows (coefficients, then
-    the rhs) in the d <= 2 lower coefficients of pi, or None when they are
-    inconsistent: when a leftover row has a nonzero rhs, or when a column
-    has no pivot, since consistent pin equations have no free column (see
-    the module docstring)."""
+def _pin(rows: list[list[int]]) -> list[Fraction] | None:
+    """The solution of the pin equations, integer augmented rows
+    (coefficients, then the rhs) in the d <= 2 lower coefficients of pi, or
+    None when they are inconsistent: when a leftover row has a nonzero rhs,
+    or when a column has no pivot, since consistent pin equations have no
+    free column (see the module docstring). The elimination is
+    fraction-free: each step replaces a row by pivot[col] * row
+    - row[col] * pivot, an integer row with the same solutions, and only
+    the solution is divided out, one `Fraction` per coefficient of pi."""
     width, solved = len(rows[0]) - 1, []
     for col in range(width):
         pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
             return None
         rows = [row for row in rows if row is not pivot]
-        pivot = [v / pivot[col] for v in pivot]
-        rows = [[v - row[col] * w for v, w in zip(row, pivot)] for row in rows]
-        solved = [[v - row[col] * w for v, w in zip(row, pivot)] for row in solved] + [pivot]
-    return None if any(row[width] for row in rows) else [row[width] for row in solved]
+        p = pivot[col]
+        rows = [[p * v - row[col] * w for v, w in zip(row, pivot)] for row in rows]
+        solved = [[p * v - row[col] * w for v, w in zip(row, pivot)] for row in solved] + [pivot]
+    if any(row[width] for row in rows):
+        return None
+    return [Fraction(row[width], row[col]) for col, row in enumerate(solved)]
 
 
 def _check_horizon(ops: OPSTable, N: int) -> None:
@@ -209,19 +216,25 @@ def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
 
 
 def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list]):
-    """Augmented rows for `_pin`, one per coefficient of x**0 .. x**(n-2),
-    saying that the residual of identity n with lhs pi * D_q P_n vanishes;
-    the unknowns are pi's lower coefficients p_0..p_{d-1}, and the monic
-    part goes to the rhs, so identity 2 gives one row and identity 3 two.
-    residuals[n] holds the coefficients x**0 .. x**(n-2) of the residuals
-    of x**j * D_q P_n computed so far, j = 0, 1, ...; it is extended to
-    j = d, so the degree attempts of one problem compute each (j, n) once."""
-    res, image = residuals.setdefault(n, []), P.dq(ctx, n)
-    for j in range(len(res), d + 1):
-        nums, den = [0] * j + list(image.nums), image.den
-        r, r_den = _identity_residual(nums, den, P, *_coefficients(nums, den, P[n], n), n)
-        res.append([Fraction(v, r_den) for v in r[: n - 1]])
-    return [[r[i] for r in res[:d]] + [-res[d][i]] for i in range(n - 1)]
+    """Integer augmented rows for `_pin`, one per coefficient of x**0 ..
+    x**(n-2), saying that the residual of identity n with lhs pi * D_q P_n
+    vanishes; the unknowns are pi's lower coefficients p_0..p_{d-1}, and
+    the monic part goes to the rhs, so identity 2 gives one row and
+    identity 3 two. residuals[n] holds the residuals of x**j * D_q P_n
+    computed so far, j = 0, 1, ..., each as its numerators of x**0 ..
+    x**(n-2) over its denominator; it is extended to j = d, so the degree
+    attempts of one problem compute each (j, n) once. The rows of identity
+    n are those numerators scaled to the lcm of the d + 1 denominators."""
+    res = residuals.setdefault(n, [])
+    if len(res) <= d:
+        image, den = P.dq(ctx, n)
+        for j in range(len(res), d + 1):
+            nums = [0] * j + image
+            r, r_den = _identity_residual(nums, den, P, *_coefficients(nums, den, P[n], n), n)
+            res.append((r[: n - 1], r_den))
+    common = lcm(*(den for _, den in res[: d + 1]))
+    cols = [[v * (common // den) for v in r] for r, den in res[: d + 1]]
+    return [[col[i] for col in cols[:d]] + [-cols[d][i]] for i in range(n - 1)]
 
 
 def _fit(
@@ -246,7 +259,7 @@ def _fit(
     operator_rows(ctx, N)
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        nums, den = int_product(pi, P.dq(ctx, n))
+        nums, den = _times(pi, P.dq(ctx, n))
         a_n, b_n, c_n = _coefficients(nums, den, P[n], n)
         if any(_identity_residual(nums, den, P, a_n, b_n, c_n, n)[0]):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
@@ -301,14 +314,30 @@ def _residual(nums: list[int], den: int, terms) -> tuple[list[int], int]:
 
 def _identity_residual(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n: int):
     """The residual of identity n, lhs - (a_n x + b_n) P_n - c_n P_{n-1}
-    with lhs = sum(nums[k] x**k) / den (no P_{-1} term at n = 0), by
-    `_residual`."""
+    with lhs = sum(nums[k] x**k) / den, den > 0 (no P_{-1} term at n = 0),
+    as integer numerators over a positive denominator, not normalized: the
+    rhs is taken over lcm(den a_n, den b_n) den P_n, joined with the
+    denominator of c_n P_{n-1} by one more lcm, and cross-multiplied with
+    the lhs, all in one pass with no gcd over the coefficients."""
     p = P[n]
-    terms = [(a_n, 1, p.nums, p.den), (b_n, 0, p.nums, p.den)]
-    if n:
-        q = P[n - 1]
-        terms.append((c_n, 0, q.nums, q.den))
-    return _residual(nums, den, terms)
+    m = lcm(a_n.denominator, b_n.denominator)
+    a = a_n.numerator * (m // a_n.denominator)
+    b = b_n.numerator * (m // b_n.denominator)
+    rhs_den, c, q = m * p.den, 0, ()
+    if c_n:
+        prev = P[n - 1]
+        c_den = c_n.denominator * prev.den
+        common = lcm(rhs_den, c_den)
+        scale, c, q = common // rhs_den, c_n.numerator * (common // c_den), prev.nums
+        a, b, rhs_den = a * scale, b * scale, common
+    g = gcd(rhs_den, den)
+    left, right = rhs_den // g, den // g
+    a, b, c = a * right, b * right, c * right
+    out = [
+        x * left - a * u - b * v - c * w
+        for x, u, v, w in zip_longest(nums, (0, *p.nums), p.nums, q, fillvalue=0)
+    ]
+    return out, den * left
 
 
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
@@ -321,7 +350,7 @@ def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
     for n in range(fit.horizon + 1):
-        nums, den = int_product(fit.pi, ops.dq(ctx, n))
+        nums, den = _times(fit.pi, ops.dq(ctx, n))
         res, res_den = _identity_residual(nums, den, ops, fit.a[n], fit.b[n], fit.c[n], n)
         holds = not any(res)
         witness = "" if holds else str(Poly.from_ints(res, res_den))
@@ -428,6 +457,13 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     )
 
 
+def _times(pi: Poly, image: tuple[list[int], int]) -> tuple[list[int], int]:
+    """pi times an image (nums, den) of the table, as integer numerators
+    over pi.den * den, not normalized."""
+    nums, den = image
+    return int_convolution(pi.nums, nums), pi.den * den
+
+
 def _pi_sq_images(ctx: QContext, ops: OPSTable, pi: Poly, horizon: int):
     """pi * S_q P_n for n = 0..horizon, in turn, each as integer numerators
     over a positive denominator, not normalized. The product rule
@@ -440,9 +476,9 @@ def _pi_sq_images(ctx: QContext, ops: OPSTable, pi: Poly, horizon: int):
     is one `int_product` of the table's D_q P_k, read for three
     consecutive n; no S_q image is formed."""
     b, c, minus_alpha, one = ops.ttrr.b, ops.ttrr.c, -ctx.alpha, Fraction(1)
-    prev, cur = ([], 1), int_product(pi, ops.dq(ctx, 0))
+    prev, cur = ([], 1), _times(pi, ops.dq(ctx, 0))
     for n in range(horizon + 1):
-        nxt = int_product(pi, ops.dq(ctx, n + 1))
+        nxt = _times(pi, ops.dq(ctx, n + 1))
         c_n = c[n - 1] if n else Fraction(0)
         yield _combination(
             [(one, 0, *nxt), (b[n], 0, *cur), (minus_alpha, 1, *cur), (c_n, 0, *prev)]

@@ -983,18 +983,19 @@ def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():
 
 @pytest.fixture
 def dq_calls(monkeypatch):
-    """A list that grows by one entry per awops.dq_apply call, through every
-    qstruct module attribute bound to it."""
-    calls, dq_apply = [], awops.dq_apply
+    """A list that grows by one entry per D_q image built: per awops.dq_image
+    call (the OPS table's image build, which dq_apply also runs), through
+    every qstruct module attribute bound to it."""
+    calls, dq_image = [], awops.dq_image
 
     def counted(*args):
         calls.append(args)
-        return dq_apply(*args)
+        return dq_image(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "qstruct" or name.startswith("qstruct."):
             for attr, val in list(vars(mod).items()):
-                if val is dq_apply:
+                if val is dq_image:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
 

@@ -16,6 +16,12 @@ five_term takes pi S_q P_n from the table's D_q P_n images by the product
 rule; applying the S_q rows to each P_n is the reference, for the pi of
 each degree's fit, a pi moved off it, and a drawn monic pi.
 
+The fit's per-index step runs on unreduced integers. The table stores
+each D_q P_n unnormalized, and dq_apply is the reference for its value;
+the one-pass identity residual has the Poly residual as reference, with
+the fit's (a_n, b_n, c_n), a moved b_n, a zero a_n and a zero c_n; the
+fraction-free pin has the Fraction Gauss-Jordan elimination it replaced.
+
 Poly stores integer numerators over one denominator; the Fraction-tuple
 polynomial it replaced is the reference for its arithmetic. Exact fits are
 also checked against the literal D_q quotient at sample points, which
@@ -40,20 +46,23 @@ from io import StringIO
 from math import gcd
 from threading import Thread
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
 from test_poly import FractionPoly, evaluate
 from test_structure import (
+    pin_oracle,
     reference_fit,
     reference_joint_system,
     reference_solve,
     replace,
     residual_oracle,
+    up_to_scale,
 )
 
 from qstruct import awops, cli, structure
-from qstruct.awops import dq_apply, sq_apply
+from qstruct.awops import dq_apply, dq_image, sq_apply
 from qstruct.characterize import (
     Classification,
     RecurrenceViolated,
@@ -207,13 +216,14 @@ def test_lazy_table_read_in_any_order_matches_generate_ops(case, rnd):
 def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(case, images):
     # readers in opposite orders, with a switch interval short enough that
     # they interleave inside the table's growth step; they read P_n, or
-    # D_q P_n, which also grows the table's image prefix
+    # D_q P_n, which also grows the table's image prefix (stored as the
+    # unnormalized pair of dq_image, so the pairs are compared as they are)
     ctx, ttrr = case
     N = ttrr.n_max
     eager = generate_ops(ttrr, N).polys
     table = OPSTable(ttrr, N)
     entry = (lambda n: table.dq(ctx, n)) if images else table.__getitem__
-    expected = tuple(dq_apply(ctx, p) for p in eager) if images else eager
+    expected = tuple(dq_image(ctx, p) for p in eager) if images else eager
     seen = [None] * 4
 
     def read(i):
@@ -249,7 +259,8 @@ def test_fit_auto_on_a_lazy_table_matches_fit_structure_on_an_eager_one(case):
     reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
     assert fits == reference[: len(fits)]
     last = max(fit.failure_n if fit.status == STATUS_NO_SOLUTION else N for fit in fits)
-    assert table._images[ctx] == tuple(dq_apply(ctx, p) for p in ops.polys[: last + 1])
+    stored = tuple(Poly.from_ints(*image) for image in table._images[ctx])
+    assert stored == tuple(dq_apply(ctx, p) for p in ops.polys[: last + 1])
 
 
 @BOUNDED
@@ -356,6 +367,89 @@ def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
             for n, (nums, den) in enumerate(images):
                 oracle = int_product(pi, sq_apply(ctx, ops[n]))
                 assert Poly.from_ints(nums, den) == Poly.from_ints(*oracle)
+
+
+@BOUNDED
+@given(fit_cases())
+def test_stored_images_normalize_to_dq_apply(case):
+    ctx, ops, N = case
+    table = OPSTable(ops.ttrr, N)
+    for n in range(N + 1):
+        nums, den = table.dq(ctx, n)
+        assert den > 0
+        assert Poly.from_ints(nums, den) == dq_apply(ctx, table[n])
+
+
+@BOUNDED
+@given(fit_cases(), st.lists(small, min_size=3, max_size=3))
+def test_one_pass_identity_residual_matches_the_poly_oracle(case, drawn):
+    # for the pi of each degree's fit and a drawn monic pi, at every n: the
+    # (a_n, b_n, c_n) that cancel the top three coefficients, that triple
+    # with b_n moved, and with a_n or c_n set to zero
+    ctx, ops, N = case
+    *lower, delta = drawn
+    for d in (0, 1, 2):
+        fitted = fit_structure(ctx, ops, d, N).pi
+        for pi in [Poly(tuple(lower[:d]) + (F(1),))] + ([fitted] if fitted else []):
+            for n in range(N + 1):
+                nums, den = structure._times(pi, ops.dq(ctx, n))
+                a_n, b_n, c_n = structure._coefficients(nums, den, ops[n], n) if n else (0, 0, 0)
+                for abc in ((a_n, b_n, c_n), (a_n, b_n + delta, c_n), (0, b_n, c_n), (a_n, b_n, 0)):
+                    abc = tuple(F(v) for v in abc)
+                    res, res_den = structure._identity_residual(nums, den, ops, *abc, n)
+                    assert res_den > 0
+                    assert Poly.from_ints(res, res_den) == residual_oracle(ctx, ops, pi, *abc, n)
+
+
+@BOUNDED
+@given(fit_cases())
+def test_pin_rows_are_the_oracle_residual_rows_up_to_one_scale(case):
+    # row i of identity n reads coefficient i of the residuals of x**j D_q P_n,
+    # j < d, and minus that of x**d D_q P_n; one positive factor per identity
+    ctx, ops, N = case
+    for d in (0, 1, 2):
+        for n in (2, 3):
+            residuals = []
+            for j in range(d + 1):
+                monomial = Poly((F(0),) * j + (F(1),))
+                nums, den = structure._times(monomial, ops.dq(ctx, n))
+                abc = structure._coefficients(nums, den, ops[n], n)
+                residuals.append(residual_oracle(ctx, ops, monomial, *abc, n))
+            expected = [
+                [r.coeff(i) for r in residuals[:d]] + [-residuals[d].coeff(i)] for i in range(n - 1)
+            ]
+            assert up_to_scale(structure._pin_rows(ctx, ops, d, n, {}), expected)
+
+
+pin_entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**80), 2**80))
+
+
+@BOUNDED
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda width: st.lists(
+            st.lists(pin_entries, min_size=width, max_size=width), min_size=1, max_size=3
+        )
+    )
+)
+def test_fraction_free_pin_matches_the_fraction_oracle(rows):
+    assert structure._pin([list(row) for row in rows]) == pin_oracle(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[0, 0, 0]], None),  # all zero: both columns lack a pivot
+        ([[0]], []),  # d = 0, a zero rhs
+        ([[5]], None),  # d = 0, a nonzero rhs
+        ([[2, 0, 4], [0, 0, 3]], None),  # no pivot in the second column
+        ([[1, 2, 3], [2, 4, 7]], None),  # inconsistent after elimination
+        ([[1, 2, 3], [2, 4, 6], [0, -3, 6]], [F(7), F(-2)]),  # a dependent row
+        ([[0, -3, 6], [-2, 4, -7]], [F(-1, 2), F(-2)]),  # a negative pivot
+    ],
+)
+def test_fraction_free_pin_on_fixed_systems(rows, expected):
+    assert structure._pin(rows) == pin_oracle(rows) == expected
 
 
 @BOUNDED

@@ -18,7 +18,7 @@ from qstruct.families import (
     ttrr_cq_jacobi,
     ttrr_qhermite,
 )
-from qstruct.poly import Poly, int_product
+from qstruct.poly import Poly
 from qstruct.scalar import QContext
 from qstruct.report import Check, Report
 from qstruct import structure
@@ -163,14 +163,32 @@ def residual_oracle(ctx, ops, pi, a_n, b_n, c_n, n):
     """Reference structure residual pi * D_q P_n - (a_n x + b_n) P_n
     - c_n P_{n-1}, in normalized Poly arithmetic instead of the package's
     integer residual."""
-    res = pi * ops.dq(ctx, n) - Poly((b_n, a_n)) * ops[n]
+    res = pi * dq_apply(ctx, ops[n]) - Poly((b_n, a_n)) * ops[n]
     return res - c_n * ops[n - 1] if n else res
+
+
+def pin_oracle(rows):
+    """Reference pin: Gauss-Jordan elimination over Fractions of the
+    augmented rows (coefficients, then the rhs), a Fraction per entry.
+    None when a column has no pivot or a leftover row has a nonzero rhs,
+    else the solution, as the package's fraction-free `_pin` decides."""
+    rows = [[F(v) for v in row] for row in rows]
+    width, solved = len(rows[0]) - 1, []
+    for col in range(width):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            return None
+        rows = [row for row in rows if row is not pivot]
+        pivot = [v / pivot[col] for v in pivot]
+        rows = [[v - row[col] * w for v, w in zip(row, pivot)] for row in rows]
+        solved = [[v - row[col] * w for v, w in zip(row, pivot)] for row in solved] + [pivot]
+    return None if any(row[width] for row in rows) else [row[width] for row in solved]
 
 
 def structure_residual(ctx, ops, pi, a_n, b_n, c_n, n):
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial,
     by the package's integer residual."""
-    nums, den = int_product(pi, ops.dq(ctx, n))
+    nums, den = structure._times(pi, ops.dq(ctx, n))
     return Poly.from_ints(*structure._identity_residual(nums, den, ops, a_n, b_n, c_n, n))
 
 
@@ -250,15 +268,25 @@ def test_wrong_degree_requests_fail():
     assert fit_structure(CTX, ops_h, 2, N).status == STATUS_NO_SOLUTION
 
 
+def up_to_scale(rows, expected):
+    """Whether the integer rows equal the expected rows times one positive
+    rational."""
+    flat, ref = [v for row in rows for v in row], [v for row in expected for v in row]
+    k = next((F(v) / w for v, w in zip(flat, ref) if w), 1)
+    return all(type(v) is int for v in flat) and k > 0 and flat == [k * w for w in ref]
+
+
 def test_each_pin_branch_fails_where_the_reference_fit_fails():
     # B_n = 0: for d = 1 the one row of identity 2 reads 0 = -17/16; for
     # d = 2 no row of identities 2..3 has p_0 and one reads 0 = -273/128;
     # d = 0 pins and fails at 4
     ttrr = TTRRSpec.from_lists([0] * 7, [F(1, 4), F(1, 2), 1, 1, 1, 1])
     ops = generate_ops(ttrr, 6)
-    assert structure._pin_rows(CTX, ops, 1, 2, {}) == [[0, F(-17, 16)]]
-    rows = structure._pin_rows(CTX, ops, 2, 2, {}) + structure._pin_rows(CTX, ops, 2, 3, {})
-    assert rows == [[0, F(17, 16), 0], [0, 0, F(-273, 128)], [0, F(273, 32), 0]]
+    # the rows of one identity are integers, scaled by one positive factor
+    assert up_to_scale(structure._pin_rows(CTX, ops, 1, 2, {}), [[0, F(-17, 16)]])
+    assert up_to_scale(structure._pin_rows(CTX, ops, 2, 2, {}), [[0, F(17, 16), 0]])
+    rows = structure._pin_rows(CTX, ops, 2, 3, {})
+    assert up_to_scale(rows, [[0, 0, F(-273, 128)], [0, F(273, 32), 0]])
     fits = [fit_structure(CTX, ops, d, 6) for d in (0, 1, 2)]
     assert [(fit.status, fit.failure_n) for fit in fits] == [(STATUS_NO_SOLUTION, n) for n in (4, 2, 3)]
     assert fits == [reference_fit(CTX, ops, d, 6) for d in (0, 1, 2)]
@@ -290,7 +318,8 @@ def test_one_table_keeps_its_images_per_context():
     assert all(fit.is_exact and fit.pi.degree == 2 for fit in fits)
     assert set(ops._images) == set(contexts)
     for ctx, fit in zip(contexts, fits):
-        assert ops._images[ctx] == tuple(dq_apply(ctx, p) for p in generate_ops(ops.ttrr, N).polys)
+        stored = tuple(Poly.from_ints(*image) for image in ops._images[ctx])
+        assert stored == tuple(dq_apply(ctx, p) for p in generate_ops(ops.ttrr, N).polys)
         assert verify_structure(ctx, ops, fit).ok
     assert fits[0] != fits[1]
     assert not verify_structure(contexts[1], ops, fits[0]).ok
