@@ -7,10 +7,8 @@ write bf(z) = f((z + 1/z)/2), then
     S_q f = (bf(q**(1/2) z) + bf(q**(-1/2) z)) / 2,
 
 where e(x) = x. The apply functions are exact matrix-vector products against
-the power-basis rows D_q x**k and S_q x**k. Each row is a `Poly`, integer
-numerators over its own denominator; an image is summed as one integer
-vector over the lcm of the row denominators it reads and normalized once.
-The rows come from the g = x product rules,
+the power-basis rows D_q x**k and S_q x**k, which come from the g = x
+product rules,
 
     D_q(x f) = S_q f + alpha x D_q f,
     S_q(x f) = alpha x S_q f + (alpha**2 - 1)(x**2 - 1) D_q f,
@@ -23,12 +21,12 @@ the rules for f = x**k by ad**k gives
     dt_{k+1} = st_k + an x dt_k,
     st_{k+1} = an x st_k + w (x**2 - 1) dt_k,
 
-with dt_0 = 0 and st_0 = 1: no division, so both stay integer vectors, and
-each new row is one `Poly.from_ints(dt_{k+1}, ad**k)` or
-`Poly.from_ints(st_{k+1}, ad**(k+1))`, normalized once. A stored table
-grows from its last rows, whose numerators are rescaled back to those
-ad-power denominators; the division is exact, because a normalized
-denominator divides the ad power the row was stored over.
+with dt_0 = 0 and st_0 = 1: no division, so both stay integer vectors.
+Each row is stored as that pair, D_q x**k as (dt_k, ad**(k-1)) (over 1 at
+k = 0) and S_q x**k as (st_k, ad**k), with no gcd, and a table grows from
+its last stored vectors. An image is summed as one integer vector over
+the power of ad of the highest row it reads, which every lower row's
+denominator divides.
 
 The rows are memoized per context, so every call within one problem shares
 them; they grow to the degree a call needs and are dropped when the context
@@ -55,7 +53,6 @@ changes no result.
 from __future__ import annotations
 
 import weakref
-from math import lcm
 
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
@@ -65,14 +62,15 @@ __all__ = ["operator_rows", "dq_image", "dq_apply", "sq_apply"]
 
 # Rows per live context, keyed weakly so that they die with it; see `operator_rows`.
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_DEGREE_0 = ((Poly.zero(),), (Poly.one(),))  # D_q 1 = 0, S_q 1 = 1
+_DEGREE_0 = ((((), 1),), (((1,), 1),))  # D_q 1 = 0, S_q 1 = 1
 
 
-def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+def operator_rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
     """(D, S) with D[k] = D_q x**k and S[k] = S_q x**k for k = 0..n at least,
-    from this context's memo. Each row is a Poly: integer numerators over
-    its own denominator, built by the integer recurrence of the module
-    docstring.
+    from this context's memo. Each row is a pair (nums, den), integer
+    numerators over a power of ad, not normalized: D[k] is
+    (dt_k, ad**(k-1)), over 1 at k = 0, and S[k] is (st_k, ad**k), built by
+    the integer recurrence of the module docstring.
 
     A stored table is never changed: a longer one is built from a snapshot
     of the shorter one and stored with one assignment, so concurrent callers
@@ -85,42 +83,34 @@ def operator_rows(ctx: QContext, n: int) -> tuple[tuple[Poly, ...], tuple[Poly, 
     alpha = ctx.alpha
     an, ad = alpha.numerator, alpha.denominator
     w = an * an - ad * ad
-    top = len(d_rows) - 1
-    # resume from the last stored rows, rescaled to ad-power denominators
-    dt, st = _rescaled(d_rows[top], ad ** max(top - 1, 0)), _rescaled(s_rows[top], ad**top)
-    power = ad**top
-    for _ in range(top, n):  # dt_{k+1}, st_{k+1} from dt_k, st_k
+    # resume from the last stored vectors; D row k + 1 is over S row k's power
+    (dt, _), (st, power) = d_rows[-1], s_rows[-1]
+    for _ in range(len(d_rows) - 1, n):  # dt_{k+1}, st_{k+1} from dt_k, st_k
         dt, st = (
-            [s + an * d for s, d in zip(st, (0, *dt))],
-            [an * s + w * (d2 - d) for s, d2, d in zip((0, *st), (0, 0, *dt), (*dt, 0, 0))],
+            tuple([s + an * d for s, d in zip(st, (0, *dt))]),
+            tuple([an * s + w * (d2 - d) for s, d2, d in zip((0, *st), (0, 0, *dt), (*dt, 0, 0))]),
         )
-        d_rows.append(Poly.from_ints(dt, power))
+        d_rows.append((dt, power))
         power *= ad
-        s_rows.append(Poly.from_ints(st, power))
+        s_rows.append((st, power))
     table = (tuple(d_rows), tuple(s_rows))
     _ROWS[ctx] = table
     return table
 
 
-def _rescaled(row: Poly, power: int) -> list[int]:
-    """The numerators of row over power, a multiple of row.den."""
-    m = power // row.den
-    return [m * v for v in row.nums]
-
-
-def _image(rows: tuple[Poly, ...], f: Poly, drop: int) -> tuple[list[int], int]:
-    """sum_k f_k * rows[k] as integer numerators over the lcm of the row
-    denominators times f.den, not normalized. Row k has degree k - drop
+def _image(rows: tuple, f: Poly, drop: int) -> tuple[list[int], int]:
+    """sum_k f_k * rows[k] as integer numerators over the denominator of the
+    highest row read times f.den, not normalized. Row k has degree k - drop
     and the parity of k - drop, so only every other entry of it is read."""
     cs = f.nums
     used = [k for k in range(drop, len(cs)) if cs[k]]
-    den = lcm(*(rows[k].den for k in used))
+    den = rows[used[-1]][1] if used else 1
     out = [0] * (len(cs) - drop)
     for k in used:
-        row = rows[k]
-        m = cs[k] * (den // row.den)
+        nums, row_den = rows[k]
+        m = cs[k] * (den // row_den)
         j = (k - drop) % 2
-        out[j : k - drop + 1 : 2] = [o + m * r for o, r in zip(out[j::2], row.nums[j::2])]
+        out[j : k - drop + 1 : 2] = [o + m * r for o, r in zip(out[j::2], nums[j::2])]
     return out, den * f.den
 
 

@@ -290,8 +290,8 @@ def pearson_check(
     d_rows, s_rows = operator_rows(ctx, N)
     checks = []
     for n in range(N + 1):
-        lhs_num, lhs_den = phi_u.ratio(d_rows[n])
-        rhs_num, rhs_den = psi_u.ratio(s_rows[n])
+        lhs_num, lhs_den = phi_u.ratio(*d_rows[n])
+        rhs_num, rhs_den = psi_u.ratio(*s_rows[n])
         if -lhs_num * rhs_den != rhs_num * lhs_den:
             lhs, rhs = Fraction(-lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
             witness = f"Pearson identity fails at n = {n}: {fr(lhs)} != {fr(rhs)}"

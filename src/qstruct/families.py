@@ -359,7 +359,7 @@ class OPSTable(Frozen):
         images = self._images.get(ctx, ())
         if 0 <= n < len(images):
             return images[n]
-        if n < 0:
+        if not 0 <= n <= self.degree:
             raise IndexError(f"D_q P_{n} outside the table's degrees 0..{self.degree}")
         grown = images + tuple(dq_image(ctx, self[k]) for k in range(len(images), n + 1))
         self._images[ctx] = grown
@@ -400,14 +400,15 @@ class MomentVector(Frozen):
 
     def apply(self, f: Poly) -> Fraction:
         """<u, f>, exact."""
-        return Fraction(*self.ratio(f))
+        return Fraction(*self.ratio(f.nums, f.den))
 
-    def ratio(self, f: Poly) -> tuple[int, int]:
-        """<u, f> as an unreduced (numerator, denominator) pair, with a
-        positive denominator; no gcd is taken."""
-        if f.degree != float("-inf") and f.degree >= len(self.nums):
-            raise ValueError(f"moments known to order {len(self.nums) - 1}, need {f.degree}")
-        return sum(map(mul, f.nums, self.nums)), f.den * self.den
+    def ratio(self, nums: Sequence[int], den: int) -> tuple[int, int]:
+        """<u, f> for f = sum(nums[k] x**k) / den, den > 0, as an unreduced
+        (numerator, denominator) pair with a positive denominator; no gcd
+        is taken."""
+        if len(nums) > len(self.nums):
+            raise ValueError(f"moments known to order {len(self.nums) - 1}, need {len(nums) - 1}")
+        return sum(map(mul, nums, self.nums)), den * self.den
 
     def weighted(self, w: Poly) -> "MomentVector":
         """The moments <u, w x**j> of the functional w u, for every j that

@@ -37,7 +37,6 @@ __all__ = [
     "to_cheb",
     "from_cheb",
     "poly_to_json",
-    "int_product",
     "int_convolution",
 ]
 
@@ -157,7 +156,7 @@ class Poly(Frozen):
             self, other = other, self
         if len(a) == 1:
             return _scaled(other, a[0], self.den)
-        return Poly.from_ints(*int_product(self, other))
+        return Poly.from_ints(int_convolution(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -206,12 +205,6 @@ def _scaled(p: Poly, num: int, den: int) -> Poly:
     g, h = gcd(num, p.den), gcd(den, *p.nums)
     num = num // g
     return _make(tuple([v // h * num for v in p.nums]), p.den // g * (den // h))
-
-
-def int_product(f: Poly, g: Poly) -> tuple[list[int], int]:
-    """f * g as integer numerators over f.den * g.den, not normalized: the
-    integer convolution that `Poly.__mul__` normalizes."""
-    return int_convolution(f.nums, g.nums), f.den * g.den
 
 
 def int_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:

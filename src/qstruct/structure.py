@@ -379,12 +379,13 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     the fit stored D_q P_0..D_q P_N, and every k <= horizon + 1 <= N. Each
     coefficient is formed as an unreduced `Ratio` and normalized once; the
     check compares r1_n P_{n+2} + ... + r5_n P_{n-2} with pi * S_q P_n on
-    integers (`_residual`), and only a failing one expands pi * S_q P_n in
-    the monic P basis. A failing
-    check's witness names the first basis index k where that expansion
-    disagrees, or k = -1 when the coefficient of an out-of-range P_{n-1}
-    or P_{n-2} is nonzero. Sequences with negative index are zero,
-    matching C_0 = 0 and a_0 = b_0 = c_0 = 0.
+    integers (`_residual`), and only a failing one expands that residual
+    in the monic P basis. A failing check's witness names the first basis
+    index k where the expansion of pi * S_q P_n disagrees, the residual's
+    first nonzero coordinate (expansion is linear), or k = -1 when the
+    coefficient of an out-of-range P_{n-1} or P_{n-2} is nonzero.
+    Sequences with negative index are zero, matching C_0 = 0 and
+    a_0 = b_0 = c_0 = 0.
     """
     if not fit.is_exact:
         raise ValueError("five_term requires an exact fit")
@@ -428,12 +429,10 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
         k = None
         terms = [(v, 0, ops[j].nums, ops[j].den) for v, j in formula if v]
-        if any(_residual(nums, den, terms)[0]):
-            # the first basis index where the expansion of pi * S_q P_n disagrees
-            expanded = ops.expand(Poly.from_ints(nums, den))
-            expanded += [zero] * (n + 3 - len(expanded))
-            coeffs = [zero] * max(n - 2, 0) + [v for v, _ in formula]
-            k = next(k for k in range(n + 3) if coeffs[k] != expanded[k])
+        res, res_den = _residual(nums, den, terms)
+        if any(res):
+            # the first basis index where pi * S_q P_n and the formula differ
+            k = next(k for k, v in enumerate(ops.expand(Poly.from_ints(res, res_den))) if v)
         elif (n == 0 and v4 != 0) or (n < 2 and v5 != 0):
             k = -1  # a nonzero coefficient of an out-of-range P_{n-1} or P_{n-2}
         witness = "" if k is None else f"five-term mismatch at n = {n}, basis index k = {k}"
@@ -473,7 +472,7 @@ def _pi_sq_images(ctx: QContext, ops: OPSTable, pi: Poly, horizon: int):
         pi S_q P_n = L_{n+1} + (B_n - alpha x) L_n + C_n L_{n-1},
 
     with L_k = pi D_q P_k and L_{-1} = 0, summed by `_combination`. Each L_k
-    is one `int_product` of the table's D_q P_k, read for three
+    is one `_times` of the table's D_q P_k, read for three
     consecutive n; no S_q image is formed."""
     b, c, minus_alpha, one = ops.ttrr.b, ops.ttrr.c, -ctx.alpha, Fraction(1)
     prev, cur = ([], 1), _times(pi, ops.dq(ctx, 0))

@@ -11,7 +11,7 @@ from test_poly import evaluate, monomial
 from test_scalar import alpha_n, gamma_n
 
 from qstruct import awops
-from qstruct.awops import dq_apply, operator_rows, sq_apply
+from qstruct.awops import dq_apply, dq_image, operator_rows, sq_apply
 from qstruct.characterize import classify
 from qstruct.families import ttrr_cq_jacobi
 from qstruct.poly import Poly, from_cheb, to_cheb
@@ -282,6 +282,10 @@ def normal_forms(rows):
     return [(p.nums, p.den) for p in rows]
 
 
+def normalized(pairs):
+    return normal_forms(Poly.from_ints(*pair) for pair in pairs)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     st.integers(2, 80).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
@@ -289,14 +293,43 @@ def normal_forms(rows):
     st.lists(st.integers(0, 30), max_size=4),
 )
 def test_rows_match_the_poly_oracle_in_stages_and_in_one_step(ab, N, stages):
-    # a table resumed from its stored rows, in fixed or random stages, holds
-    # the same normal forms as one grown at once and as Poly arithmetic
+    # a table resumed from its stored vectors, in fixed or random stages,
+    # holds D_q x**k over exactly ad**(k-1) (1 at k = 0) and S_q x**k over
+    # exactly ad**k, as one grown at once does, and each pair normalizes
+    # to the normal form of Poly arithmetic
     ctx = QContext(F(*ab))
+    ad = ctx.alpha.denominator
     d_want, s_want = map(normal_forms, rows_oracle(ctx, max(3, N, *stages)))
     for reads in ((1, 2, 3, N), (*stages, N), (N,)):
         awops._ROWS.pop(ctx, None)  # grow from degree 0, even if an equal context holds rows
         for n in reads:
             d_rows, s_rows = operator_rows(ctx, n)
             assert len(d_rows) == len(s_rows) > n
-            assert normal_forms(d_rows) == d_want[: len(d_rows)]
-            assert normal_forms(s_rows) == s_want[: len(s_rows)]
+            powers = [ad**k for k in range(len(s_rows))]
+            assert [den for _, den in d_rows] == [1] + powers[:-1]
+            assert [den for _, den in s_rows] == powers
+            assert normalized(d_rows) == d_want[: len(d_rows)]
+            assert normalized(s_rows) == s_want[: len(s_rows)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    # t = 2/3 gives alpha = 97/72, an ad with two prime factors
+    st.just(F(2, 3)) | st.fractions(min_value=F(1, 13), max_value=F(12, 13), max_denominator=13),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=14),
+    st.sampled_from([None, 0, 1]),
+)
+def test_images_are_the_rows_summed_with_poly_arithmetic(t, coeffs, parity):
+    # D_q f and S_q f over the power of ad of the highest row read, for f
+    # zero, constant, of one parity or of both: sum_k f_k row_k in Poly
+    ctx = QContext(t)
+    f = Poly(tuple(c if parity is None or k % 2 == parity else 0 for k, c in enumerate(coeffs)))
+    deg = len(f.nums) - 1
+    d_rows, s_rows = operator_rows(ctx, deg)
+    s_image = awops._image(s_rows, f, 0)
+    for (nums, den), rows, drop in ((dq_image(ctx, f), d_rows, 1), (s_image, s_rows, 0)):
+        want = Poly.zero()
+        for k, c in enumerate(f.coeffs):
+            want = want + c * Poly.from_ints(*rows[k])
+        assert den == (rows[deg][1] if deg >= drop else 1) * f.den
+        assert Poly.from_ints(nums, den) == want

@@ -49,6 +49,7 @@ from qstruct.families import (
     ttrr_equal,
     ttrr_qhermite,
 )
+from qstruct.poly import Poly
 from qstruct.report import Check, Report
 from qstruct.scalar import QContext, format_rational
 from qstruct.structure import fit_auto, fit_structure
@@ -1084,7 +1085,8 @@ def pearson_oracle(ctx, ttrr, pd, N):
     d_rows, s_rows = awops.operator_rows(ctx, N)
     checks = []
     for n in range(N + 1):
-        lhs, rhs = -phi_u.apply(d_rows[n]), psi_u.apply(s_rows[n])
+        lhs = -phi_u.apply(Poly.from_ints(*d_rows[n]))
+        rhs = psi_u.apply(Poly.from_ints(*s_rows[n]))
         fails = lhs != rhs
         witness = (
             f"Pearson identity fails at n = {n}: {format_rational(lhs)} != {format_rational(rhs)}"

@@ -422,6 +422,22 @@ def test_table_reads_below_index_0_raise():
                     read(n)
 
 
+def test_reading_d_q_past_the_tables_degree_builds_no_image():
+    # D_q P_n with n past the degree is refused up front, naming D_q P_n,
+    # with no P_k or D_q P_k built for the read and the stored prefix kept
+    ops = OPSTable(ttrr_chebyshev_t(n_max=10), 8)
+    ctx = QContext(F(3, 7))
+    for n in (9, 11):
+        with pytest.raises(IndexError, match=rf"^D_q P_{n} outside the table's degrees 0\.\.8$"):
+            ops.dq(ctx, n)
+    assert ctx not in ops._images and len(ops._built) == 1
+    ops.dq(ctx, 2)
+    images = ops._images[ctx]
+    with pytest.raises(IndexError, match=r"^D_q P_11 outside"):
+        ops.dq(ctx, 11)
+    assert ops._images[ctx] is images and len(images) == len(ops._built) == 3
+
+
 def ops_oracle(ttrr, n):
     """P_0..P_n by `Poly` arithmetic, P_{k+1} = (x - B_k) P_k - C_k P_{k-1}:
     the reference for the table's one-vector integer step."""
