@@ -155,9 +155,11 @@ class Classification(Frozen):
 
 
 def _sqrt_exact(x: Fraction) -> Fraction | None:
-    """Rational square root, or None when x is not a perfect square."""
-    if x < 0:
-        return None
+    """Rational square root of x >= 0, or None when x is not a perfect
+    square. x is never negative: `recover_qjacobi_params` passes prod, which
+    it has checked to be > 0, in its symmetric branch and
+    diff**2 + 4 prod > 0 in the other, and the test oracles pass it family
+    data, which is never negative."""
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:

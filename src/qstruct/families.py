@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from qstruct.awops import dq_image
-from qstruct.poly import Poly, poly_to_json
+from qstruct.poly import Poly, int_three_term, poly_to_json
 from qstruct.scalar import Frozen, QContext, as_fraction, format_rational, parse_rational
 
 __all__ = [
@@ -291,9 +291,9 @@ class OPSTable(Frozen):
 
     Entries are built on demand: reading P_n (``table[n]``) builds every
     missing P_k with k <= n by the recurrence of `generate_ops` and keeps
-    them, and `polys` builds all of them. Each step sums
-    x P_k - B_k P_k - C_k P_{k-1} as one integer vector over a common
-    denominator and normalizes it once, with no `Poly` arithmetic. The
+    them, and `polys` builds all of them. Each step is the one integer
+    three-term step of `poly.int_three_term`, the step every structure
+    residual takes, normalized once, with no `Poly` arithmetic. The
     images D_q P_n are kept the same way, one prefix per context (`dq`),
     so every identity of one problem reads one store of them. They are
     kept unnormalized, as the integer sums `awops.dq_image` returns: each
@@ -327,26 +327,16 @@ class OPSTable(Frozen):
 
     def _grow(self, n: int) -> tuple[Poly, ...]:
         """The stored prefix extended through P_n:
-        P_1 = x - B_0, P_{k+1} = x P_k - B_k P_k - C_k P_{k-1}. Each step is
-        one integer vector over D = lcm(den P_k * den B_k, den P_{k-1} *
-        den C_k), normalized once."""
+        P_{k+1} = 0 - (-x + B_k) P_k - C_k P_{k-1} with P_{-1} = 0, each one
+        `int_three_term` step normalized once."""
         if not 0 <= n <= self.degree:
             raise IndexError(f"P_{n} outside the table's degrees 0..{self.degree}")
         polys, b, c = list(self._built), self.ttrr.b, self.ttrr.c
         for k in range(len(polys) - 1, n):  # P_{k+1} from P_k and P_{k-1}
-            p, bk = polys[k], b[k]
-            bn, bd = bk.numerator, bk.denominator
-            # (x - B_k) P_k over p.den * bd
-            out = [bd * u - bn * v for u, v in zip((0, *p.nums), (*p.nums, 0))]
-            den = p.den * bd
-            if k:
-                prev, ck = polys[k - 1], c[k - 1]
-                cd = prev.den * ck.denominator
-                D = lcm(den, cd)
-                s, r = D // den, D // cd * ck.numerator
-                out = [s * o - r * v for o, v in zip(out, (*prev.nums, 0, 0))]
-                den = D
-            polys.append(Poly.from_ints(out, den))
+            p, prev = polys[k], polys[k - 1] if k else Poly.zero()
+            c_k = c[k - 1] if k else 0
+            step = int_three_term(((), 1), (p.nums, p.den), (prev.nums, prev.den), -1, b[k], c_k)
+            polys.append(Poly.from_ints(*step))
         built = tuple(polys)
         _init(self, "_built", built)
         return built

@@ -38,6 +38,7 @@ __all__ = [
     "from_cheb",
     "poly_to_json",
     "int_convolution",
+    "int_three_term",
 ]
 
 # Degree of the zero polynomial. Never -1: -inf makes deg(p*q) = deg p + deg q
@@ -221,6 +222,38 @@ def int_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if x:
             out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
     return out
+
+
+def int_three_term(lhs, p, q, a, b, c) -> tuple[list[int], int]:
+    """lhs - (a x + b) p - c q, where lhs, p and q are pairs (nums, den)
+    standing for sum(nums[k] x**k) / den with den > 0, and a, b, c are ints
+    or Fractions; q is not read when c is zero. This one step is the
+    recurrence of the OPS table, every residual of the structure relation,
+    pi S_q P_n from the D_q images, and the five-term check. The result is
+    integer numerators over a positive denominator, not normalized: the rhs
+    is taken over lcm(den a, den b) den p, joined with den c den q by one
+    more lcm, and cross-multiplied with lhs, all in one pass with no gcd
+    over the coefficients. It is zero exactly when every numerator is."""
+    nums, den = lhs
+    p_nums, p_den = p
+    m = lcm(a.denominator, b.denominator)
+    a = a.numerator * (m // a.denominator)
+    b = b.numerator * (m // b.denominator)
+    rhs_den, c_num, q_nums = m * p_den, 0, ()
+    if c:
+        q_nums, q_den = q
+        c_den = c.denominator * q_den
+        common = lcm(rhs_den, c_den)
+        scale, c_num = common // rhs_den, c.numerator * (common // c_den)
+        a, b, rhs_den = a * scale, b * scale, common
+    g = gcd(rhs_den, den)
+    left, right = rhs_den // g, den // g
+    a, b, c_num = a * right, b * right, c_num * right
+    out = [
+        x * left - a * u - b * v - c_num * w
+        for x, u, v, w in zip_longest(nums, (0, *p_nums), p_nums, q_nums, fillvalue=0)
+    ]
+    return out, den * left
 
 
 def _lincomb(p: Poly, r: Poly, sign: int) -> Poly:

@@ -3,44 +3,43 @@
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
 for a monic OPS table, with pi monic of degree 0, 1, or 2. Every identity
-is decided by one integer residual (`_identity_residual`). Its lhs
-pi * D_q P_n is one integer convolution of pi with the table's
-unnormalized image (`_times`); P_n and P_{n-1} are monic, so the
-coefficients of x**(n+1), x**n and x**(n-1) of the lhs give a_n, b_n and
-c_n by back-substitution (`_coefficients`); and
-lhs - (a_n x + b_n) P_n - c_n P_{n-1} is formed in one pass of integer
-multiply-adds, cross-multiplied with the lhs. Identity n holds exactly
-when every numerator is zero. A gcd is taken only for what is kept or
-printed: a_n, b_n, c_n, pi, and a failing residual's witness. That
-residual is linear in pi and has degree at most n - 2. The fitter pins pi
-on the residual coefficients of identities 2 and 3, at most three
-equations in the d lower coefficients of pi, each identity's numerators
-scaled to integer rows. Identity 2 is one equation, inconsistent exactly
-when all of its coefficients vanish and its rhs does not: then the fit
-fails at 2 with pi zero. Otherwise one fraction-free elimination over the
-equations of 2..3 solves them (`_pin`), or the fit fails at 3 with pi
-zero, when a leftover equation has a nonzero rhs or a column has no pivot
-(by the proof below, a consistent system has no free column). Identity 1
-leaves no residual coefficient, so these equations are consistent exactly
-when the identities n = 1..3 hold together for some (a_n, b_n, c_n), and
-their solution is the pi shown unique below. With pi fixed, the fitter
-decides each index in turn by its residual; the first index that fails
-is the reported failure index. `verify_structure` decides each index by
-the same residual and normalizes it only for a failing one, as its
-witness. `fit_structure` fits one degree; `fit_auto`
-tries 0, 1, 2 in order and stops at the first exact fit, computing each
-residual of x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read once for
-all three attempts. The fits and `verify_structure` read P_n and D_q P_n
-from the OPS table, which builds each of them the first time it is read
-and keeps it (`OPSTable.dq`). So the degree attempts and a later verify on
-the same table share one set of images. A fit grows the context's operator
-rows to degree 3 for its pin and to the horizon only once pi pins, so a
-recurrence whose fits all fail at n = 3 pays for P_0..P_3,
-D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the horizon.
-`five_term` reads the same images: the direct side of its check,
+is decided by one integer residual. Its lhs pi * D_q P_n is one integer
+convolution of pi with the table's unnormalized image (`_times`); P_n and
+P_{n-1} are monic, so the coefficients of x**(n+1), x**n and x**(n-1) of
+the lhs give a_n, b_n and c_n by back-substitution (`_coefficients`); and
+lhs - (a_n x + b_n) P_n - c_n P_{n-1} is the one integer three-term step
+`poly.int_three_term`, which also builds the OPS table and serves
+`five_term`. Identity n holds exactly when every numerator is zero. A gcd
+is taken only for what is kept or printed: a_n, b_n, c_n, pi, and a
+failing residual's witness. That residual is linear in pi and has degree
+at most n - 2. The fitter pins pi on the residual coefficients of
+identities 2 and 3, at most three equations in the d lower coefficients of
+pi, each identity's numerators scaled to integer rows. Identity 2 is one
+equation, inconsistent exactly when all of its coefficients vanish and its
+rhs does not: then the fit fails at 2 with pi zero. Otherwise one
+fraction-free elimination over the equations of 2..3 solves them (`_pin`),
+or the fit fails at 3 with pi zero, when a leftover equation has a nonzero
+rhs or a column has no pivot (by the proof below, a consistent system has
+no free column). Identity 1 leaves no residual coefficient, so these
+equations are consistent exactly when the identities n = 1..3 hold
+together for some (a_n, b_n, c_n), and their solution is the pi shown
+unique below. With pi fixed, the fitter decides each index in turn by its
+residual; the first index that fails is the reported failure index.
+`verify_structure` decides each index by the same residual and normalizes
+it only for a failing one, as its witness. `fit_structure` fits one
+degree; `fit_auto` tries 0, 1, 2 in order and stops at the first exact
+fit, computing each residual of x**j * D_q P_n (j <= 2, n = 2, 3) that the
+pins read once for all three attempts. The fits and `verify_structure`
+read P_n and D_q P_n from the OPS table, which builds each of them the
+first time it is read and keeps it (`OPSTable.dq`). So the degree attempts
+and a later verify on the same table share one set of images. A fit grows
+the context's operator rows to degree 3 for its pin and to the horizon
+only once pi pins, so a recurrence whose fits all fail at n = 3 pays for
+P_0..P_3, D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the
+horizon. `five_term` reads the same images: the direct side of its check,
 pi * S_q P_n, follows from them by the product rule
-D_q(x f) = S_q f + alpha x D_q f and the recurrence
-(`_pi_sq_images`), so no S_q image of a P_n is formed.
+D_q(x f) = S_q f + alpha x D_q f and the recurrence, as one more
+three-term step, so no S_q image of a P_n is formed.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
@@ -84,12 +83,11 @@ which `verify_structure` accepts happily since it only checks residuals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 
 from qstruct.awops import operator_rows
 from qstruct.families import OPSTable
-from qstruct.poly import Poly, int_convolution, poly_to_json
+from qstruct.poly import Poly, int_convolution, int_three_term, poly_to_json
 from qstruct.report import Check, Report
 from qstruct.scalar import Frozen, QContext, Ratio, format_rational
 
@@ -228,9 +226,11 @@ def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, l
     res = residuals.setdefault(n, [])
     if len(res) <= d:
         image, den = P.dq(ctx, n)
+        p, prev = P[n], P[n - 1]
         for j in range(len(res), d + 1):
             nums = [0] * j + image
-            r, r_den = _identity_residual(nums, den, P, *_coefficients(nums, den, P[n], n), n)
+            abc = _coefficients(nums, den, p, n)
+            r, r_den = int_three_term((nums, den), (p.nums, p.den), (prev.nums, prev.den), *abc)
             res.append((r[: n - 1], r_den))
     common = lcm(*(den for _, den in res[: d + 1]))
     cols = [[v * (common // den) for v in r] for r, den in res[: d + 1]]
@@ -259,9 +259,9 @@ def _fit(
     operator_rows(ctx, N)
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        nums, den = _times(pi, P.dq(ctx, n))
-        a_n, b_n, c_n = _coefficients(nums, den, P[n], n)
-        if any(_identity_residual(nums, den, P, a_n, b_n, c_n, n)[0]):
+        lhs, p, prev = _times(pi, P.dq(ctx, n)), P[n], P[n - 1]
+        a_n, b_n, c_n = _coefficients(*lhs, p, n)
+        if any(int_three_term(lhs, (p.nums, p.den), (prev.nums, prev.den), a_n, b_n, c_n)[0]):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
         a.append(a_n)
         b.append(b_n)
@@ -287,59 +287,6 @@ def _coefficients(nums: list[int], den: int, p: Poly, n: int):
     return Fraction(lhs_a, den), Fraction(b_num, den * pd), Fraction(c_num, den * pd * pd)
 
 
-def _combination(terms) -> tuple[list[int], int]:
-    """The sum of v * x**s * sum(nums[k] x**k) / den over the (v, s, nums,
-    den) in terms (a Fraction, a shift, integers and a positive integer),
-    as one integer vector over the lcm of the term denominators
-    v.denominator * den, not normalized."""
-    terms = [t for t in terms if t[0]]
-    common = lcm(*(v.denominator * den for v, _, _, den in terms))
-    out = [0] * max((s + len(nums) for _, s, nums, _ in terms), default=0)
-    for v, s, nums, den in terms:
-        m = v.numerator * (common // (v.denominator * den))
-        out[s : s + len(nums)] = [o + m * x for o, x in zip(out[s:], nums)]
-    return out, common
-
-
-def _residual(nums: list[int], den: int, terms) -> tuple[list[int], int]:
-    """sum(nums[k] x**k) / den, den > 0, minus the `_combination` of terms,
-    as integer numerators over a positive denominator, not normalized: the
-    two sides are cross-multiplied, so neither needs a gcd over its
-    coefficients. The residual is zero exactly when every numerator is."""
-    out, common = _combination(terms)
-    g = gcd(common, den)
-    left, right = common // g, den // g
-    return [x * left - y * right for x, y in zip_longest(nums, out, fillvalue=0)], den * left
-
-
-def _identity_residual(nums: list[int], den: int, P: OPSTable, a_n, b_n, c_n, n: int):
-    """The residual of identity n, lhs - (a_n x + b_n) P_n - c_n P_{n-1}
-    with lhs = sum(nums[k] x**k) / den, den > 0 (no P_{-1} term at n = 0),
-    as integer numerators over a positive denominator, not normalized: the
-    rhs is taken over lcm(den a_n, den b_n) den P_n, joined with the
-    denominator of c_n P_{n-1} by one more lcm, and cross-multiplied with
-    the lhs, all in one pass with no gcd over the coefficients."""
-    p = P[n]
-    m = lcm(a_n.denominator, b_n.denominator)
-    a = a_n.numerator * (m // a_n.denominator)
-    b = b_n.numerator * (m // b_n.denominator)
-    rhs_den, c, q = m * p.den, 0, ()
-    if c_n:
-        prev = P[n - 1]
-        c_den = c_n.denominator * prev.den
-        common = lcm(rhs_den, c_den)
-        scale, c, q = common // rhs_den, c_n.numerator * (common // c_den), prev.nums
-        a, b, rhs_den = a * scale, b * scale, common
-    g = gcd(rhs_den, den)
-    left, right = rhs_den // g, den // g
-    a, b, c = a * right, b * right, c * right
-    out = [
-        x * left - a * u - b * v - c * w
-        for x, u, v, w in zip_longest(nums, (0, *p.nums), p.nums, q, fillvalue=0)
-    ]
-    return out, den * left
-
-
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     """Check every identity of an exact fit again. The report holds one
     structure-residual check per n = 0..horizon, decided by the fit's own
@@ -350,8 +297,9 @@ def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
     for n in range(fit.horizon + 1):
-        nums, den = _times(fit.pi, ops.dq(ctx, n))
-        res, res_den = _identity_residual(nums, den, ops, fit.a[n], fit.b[n], fit.c[n], n)
+        lhs, p, prev = _times(fit.pi, ops.dq(ctx, n)), ops[n], ops[n - 1] if n else Poly.zero()
+        abc = fit.a[n], fit.b[n], fit.c[n]
+        res, res_den = int_three_term(lhs, (p.nums, p.den), (prev.nums, prev.den), *abc)
         holds = not any(res)
         witness = "" if holds else str(Poly.from_ints(res, res_den))
         checks.append(Check("structure-residual", n, holds, witness))
@@ -371,16 +319,20 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         r5_n = C_n s_{n-1} - alpha C_{n-1} s_n
 
     are checked against pi * S_q P_n, one five-term check per n in the
-    returned report. That direct side is given by the identity
+    returned report. That direct side follows from the product rule
+    D_q(x f) = S_q f + alpha x D_q f at f = P_n and the recurrence
+    x P_n = P_{n+1} + B_n P_n + C_n P_{n-1}:
 
-        pi S_q P_n = L_{n+1} + (B_n - alpha x) L_n + C_n L_{n-1},
+        pi S_q P_n = L_{n+1} - (alpha x - B_n) L_n - (-C_n) L_{n-1},
 
-    L_k = pi * D_q P_k (`_pi_sq_images`), from the images the table holds:
-    the fit stored D_q P_0..D_q P_N, and every k <= horizon + 1 <= N. Each
-    coefficient is formed as an unreduced `Ratio` and normalized once; the
-    check compares r1_n P_{n+2} + ... + r5_n P_{n-2} with pi * S_q P_n on
-    integers (`_residual`), and only a failing one expands that residual
-    in the monic P basis. A failing check's witness names the first basis
+    one `int_three_term` step over L_k = pi * D_q P_k (`_times`) and
+    L_{-1} = 0, from the images the table holds: the fit stored
+    D_q P_0..D_q P_N, and every k <= horizon + 1 <= N. Each coefficient is
+    formed as an unreduced `Ratio` and normalized once. The check subtracts
+    r1_n P_{n+2} + r2_n P_{n+1}, then r3_n P_n + r4_n P_{n-1}, then
+    r5_n P_{n-2} from pi * S_q P_n by three more steps with a = 0, all on
+    integers, and only a nonzero residual is normalized and expanded in
+    the monic P basis. A failing check's witness names the first basis
     index k where the expansion of pi * S_q P_n disagrees, the residual's
     first nonzero coordinate (expansion is linear), or k = -1 when the
     coefficient of an out-of-range P_{n-1} or P_{n-2} is nonzero.
@@ -391,9 +343,9 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         raise ValueError("five_term requires an exact fit")
     N = fit.horizon
     ttrr = ops.ttrr
-    zero = Fraction(0)
+    c_seq = (Fraction(0),) + ttrr.c[:N]  # C_0..C_N
     g_seq = tuple(fit.b[n] + fit.a[n] * ttrr.b[n] for n in range(N + 1))
-    s_seq = tuple(fit.c[n] + fit.a[n] * c_n for n, c_n in enumerate((zero,) + ttrr.c[:N]))
+    s_seq = tuple(fit.c[n] + fit.a[n] * c_n for n, c_n in enumerate(c_seq))
     horizon = min(N - 1, ops.degree - 2)
     if horizon < 0:
         raise ValueError("OPS table too short for any five-term index")
@@ -410,8 +362,14 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     alpha_a = [alpha * v for v in a]
     alpha_g = [alpha * v for v in g]
     alpha_B = [alpha * v for v in B]
+    # P_{n-2}..P_{n+2} and L_{n-1}..L_{n+1} as (nums, den) from index -2 and
+    # -1 on, with P_{-2} = P_{-1} = L_{-1} = 0
+    P = [((), 1), ((), 1)] + [(ops[j].nums, ops[j].den) for j in range(horizon + 3)]
+    L = [((), 1), _times(fit.pi, ops.dq(ctx, 0))]
     r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
-    for n, (nums, den) in enumerate(_pi_sq_images(ctx, ops, fit.pi, horizon)):
+    for n in range(horizon + 1):
+        L.append(_times(fit.pi, ops.dq(ctx, n + 1)))
+        sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ttrr.b[n], -c_seq[n])
         am1, a0, a1 = a[n : n + 3]
         gm1, g0, g1 = g[n : n + 3]
         sm1, s0, s1 = s[n : n + 3]
@@ -426,10 +384,10 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         v4 = ((gm1 - alpha_g0) * C0 + s0 * (B0 - alpha_B[n])).fraction()
         v5 = (C0 * sm1 - alpha * Cm1 * s0).fraction()
 
-        formula = [(v5, n - 2), (v4, n - 1), (v3, n), (v2, n + 1), (v1, n + 2)][max(2 - n, 0) :]
         k = None
-        terms = [(v, 0, ops[j].nums, ops[j].den) for v, j in formula if v]
-        res, res_den = _residual(nums, den, terms)
+        res = int_three_term(sq, P[n + 4], P[n + 3], 0, v1, v2)
+        res = int_three_term(res, P[n + 2], P[n + 1], 0, v3, v4)
+        res, res_den = int_three_term(res, P[n], None, 0, v5, 0)
         if any(res):
             # the first basis index where pi * S_q P_n and the formula differ
             k = next(k for k, v in enumerate(ops.expand(Poly.from_ints(res, res_den))) if v)
@@ -461,25 +419,3 @@ def _times(pi: Poly, image: tuple[list[int], int]) -> tuple[list[int], int]:
     over pi.den * den, not normalized."""
     nums, den = image
     return int_convolution(pi.nums, nums), pi.den * den
-
-
-def _pi_sq_images(ctx: QContext, ops: OPSTable, pi: Poly, horizon: int):
-    """pi * S_q P_n for n = 0..horizon, in turn, each as integer numerators
-    over a positive denominator, not normalized. The product rule
-    D_q(x f) = S_q f + alpha x D_q f at f = P_n, with
-    x P_n = P_{n+1} + B_n P_n + C_n P_{n-1}, gives
-
-        pi S_q P_n = L_{n+1} + (B_n - alpha x) L_n + C_n L_{n-1},
-
-    with L_k = pi D_q P_k and L_{-1} = 0, summed by `_combination`. Each L_k
-    is one `_times` of the table's D_q P_k, read for three
-    consecutive n; no S_q image is formed."""
-    b, c, minus_alpha, one = ops.ttrr.b, ops.ttrr.c, -ctx.alpha, Fraction(1)
-    prev, cur = ([], 1), _times(pi, ops.dq(ctx, 0))
-    for n in range(horizon + 1):
-        nxt = _times(pi, ops.dq(ctx, n + 1))
-        c_n = c[n - 1] if n else Fraction(0)
-        yield _combination(
-            [(one, 0, *nxt), (b[n], 0, *cur), (minus_alpha, 1, *cur), (c_n, 0, *prev)]
-        )
-        prev, cur = cur, nxt

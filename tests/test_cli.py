@@ -606,9 +606,9 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
 
     # no index past the pin is decided, so every identity residual is a pin's
     reduced = []
-    reduce = structure._identity_residual
+    reduce = structure.int_three_term
     monkeypatch.setattr(
-        structure, "_identity_residual", lambda *args: reduced.append(args) or reduce(*args)
+        structure, "int_three_term", lambda *args: reduced.append(args) or reduce(*args)
     )
     fits = fit_auto(ctx, OPSTable(ttrr, n), n)
     assert [fit.failure_n for fit in fits] == [2, 3, 3]

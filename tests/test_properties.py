@@ -59,6 +59,7 @@ from test_structure import (
     replace,
     residual_oracle,
     up_to_scale,
+    vec,
 )
 
 from qstruct import awops, cli, structure
@@ -82,7 +83,7 @@ from qstruct.families import (
     ttrr_equal,
     ttrr_to_json,
 )
-from qstruct.poly import Poly
+from qstruct.poly import Poly, int_three_term
 from qstruct.report import Check
 from qstruct.scalar import QContext
 from qstruct.structure import (
@@ -362,10 +363,13 @@ def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
         fitted = fit_structure(ctx, ops, d, N).pi
         drawn = moved + Poly((F(0),) * d + (F(1),))
         for pi in [drawn] + ([fitted, fitted + moved] if fitted else []):
-            images = list(structure._pi_sq_images(ctx, ops, pi, N - 1))
-            assert len(images) == N
-            for n, (nums, den) in enumerate(images):
-                assert Poly.from_ints(nums, den) == pi * sq_apply(ctx, ops[n])
+            # L_{k-1} = pi D_q P_{k-1} from k = 0 on, L_{-1} = 0
+            L = [((), 1)] + [structure._times(pi, ops.dq(ctx, k)) for k in range(N + 1)]
+            for n in range(N):
+                c_n = ops.ttrr.c[n - 1] if n else F(0)
+                sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ops.ttrr.b[n], -c_n)
+                assert sq[1] > 0
+                assert Poly.from_ints(*sq) == pi * sq_apply(ctx, ops[n])
 
 
 @BOUNDED
@@ -379,25 +383,51 @@ def test_stored_images_normalize_to_dq_apply(case):
         assert Poly.from_ints(nums, den) == dq_apply(ctx, table[n])
 
 
+def three_term_oracle(lhs, p, q, a, b, c):
+    """lhs - (a x + b) p - c q in normalized Poly arithmetic."""
+    return lhs - Poly((b, a)) * p - c * q
+
+
 @BOUNDED
 @given(fit_cases(), st.lists(small, min_size=3, max_size=3))
 def test_one_pass_identity_residual_matches_the_poly_oracle(case, drawn):
     # for the pi of each degree's fit and a drawn monic pi, at every n: the
     # (a_n, b_n, c_n) that cancel the top three coefficients, that triple
-    # with b_n moved, and with a_n or c_n set to zero
+    # with b_n moved, and with a_n or c_n set to zero (then with no P_{n-1});
+    # and the step's other shapes: the OPS recurrence (empty lhs, a = -1)
+    # and pi S_q P_n from L_k = pi D_q P_k (a = alpha, b = -B_n, c = -C_n)
     ctx, ops, N = case
     *lower, delta = drawn
+    B, C = ops.ttrr.b, (F(0),) + ops.ttrr.c
+
+    def P(k):
+        return ops[k] if k >= 0 else Poly.zero()
+
+    for n in range(N):
+        step = int_three_term(((), 1), vec(P(n)), vec(P(n - 1)), -1, B[n], C[n])
+        assert step[1] > 0
+        assert Poly.from_ints(*step) == three_term_oracle(0, P(n), P(n - 1), -1, B[n], C[n])
     for d in (0, 1, 2):
         fitted = fit_structure(ctx, ops, d, N).pi
         for pi in [Poly(tuple(lower[:d]) + (F(1),))] + ([fitted] if fitted else []):
+            L = [((), 1)] + [structure._times(pi, ops.dq(ctx, k)) for k in range(N + 1)]
             for n in range(N + 1):
-                nums, den = structure._times(pi, ops.dq(ctx, n))
-                a_n, b_n, c_n = structure._coefficients(nums, den, ops[n], n) if n else (0, 0, 0)
+                lhs = L[n + 1]
+                a_n, b_n, c_n = structure._coefficients(*lhs, P(n), n) if n else (0, 0, 0)
                 for abc in ((a_n, b_n, c_n), (a_n, b_n + delta, c_n), (0, b_n, c_n), (a_n, b_n, 0)):
                     abc = tuple(F(v) for v in abc)
-                    res, res_den = structure._identity_residual(nums, den, ops, *abc, n)
+                    res, res_den = int_three_term(lhs, vec(P(n)), vec(P(n - 1)), *abc)
                     assert res_den > 0
                     assert Poly.from_ints(res, res_den) == residual_oracle(ctx, ops, pi, *abc, n)
+                res, res_den = int_three_term(lhs, vec(P(n)), None, F(a_n), F(b_n), 0)
+                assert res_den > 0
+                assert Poly.from_ints(res, res_den) == residual_oracle(ctx, ops, pi, a_n, b_n, 0, n)
+                if n < N:
+                    sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -B[n], -C[n])
+                    Lm1, L0, L1 = (Poly.from_ints(*v) for v in L[n : n + 3])
+                    expected = three_term_oracle(L1, L0, Lm1, ctx.alpha, -B[n], -C[n])
+                    assert sq[1] > 0
+                    assert Poly.from_ints(*sq) == expected
 
 
 @BOUNDED

@@ -18,7 +18,7 @@ from qstruct.families import (
     ttrr_cq_jacobi,
     ttrr_qhermite,
 )
-from qstruct.poly import Poly
+from qstruct.poly import Poly, int_three_term
 from qstruct.scalar import QContext
 from qstruct.report import Check, Report
 from qstruct import structure
@@ -185,11 +185,17 @@ def pin_oracle(rows):
     return None if any(row[width] for row in rows) else [row[width] for row in solved]
 
 
+def vec(p):
+    """A Poly as the (nums, den) pair that `int_three_term` reads."""
+    return p.nums, p.den
+
+
 def structure_residual(ctx, ops, pi, a_n, b_n, c_n, n):
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial,
-    by the package's integer residual."""
-    nums, den = structure._times(pi, ops.dq(ctx, n))
-    return Poly.from_ints(*structure._identity_residual(nums, den, ops, a_n, b_n, c_n, n))
+    by the package's integer step."""
+    lhs = structure._times(pi, ops.dq(ctx, n))
+    prev = ops[n - 1] if n else Poly.zero()
+    return Poly.from_ints(*int_three_term(lhs, vec(ops[n]), vec(prev), a_n, b_n, c_n))
 
 
 def test_qhermite_fit_deg0():
