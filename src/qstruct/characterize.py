@@ -704,14 +704,14 @@ def recover_qjacobi_params(
 
     # What the checks above leave open (see the docstring): the family's
     # regularity to N, and B_N.
-    qm = cq_jacobi_powers(tq, N)
+    powers = cq_jacobi_powers(tq, N)
     try:
-        cq_jacobi_scan(qm, p_a, p_b, N)
+        cq_jacobi_scan(powers, p_a, p_b, N)
     except IrregularParameters as exc:
         raise ConstraintViolated(f"recovered parameters are irregular: {exc}") from exc
-    ((y_N, z_N),) = cq_jacobi_terms(tq, p_a, p_b, qm, range(N, N + 1))
-    pt = p_a * tq
-    if ttrr.B(N) != (pt + 1 / pt - y_N - z_N) / 2:
+    (((b_num, b_den), _, _),) = cq_jacobi_terms(tq, p_a, p_b, powers, range(N, N + 1))
+    b_N = ttrr.B(N)
+    if b_N.numerator * b_den != b_N.denominator * b_num:
         raise ConstraintViolated(f"regenerated recurrence differs at B_{N}")
     return p_a, p_b
 

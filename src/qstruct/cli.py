@@ -295,8 +295,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# generate's options that take a rational string, which may be negative
+_RATIONAL_OPTIONS = frozenset(("--c", "--d", "--p-a", "--p-b", "--q-quarter"))
+
+
+def _bind_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with `generate`'s `OPTION VALUE`, for a rational OPTION and a
+    VALUE that starts with "-" and that `parse_rational` accepts, as the
+    one token `OPTION=VALUE`: argparse reads "-1/3" alone as an option,
+    and the = form the same way on every Python. Other commands, tokens
+    after "--" and other values are left as they are, so every other
+    input keeps its output and exit code."""
+    if argv[:1] != ["generate"]:
+        return argv
+    out = argv[:1]
+    for token in argv[1:]:
+        if out[-1] in _RATIONAL_OPTIONS and token.startswith("-") and "--" not in out:
+            try:
+                parse_rational(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_bind_negative_rationals(argv))
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

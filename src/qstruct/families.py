@@ -14,6 +14,10 @@ the context, since q outside (0, 1) is not a valid context.
 Continuous q-Jacobi parameters are passed as p_a = q**(a/2), p_b = q**(b/2)
 so that every exponent the family formulas need stays rational: for example
 q**(n+a+1) = q**n * p_a**2 * q and q**((2a+1)/4) = p_a * t.
+
+The generators evaluate their closed forms on integers, q**m carried as
+the running powers tn**(4m), td**(4m) of t = tn/td, and normalize each B_n
+and C_n once, as one Fraction.
 """
 
 from __future__ import annotations
@@ -115,35 +119,45 @@ def ttrr_qhermite(
     ctx: QContext, *, inverse: bool = False, n_max: int = DEFAULT_N_MAX
 ) -> TTRRSpec:
     """Rogers q-Hermite: B_n = 0 and C_n = (1 - q**n)/4, the c = d = 0
-    special case of Al-Salam-Chihara. Regular for every n when 0 < q < 1."""
-    q = 1 / ctx.q if inverse else ctx.q
+    special case of Al-Salam-Chihara. Regular for every n when 0 < q < 1.
+    With q = Qn/Qd, C_n = (Qd**n - Qn**n) / (4 Qd**n)."""
+    t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
+    Qn, Qd = t.numerator**4, t.denominator**4
+    cs, qn, qd = [], 1, 1
+    for _ in range(n_max):
+        qn *= Qn
+        qd *= Qd
+        cs.append(Fraction(qd - qn, 4 * qd))
     label = "q-hermite-qinv" if inverse else "q-hermite"
-    return TTRRSpec(
-        (Fraction(0),) * (n_max + 1),
-        tuple((1 - q**n) / 4 for n in range(1, n_max + 1)),
-        label,
-    )
+    return TTRRSpec((Fraction(0),) * (n_max + 1), tuple(cs), label)
 
 
 def ttrr_alsalam_chihara(
     ctx: QContext, c, d, *, inverse: bool = False, n_max: int = DEFAULT_N_MAX
 ) -> TTRRSpec:
     """Al-Salam-Chihara: B_n = (c + d) q**n / 2 and
-    C_n = (1 - c d q**(n-1)) (1 - q**n) / 4."""
+    C_n = (1 - c d q**(n-1)) (1 - q**n) / 4. With q = Qn/Qd, c d = pn/pd
+    and (c + d)/2 = sn/sd, B_n = sn Qn**n / (sd Qd**n) and
+    C_n = (pd Qd**(n-1) - pn Qn**(n-1)) (Qd**n - Qn**n) / (4 pd Qd**(2n-1))."""
     c, d = as_fraction(c), as_fraction(d)
-    q = 1 / ctx.q if inverse else ctx.q
+    t = 1 / ctx.t if inverse else ctx.t
+    Qn, Qd = t.numerator**4, t.denominator**4
     cd, half_sum = c * d, (c + d) / 2
+    pn, pd = cd.numerator, cd.denominator
+    sn, sd = half_sum.numerator, half_sum.denominator
     bs, cs = [half_sum], []
-    qn = Fraction(1)  # q**(n-1) on entering step n, q**n after it: a running product
+    qn, qd = 1, 1  # q**(n-1) = qn/qd on entering step n, q**n after it
     for n in range(1, n_max + 1):
-        factor = 1 - cd * qn
-        if factor == 0:
+        factor = pd * qd - pn * qn  # (1 - c d q**(n-1)) pd qd
+        if not factor:
             raise IrregularParameters(
                 f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
             )
-        qn *= q
-        bs.append(half_sum * qn)
-        cs.append(factor * (1 - qn) / 4)
+        den = 4 * pd * qd
+        qn *= Qn
+        qd *= Qd
+        bs.append(Fraction(sn * qn, sd * qd))
+        cs.append(Fraction(factor * (qd - qn), den * qd))
     label = f"alsalam-chihara({format_rational(c)},{format_rational(d)})" + (
         "-qinv" if inverse else ""
     )
@@ -173,11 +187,11 @@ def ttrr_cq_jacobi(
         z_n = p_a t (1 - q**n) (1 - q**n p_b**2) (1 + q**n p_a p_b)
               (1 + q**n t**2 p_a p_b) / (e_{2n} e_{2n+1}),
 
-    with t = q**(1/4) and e_m = 1 - q**m p_a**2 p_b**2. Each power q**m is
-    built once, as a running product (`cq_jacobi_powers`), and each factor
-    once from those (`cq_jacobi_terms`); `cq_jacobi_scan` decides
-    regularity first. `recover_qjacobi_params` checks its parameters with
-    the same three.
+    with t = q**(1/4) and e_m = 1 - q**m p_a**2 p_b**2. The closed forms
+    are evaluated on integers (`cq_jacobi_terms`, from the running powers
+    of `cq_jacobi_powers`), and each B_n and C_n is normalized once, as one
+    Fraction; `cq_jacobi_scan` decides regularity first.
+    `recover_qjacobi_params` checks its parameters with the same three.
 
     Symmetric parameters (p_a = p_b) force B_n = 0 identically. Raises
     IrregularParameters naming the vanishing factor whenever the recurrence
@@ -187,70 +201,110 @@ def ttrr_cq_jacobi(
     if p_a <= 0 or p_b <= 0:
         raise ValueError("p_a and p_b must be positive (they are real powers of q)")
     t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
-    qm = cq_jacobi_powers(t, n_max)
-    cq_jacobi_scan(qm, p_a, p_b, n_max)
-    pt = p_a * t
-    edge = pt + 1 / pt  # q**((2a+1)/4) + q**(-(2a+1)/4)
-    y, z = zip(*cq_jacobi_terms(t, p_a, p_b, qm, range(n_max + 1)))
+    powers = cq_jacobi_powers(t, n_max)
+    cq_jacobi_scan(powers, p_a, p_b, n_max)
+    terms = cq_jacobi_terms(t, p_a, p_b, powers, range(n_max + 1))
     label = f"cq-jacobi({format_rational(p_a)},{format_rational(p_b)})" + (
         "-qinv" if inverse else ""
     )
     return TTRRSpec(
-        tuple((edge - y_n - z_n) / 2 for y_n, z_n in zip(y, z)),
-        tuple(y[n - 1] * z[n] / 4 for n in range(1, n_max + 1)),
+        tuple(Fraction(*b) for b, _, _ in terms),
+        tuple(
+            Fraction(yn * zn, 4 * yd * zd)  # C_{n+1} = y_n z_{n+1} / 4
+            for (_, (yn, yd), _), (_, _, (zn, zd)) in zip(terms, terms[1:])
+        ),
         label,
     )
 
 
-def cq_jacobi_powers(t: Fraction, n_max: int) -> list[Fraction]:
-    """q**m for m = 0 .. 2 n_max + 4, with q = t**4, as a running product:
-    every power that the continuous q-Jacobi closed forms read to n_max."""
-    q, qm = t**4, [Fraction(1)]
+def cq_jacobi_powers(t: Fraction, n_max: int) -> tuple[list[int], list[int]]:
+    """(num, den) with num[m] / den[m] = q**m for m = 0 .. 2 n_max + 4, the
+    powers that the continuous q-Jacobi closed forms read to n_max: with
+    t = tn/td in lowest terms, num[m] = tn**(4m) and den[m] = td**(4m),
+    each an integer running product."""
+    Qn, Qd = t.numerator**4, t.denominator**4
+    num, den = [1], [1]
     for _ in range(2 * n_max + 4):
-        qm.append(qm[-1] * q)
-    return qm
+        num.append(num[-1] * Qn)
+        den.append(den[-1] * Qd)
+    return num, den
 
 
-def cq_jacobi_scan(qm: list[Fraction], p_a: Fraction, p_b: Fraction, n_max: int) -> None:
+def cq_jacobi_scan(
+    powers: tuple[list[int], list[int]], p_a: Fraction, p_b: Fraction, n_max: int
+) -> None:
     """Raise IrregularParameters, naming the first vanishing factor, unless
-    the continuous q-Jacobi recurrence is regular to n_max; qm holds the
-    powers of `cq_jacobi_powers`. A factor 1 - q**m c vanishes exactly when
-    q**m = 1/c, so each test is one comparison. e_0 = 1 - (p_a p_b)**2
-    vanishes only when p_a p_b = 1 (p_a p_b > 0). The scan of e_m,
-    m = 1 .. 2 n_max + 4, named by the parity of m, covers every other e
-    that `cq_jacobi_terms` reads, so e_{n+1}, the factor (1 - q^(n+a+b+1))
-    of y_n, needs no check of its own."""
-    ab = p_a * p_b
-    if ab == 1:
+    the continuous q-Jacobi recurrence is regular to n_max; powers are
+    those of `cq_jacobi_powers`. A factor 1 - q**m x/y, x/y > 0, vanishes
+    exactly when num[m] x = den[m] y, so each test is one cross-multiplied
+    comparison of integers. e_0 = 1 - (p_a p_b)**2 vanishes only when
+    p_a p_b = 1 (p_a p_b > 0). The scan of e_m, m = 1 .. 2 n_max + 4,
+    named by the parity of m, covers every other e that `cq_jacobi_terms`
+    reads, so e_{n+1}, the factor (1 - q^(n+a+b+1)) of y_n, needs no check
+    of its own."""
+    num, den = powers
+    abn, abd = p_a.numerator * p_b.numerator, p_a.denominator * p_b.denominator
+    if abn == abd:
         raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
-    root = 1 / (ab * ab)  # e_m = 1 - q**m (p_a p_b)**2
+    sn, sd = abn * abn, abd * abd  # (p_a p_b)**2 = sn/sd
     for m in range(1, 2 * n_max + 5):
-        if qm[m] == root:
+        if num[m] * sn == den[m] * sd:
             text = "(1 - q^(2n+a+b+2))" if m % 2 == 0 else "(1 - q^(2n+a+b+1))"
             raise IrregularParameters(f"regularity factor {text} vanishes at n = {(m - 1) // 2}")
-    roots = ((1 / (p_a * p_a), "(1 - q^(n+a+1))"), (1 / (p_b * p_b), "(1 - q^(n+b+1))"))
+    roots = (
+        (p_a.numerator**2, p_a.denominator**2, "(1 - q^(n+a+1))"),
+        (p_b.numerator**2, p_b.denominator**2, "(1 - q^(n+b+1))"),
+    )
     for n in range(0, n_max + 1):
-        for power, text in roots:
-            if qm[n + 1] == power:
+        for xn, xd, text in roots:
+            if num[n + 1] * xn == den[n + 1] * xd:
                 raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
 
 
 def cq_jacobi_terms(
-    t: Fraction, p_a: Fraction, p_b: Fraction, qm: list[Fraction], ns: range
-) -> list[tuple[Fraction, Fraction]]:
-    """(y_n, z_n) of `ttrr_cq_jacobi` for each n in ns, read from the powers
-    qm of `cq_jacobi_powers` once `cq_jacobi_scan` has passed. A factor
-    that several n read (e_m, 1 + q**m p_a p_b) is built once."""
-    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
-    pp, abt, pt = ab * ab, ab * t * t, p_a * t
-    e = cache(lambda m: 1 - qm[m] * pp)  # e_m
-    f = cache(lambda m: 1 + qm[m] * ab)
+    t: Fraction,
+    p_a: Fraction,
+    p_b: Fraction,
+    powers: tuple[list[int], list[int]],
+    ns: range,
+) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]:
+    """(B_n, y_n, z_n) of `ttrr_cq_jacobi` for each n in ns, each as an
+    unreduced integer pair (numerator, denominator), read from the powers
+    of `cq_jacobi_powers` once `cq_jacobi_scan` has passed.
+
+    With t = tn/td, p_a = an/ad, p_b = bn/bd, K = an ad tn td and
+    q**m = Qn**m / Qd**m, each factor 1 - q**m x/y is (Qd**m y - Qn**m x)
+    over Qd**m y, and the powers of Qd and of ad, bd cancel exactly:
+
+        y_n = A_{n+1} E_{n+1} G_n F_{n+1} / (K E_{2n+1} E_{2n+2}),
+        z_n = K H_n Bb_n F_n G_n / (E_{2n} E_{2n+1}),
+
+    with E_m = Qd**m (ad bd)**2 - Qn**m (an bn)**2 (e_m),
+    F_m = Qd**m ad bd + Qn**m an bn (1 + q**m p_a p_b),
+    G_n = Qd**n td**2 ad bd + Qn**n tn**2 an bn (1 + q**n t**2 p_a p_b),
+    A_m = Qd**m ad**2 - Qn**m an**2, Bb_m = Qd**m bd**2 - Qn**m bn**2 and
+    H_m = Qd**m - Qn**m. B_n is taken over 2 K E_{2n} E_{2n+1} E_{2n+2},
+    with p_a t + 1/(p_a t) = ((an tn)**2 + (ad td)**2) / K. A factor that
+    several n read (E_m, F_m) is built once."""
+    num, den = powers
+    tn, td = t.numerator, t.denominator
+    an, ad, bn, bd = p_a.numerator, p_a.denominator, p_b.numerator, p_b.denominator
+    abn, abd = an * bn, ad * bd
+    sn, sd, aan, aad, bbn, bbd = abn * abn, abd * abd, an * an, ad * ad, bn * bn, bd * bd
+    gn, gd = tn * tn * abn, td * td * abd
+    k = an * ad * tn * td
+    kk, edge = k * k, (an * tn) ** 2 + (ad * td) ** 2
+    e = cache(lambda m: den[m] * sd - num[m] * sn)
+    f = cache(lambda m: den[m] * abd + num[m] * abn)
     out = []
     for n in ns:
-        ft, e_odd = 1 + qm[n] * abt, e(2 * n + 1)
-        y_n = (1 - qm[n + 1] * aa) * e(n + 1) * ft * f(n + 1) / (pt * e_odd * e(2 * n + 2))
-        z_n = pt * (1 - qm[n]) * (1 - qm[n] * bb) * f(n) * ft / (e(2 * n) * e_odd)
-        out.append((y_n, z_n))
+        g = den[n] * gd + num[n] * gn
+        e0, e1, e2 = e(2 * n), e(2 * n + 1), e(2 * n + 2)
+        y = (den[n + 1] * aad - num[n + 1] * aan) * e(n + 1) * g * f(n + 1)
+        z = (den[n] - num[n]) * (den[n] * bbd - num[n] * bbn) * f(n) * g
+        e012 = e0 * e1 * e2
+        b = (edge * e012 - y * e0 - kk * z * e2, 2 * k * e012)
+        out.append((b, (y, k * e1 * e2), (k * z, e0 * e1)))
     return out
 
 

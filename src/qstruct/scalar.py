@@ -179,18 +179,26 @@ class QContext(Frozen):
     context can be shared freely across threads. The operator rows that
     `awops` builds for a context live only as long as the context; equal
     contexts alive at the same time share them, which is why a context
-    compares and hashes by t and can be weakly referenced. The hash of t is
-    taken once, at construction, since every lookup of those rows needs it.
+    compares and hashes by t and can be weakly referenced. The hash of t and
+    the derived constants are computed once, at construction, since every
+    lookup of those rows needs the hash and the layers above read the
+    constants many times per context.
     """
 
-    __slots__ = ("t", "_hash", "__weakref__")
+    __slots__ = ("t", "_hash", "_q", "_q_half", "_alpha", "_u", "__weakref__")
 
     def __init__(self, t: Fraction) -> None:
         t = as_fraction(t)
         if not 0 < t < 1:
             raise ValueError(f"q**(1/4) must lie in (0, 1), got {t}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_hash", hash(t))
+        s = t * t
+        put = object.__setattr__
+        put(self, "t", t)
+        put(self, "_hash", hash(t))
+        put(self, "_q", s * s)
+        put(self, "_q_half", s)
+        put(self, "_alpha", (s + 1 / s) / 2)
+        put(self, "_u", 1 / (s - 1 / s))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QContext):
@@ -202,17 +210,17 @@ class QContext(Frozen):
 
     @property
     def q(self) -> Fraction:
-        return self.t**4
+        return self._q
 
     @property
     def q_half(self) -> Fraction:
-        return self.t**2
+        return self._q_half
 
     @property
     def alpha(self) -> Fraction:
-        return (self.t**2 + self.t**-2) / 2
+        return self._alpha
 
     @property
     def u(self) -> Fraction:
-        return 1 / (self.t**2 - self.t**-2)
+        return self._u
 

@@ -7,7 +7,13 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_families import cq_jacobi_yz, replaced
+from test_families import (
+    cq_jacobi_powers_oracle,
+    cq_jacobi_scan_oracle,
+    cq_jacobi_terms_oracle,
+    cq_jacobi_yz,
+    replaced,
+)
 from test_scalar import gamma_n, qpow
 from test_structure import exact_family_fits, padded, perturbed_entries, replace
 
@@ -38,9 +44,6 @@ from qstruct.families import (
     IrregularParameters,
     OPSTable,
     TTRRSpec,
-    cq_jacobi_powers,
-    cq_jacobi_scan,
-    cq_jacobi_terms,
     generate_ops,
     moments,
     ttrr_alsalam_chihara,
@@ -1099,7 +1102,8 @@ def pearson_oracle(ctx, ttrr, pd, N):
 
 def recover_qjacobi_oracle(ctx, ttrr, fit, aux, pd, *, inverse=False):
     """recover_qjacobi_params with the b_n and c_n closed forms in Fractions,
-    q**n and gamma_n carried as Fraction running values."""
+    q**n and gamma_n carried as Fraction running values, and the regularity
+    scan and B_N read from the Fraction helpers of test_families."""
     N = fit.horizon
     if inverse:
         tq, u, a_hat, b_hat = 1 / ctx.t, -ctx.u, aux.b_hat, aux.a_hat
@@ -1149,12 +1153,12 @@ def recover_qjacobi_oracle(ctx, ttrr, fit, aux, pd, *, inverse=False):
         c_closed = c_factor * g * (1 - qn * aa) * (1 - qn * bb) * (1 - qn * pp)
         if fit.c[n] != c_closed / (denom_shift * denom_ab * denom_ab):
             raise ConstraintViolated(f"fitted c_{n} disagrees with the closed form")
-    qm = cq_jacobi_powers(tq, N)
+    qm = cq_jacobi_powers_oracle(tq, N)
     try:
-        cq_jacobi_scan(qm, p_a, p_b, N)
+        cq_jacobi_scan_oracle(qm, p_a, p_b, N)
     except IrregularParameters as exc:
         raise ConstraintViolated(f"recovered parameters are irregular: {exc}") from exc
-    ((y_N, z_N),) = cq_jacobi_terms(tq, p_a, p_b, qm, range(N, N + 1))
+    ((y_N, z_N),) = cq_jacobi_terms_oracle(tq, p_a, p_b, qm, range(N, N + 1))
     pt = p_a * tq
     if ttrr.B(N) != (pt + 1 / pt - y_N - z_N) / 2:
         raise ConstraintViolated(f"regenerated recurrence differs at B_{N}")
@@ -1233,3 +1237,42 @@ def test_post_fit_decisions_match_their_fraction_oracles(case):
             assert outcome(recover_qjacobi_params, ctx, ttrr, f, aux, pd, inverse=inverse) == (
                 outcome(recover_qjacobi_oracle, ctx, ttrr, f, aux, pd, inverse=inverse)
             )
+
+
+@st.composite
+def qjacobi_recovery_cases(draw):
+    """(ctx, ttrr, N): a continuous q-Jacobi point at horizon N over a
+    context with denominator up to 29, in either base, with parameters
+    drawn as small rationals and as powers of q**(1/4), and with B_N now
+    and then moved, which only the closed form of B_N in the recovery
+    reads."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 29), max_value=F(28, 29), max_denominator=29)))
+    params = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9) | st.integers(
+        -8, 8
+    ).map(lambda k: ctx.t**k)
+    p_a = draw(params)
+    p_b = draw(params | st.just(p_a))
+    N = draw(st.integers(6, 9))
+    try:
+        ttrr = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=draw(st.booleans()), n_max=N)
+    except IrregularParameters:
+        assume(False)
+    b = list(ttrr.b)
+    b[N] += draw(st.sampled_from([F(0), F(1, 1000), F(-2, 7)]))
+    return ctx, TTRRSpec.from_lists(b, ttrr.c), N
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(qjacobi_recovery_cases())
+def test_qjacobi_recovery_matches_its_oracle_over_wide_contexts(case):
+    # the integer regularity scan and closed form of B_N against the
+    # Fraction helpers, in both readings
+    ctx, ttrr, N = case
+    fit = fit_auto(ctx, OPSTable(ttrr, N), N)[-1]
+    assert fit.is_exact
+    aux, pd = aux_sequences(ctx, ttrr, fit), outcome(pearson_data, ctx, ttrr, fit)
+    assume(not isinstance(pd, tuple))
+    for inverse in (False, True):
+        assert outcome(recover_qjacobi_params, ctx, ttrr, fit, aux, pd, inverse=inverse) == (
+            outcome(recover_qjacobi_oracle, ctx, ttrr, fit, aux, pd, inverse=inverse)
+        )

@@ -367,6 +367,47 @@ def test_generate_zero_denominator_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "family, option, value",
+    [
+        ("alsalam-chihara", "--c", "-1/3"),
+        ("alsalam-chihara", "--d", "-2/5"),
+        ("continuous-q-jacobi", "--p-a", "-1/3"),
+        ("continuous-q-jacobi", "--p-b", "-2/5"),
+        ("q-hermite", "--q-quarter", "-1/3"),
+    ],
+)
+def test_generate_reads_a_negative_rational_as_a_separate_token(capsys, family, option, value):
+    params = {
+        "alsalam-chihara": {"--c": "1/2", "--d": "2/5"},
+        "continuous-q-jacobi": {"--p-a": "1/3", "--p-b": "2/5"},
+        "q-hermite": {"--q-quarter": "1/2"},
+    }[family]
+    head = ["generate", "--family", family, "-N", "6"]
+    rest = [token for flag, v in params.items() if flag != option for token in (flag, v)]
+    apart = run(capsys, *head, *rest, option, value)
+    assert apart == run(capsys, *head, *rest, f"{option}={value}")
+    assert apart[0] == (0 if family == "alsalam-chihara" else 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # not a rational, after "--", or after an abbreviation: argparse's
+        # usage error, as before
+        ["generate", "--family", "alsalam-chihara", "--c", "-1/0", "--d", "1"],
+        ["generate", "--family", "alsalam-chihara", "--", "--c", "-1/3"],
+        ["generate", "--family", "q-hermite", "--q-q", "-1/3"],
+        ["classify", "--c", "-1/3"],
+    ],
+)
+def test_other_negative_tokens_keep_the_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "usage: qstruct" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fit", "classify", "verify"])
 def test_file_zero_denominator_exits_2(tmp_path, capsys, command):
     doc = dict(CHEB_DOC, q_quarter="1/0")

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from qstruct.families import (
     ttrr_to_json,
 )
 from qstruct.poly import Poly
-from qstruct.scalar import QContext, as_fraction
+from qstruct.scalar import QContext, as_fraction, format_rational
 
 CTX = QContext(F(1, 2))  # q = 1/16
 
@@ -35,6 +36,101 @@ def replaced(ttrr, *, b_overrides=None, c_overrides=None):
         tuple(as_fraction(c_over.get(n, v)) for n, v in enumerate(ttrr.c, 1)),
         f"{ttrr.label}-perturbed",
     )
+
+
+# The family generators as they were before they ran on integers: every
+# coefficient built by Fraction arithmetic from running Fraction powers of q.
+# They are the oracles of the integer generators, and the recovery oracle of
+# test_characterize reads the continuous q-Jacobi helpers below.
+
+
+def ttrr_qhermite_oracle(ctx, *, inverse=False, n_max=32):
+    q = 1 / ctx.q if inverse else ctx.q
+    label = "q-hermite-qinv" if inverse else "q-hermite"
+    return TTRRSpec(
+        (F(0),) * (n_max + 1), tuple((1 - q**n) / 4 for n in range(1, n_max + 1)), label
+    )
+
+
+def ttrr_alsalam_chihara_oracle(ctx, c, d, *, inverse=False, n_max=32):
+    c, d = as_fraction(c), as_fraction(d)
+    q = 1 / ctx.q if inverse else ctx.q
+    cd, half_sum = c * d, (c + d) / 2
+    bs, cs = [half_sum], []
+    qn = F(1)  # q**(n-1) on entering step n, q**n after it
+    for n in range(1, n_max + 1):
+        factor = 1 - cd * qn
+        if factor == 0:
+            raise IrregularParameters(
+                f"regularity factor (1 - c*d*q^(n-1)) vanishes at n = {n}"
+            )
+        qn *= q
+        bs.append(half_sum * qn)
+        cs.append(factor * (1 - qn) / 4)
+    label = f"alsalam-chihara({format_rational(c)},{format_rational(d)})" + (
+        "-qinv" if inverse else ""
+    )
+    return TTRRSpec(tuple(bs), tuple(cs), label)
+
+
+def ttrr_cq_jacobi_oracle(ctx, p_a, p_b, *, inverse=False, n_max=32):
+    p_a, p_b = as_fraction(p_a), as_fraction(p_b)
+    if p_a <= 0 or p_b <= 0:
+        raise ValueError("p_a and p_b must be positive (they are real powers of q)")
+    t = 1 / ctx.t if inverse else ctx.t
+    qm = cq_jacobi_powers_oracle(t, n_max)
+    cq_jacobi_scan_oracle(qm, p_a, p_b, n_max)
+    pt = p_a * t
+    edge = pt + 1 / pt
+    y, z = zip(*cq_jacobi_terms_oracle(t, p_a, p_b, qm, range(n_max + 1)))
+    label = f"cq-jacobi({format_rational(p_a)},{format_rational(p_b)})" + (
+        "-qinv" if inverse else ""
+    )
+    return TTRRSpec(
+        tuple((edge - y_n - z_n) / 2 for y_n, z_n in zip(y, z)),
+        tuple(y[n - 1] * z[n] / 4 for n in range(1, n_max + 1)),
+        label,
+    )
+
+
+def cq_jacobi_powers_oracle(t, n_max):
+    """q**m for m = 0 .. 2 n_max + 4, with q = t**4, as a running product."""
+    q, qm = t**4, [F(1)]
+    for _ in range(2 * n_max + 4):
+        qm.append(qm[-1] * q)
+    return qm
+
+
+def cq_jacobi_scan_oracle(qm, p_a, p_b, n_max):
+    """The regularity scan on Fractions: 1 - q**m c vanishes when q**m = 1/c."""
+    ab = p_a * p_b
+    if ab == 1:
+        raise IrregularParameters("regularity factor (1 - q^((a+b)/2)) vanishes at n = 0")
+    root = 1 / (ab * ab)
+    for m in range(1, 2 * n_max + 5):
+        if qm[m] == root:
+            text = "(1 - q^(2n+a+b+2))" if m % 2 == 0 else "(1 - q^(2n+a+b+1))"
+            raise IrregularParameters(f"regularity factor {text} vanishes at n = {(m - 1) // 2}")
+    roots = ((1 / (p_a * p_a), "(1 - q^(n+a+1))"), (1 / (p_b * p_b), "(1 - q^(n+b+1))"))
+    for n in range(0, n_max + 1):
+        for power, text in roots:
+            if qm[n + 1] == power:
+                raise IrregularParameters(f"regularity factor {text} vanishes at n = {n}")
+
+
+def cq_jacobi_terms_oracle(t, p_a, p_b, qm, ns):
+    """(y_n, z_n) as Fractions, from the Fraction powers qm."""
+    ab, aa, bb = p_a * p_b, p_a * p_a, p_b * p_b
+    pp, abt, pt = ab * ab, ab * t * t, p_a * t
+    e = cache(lambda m: 1 - qm[m] * pp)
+    f = cache(lambda m: 1 + qm[m] * ab)
+    out = []
+    for n in ns:
+        ft, e_odd = 1 + qm[n] * abt, e(2 * n + 1)
+        y_n = (1 - qm[n + 1] * aa) * e(n + 1) * ft * f(n + 1) / (pt * e_odd * e(2 * n + 2))
+        z_n = pt * (1 - qm[n]) * (1 - qm[n] * bb) * f(n) * ft / (e(2 * n) * e_odd)
+        out.append((y_n, z_n))
+    return out
 
 
 def cq_jacobi_yz(ctx, p_a, p_b, n, *, inverse=False):
@@ -237,6 +333,59 @@ def test_cq_jacobi_matches_the_per_n_oracle(point):
     yz = [cq_jacobi_yz(ctx, p_a, p_b, n, inverse=inverse) for n in range(n_max + 1)]
     assert ttrr.b == tuple((edge - y_n - z_n) / 2 for y_n, z_n in yz)
     assert ttrr.c == tuple(yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1))
+
+
+@st.composite
+def generator_cases(draw):
+    """(ctx, family, params, inverse, n_max) over contexts with denominators
+    up to 29 and horizons up to 48; a parameter is a small rational or a
+    power of q**(1/4), where factors of the recurrences vanish, and a
+    continuous q-Jacobi parameter is now and then not positive."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 29), max_value=F(28, 29), max_denominator=29)))
+    powers = st.integers(min_value=-24, max_value=24).map(lambda k: ctx.t**k)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+    family = draw(st.sampled_from(["q-hermite", "alsalam-chihara", "continuous-q-jacobi"]))
+    if family == "alsalam-chihara":
+        d = draw(small | powers)
+        vanishing = st.integers(-12, 12).map(lambda j: 1 / (d * ctx.t ** (4 * j)))
+        c = draw(small | powers | powers.map(lambda p: -p) | (vanishing if d else small))
+        params = (c, d)
+    elif family == "continuous-q-jacobi":
+        p_a = draw(st.sampled_from([F(0), F(-1, 3)]) if draw(st.integers(0, 9)) == 0 else positive | powers)
+        params = (p_a, draw(positive | powers))
+    else:
+        params = ()
+    n_max = draw(st.integers(1, 48) | st.integers(32, 48))
+    return ctx, family, params, draw(st.booleans()), n_max
+
+
+GENERATORS = {
+    "q-hermite": (ttrr_qhermite, ttrr_qhermite_oracle),
+    "alsalam-chihara": (ttrr_alsalam_chihara, ttrr_alsalam_chihara_oracle),
+    "continuous-q-jacobi": (ttrr_cq_jacobi, ttrr_cq_jacobi_oracle),
+}
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's return value, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(generator_cases())
+def test_integer_generators_match_their_fraction_oracles(case):
+    # the same B, C and label (TTRRSpec equality), or the same exception
+    # type and message, irregular points included
+    ctx, family, params, inverse, n_max = case
+    generator, oracle = GENERATORS[family]
+    got = outcome(generator, ctx, *params, inverse=inverse, n_max=n_max)
+    assert got == outcome(oracle, ctx, *params, inverse=inverse, n_max=n_max)
+    if isinstance(got, TTRRSpec):
+        assert all(type(v) is F for v in got.b + got.c)
 
 
 IRREGULAR = [

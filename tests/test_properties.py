@@ -44,6 +44,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from io import StringIO
 from math import gcd
+from random import Random
 from threading import Thread
 
 import pytest
@@ -85,7 +86,7 @@ from qstruct.families import (
 )
 from qstruct.poly import Poly, int_three_term
 from qstruct.report import Check
-from qstruct.scalar import QContext
+from qstruct.scalar import QContext, format_rational, parse_rational
 from qstruct.structure import (
     STATUS_NO_SOLUTION,
     fit_auto,
@@ -709,18 +710,90 @@ def cli_documents(draw):
     return json.dumps(doc) if fault is None else MALFORMED[fault](doc)
 
 
+# the parameter options of generate, per family
+GENERATE_OPTIONS = {
+    "q-hermite": (),
+    "alsalam-chihara": (("--c", "c"), ("--d", "d")),
+    "chebyshev-t": (),
+    "continuous-q-jacobi": (("--p-a", "p_a"), ("--p-b", "p_b")),
+}
+
+
+def generate_run(seed):
+    """(argv, the same argv in the OPTION=VALUE form, document or None) of
+    one `generate` run drawn by a Random(seed): all four families, both
+    bases, contexts with denominators up to 29 and horizons -1..20, with
+    q**(1/4) and the parameters given as negative, zero, malformed and
+    irregular (powers of q**(1/4)) strings, now and then missing. A value
+    goes in its own token or in the OPTION=VALUE form, except that one that
+    starts with "-" and is not a rational string would read as an option,
+    so it takes the = form. The document is what ttrr_to_json makes from
+    the library's generator, or None where the library refuses the input."""
+    rng = Random(seed)
+    now_and_then = lambda: rng.randrange(6) == 0
+    t = F(rng.randrange(1, 29), 29) if rng.randrange(2) else F(1, rng.randrange(2, 29))
+    t = rng.choice([t, F(rng.randrange(1, 9), 9), F(13, 29), F(2, 3), F(1, 2)])
+
+    def value():
+        if now_and_then():
+            bad = ["0", "-0", "-2/6", "+1/3", " -1/3", "1/0", "-1/0", "1.5", "x", "", "--1"]
+            return rng.choice(bad)
+        if rng.randrange(2):
+            magnitude = F(rng.randrange(1, 28), rng.randrange(1, 10))
+        else:
+            magnitude = t ** rng.randrange(-12, 13)
+        return format_rational(-magnitude if rng.randrange(3) == 0 else magnitude)
+
+    family = rng.choice(sorted(GENERATE_OPTIONS))
+    N = rng.choice([0, -1]) if now_and_then() else rng.randrange(1, 21)
+    options = [("--q-quarter", value() if now_and_then() else format_rational(t))]
+    options += [(flag, value()) for flag, _ in GENERATE_OPTIONS[family] if not now_and_then()]
+    base = rng.choice(["q", "q-inverse"])
+    head = ["generate", "--family", family, "--base", base, "-N", str(N)]
+    argv, joined = list(head), list(head)
+    for flag, text in options:
+        joined.append(f"{flag}={text}")
+        try:
+            parse_rational(text)
+            own_token = True
+        except ValueError:
+            own_token = not text.startswith("-")
+        argv += [flag, text] if own_token and not now_and_then() else [f"{flag}={text}"]
+    given_values = dict(options)
+    try:
+        if N < 1:
+            raise ValueError("N")
+        ctx = QContext(parse_rational(given_values["--q-quarter"]))
+        params = tuple(
+            (name, parse_rational(given_values[flag])) for flag, name in GENERATE_OPTIONS[family]
+        )
+        spec = FamilySpec(family, params, base)
+        doc = json.dumps(ttrr_to_json(ctx, spec.to_ttrr(ctx, n_max=N), N), sort_keys=True, indent=2)
+    except (KeyError, ValueError):
+        doc = None
+    return argv, joined, None if doc is None else doc + "\n"
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process run; an exception that
     escapes main stands in for the exit code as its repr, so that a failing
     example neither keeps the frames of its traceback alive nor counts as a
-    new failure wherever it was raised."""
+    new failure wherever it was raised. An argparse exit is read as the
+    exit code it carries."""
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
         except Exception as exc:
             code = repr(exc)
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @BOUNDED
@@ -729,8 +802,21 @@ def run_cli(argv):
     st.integers(min_value=6, max_value=12),
     st.sampled_from(["auto", "0", "1", "2"]),
     st.sampled_from(cli.CHECK_NAMES),
+    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_cli_keeps_its_contract(text, N, deg_pi, checks):
+def test_cli_keeps_its_contract(text, N, deg_pi, checks, seed):
+    # generate writes the library's document (exit 0) or one error line
+    # (exit 2), the same with every value in the OPTION=VALUE form. Its run
+    # is seeded by the whole example: hypothesis repeats a lone seed in
+    # about half of the examples
+    argv, joined, doc = generate_run(f"{seed} {N} {deg_pi} {checks} {text}")
+    code, out, err = run_cli(argv)
+    if doc is None:
+        assert code == 2 and out == ""
+        assert_one_error_line(err)
+    else:
+        assert (code, out) == (0, doc)
+    assert run_cli(argv)[:2] == run_cli(joined)[:2] == (code, out)
     options = {"fit": ["--deg-pi", deg_pi], "classify": [], "verify": ["--checks", checks]}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ttrr.json")
@@ -741,8 +827,7 @@ def test_cli_keeps_its_contract(text, N, deg_pi, checks):
             code, out, err = run_cli(argv)
             assert code in codes
             if code == 2:
-                lines = err.splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert_one_error_line(err)
             assert run_cli(argv)[:2] == (code, out)
 
 

@@ -154,13 +154,23 @@ def test_a_record_repr_names_its_public_fields():
     assert repr(QContext(F(1, 2))) == "QContext(t=Fraction(1, 2))"  # no __weakref__
 
 
+@pytest.mark.parametrize("t", [F(1, 2), F(2, 3), F(13, 29), F(28, 29)])
+def test_the_derived_constants_are_their_powers_of_t(t):
+    # computed once, at construction, and read back as stored
+    ctx = QContext(t)
+    assert (ctx.q, ctx.q_half) == (t**4, t**2)
+    assert (ctx.alpha, ctx.u) == ((t**2 + t**-2) / 2, 1 / (t**2 - t**-2))
+    assert all(type(v) is F for v in (ctx.q, ctx.q_half, ctx.alpha, ctx.u))
+    assert ctx.alpha is ctx.alpha and ctx.u is ctx.u
+
+
 def test_a_context_hashes_by_t_and_stays_immutable_and_weakly_referenceable():
     # the hash is taken once, at construction, and equal contexts hash equal
     for first, second in [(F(1, 2), "1/2"), (F(2, 6), F(1, 3)), (F(7, 23), "7/23")]:
         a, b = QContext(first), QContext(second)
         assert a == b and hash(a) == hash(b) == hash(a.t)
     ctx = QContext(F(2, 3))
-    for name in ("t", "_hash"):
+    for name in ("t", "_hash", "_q", "_q_half", "_alpha", "_u"):
         with pytest.raises(AttributeError, match="QContext is immutable"):
             setattr(ctx, name, F(1, 3))
         with pytest.raises(AttributeError, match="QContext is immutable"):
