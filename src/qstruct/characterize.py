@@ -90,7 +90,7 @@ class RecurrenceViolated(Exception):
 
 
 class DegenerateR1(Exception):
-    """a_1 C_1 + c_1 = 0, impossible for a regular functional."""
+    """a_1 C_1 + c_1 = 0, which no exact fit has (see `pearson_data`)."""
 
 
 class ConstraintViolated(Exception):
@@ -248,7 +248,21 @@ def _aux(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit, upto: int) -> AuxSequ
 
 def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonData:
     """Pearson pair (phi, psi) of the orthogonality functional, from the
-    initial fit and recurrence coefficients."""
+    initial fit and recurrence coefficients.
+
+    DegenerateR1 (a_1 C_1 + c_1 = 0) is raised only for a hand-built fit:
+    no fit that `fit_structure` or `fit_auto` returns as exact has it, as
+    an exact fit has c_n != 0 for 1 <= n <= N. For deg pi <= 1, a_1 = 0
+    (pi D_q P_1 = pi has no x**2 term), so a_1 C_1 + c_1 = c_1 != 0. For
+    monic pi of degree 2, a_n = gamma_n, so a_1 = 1 and a_2 = 2 alpha, and
+    identity 1 reads pi = (x + b_1)(x - B_0) + c_1. Suppose c_1 = -C_1.
+    With D_q P_2 = 2 alpha x - B_0 - B_1 and P_2(B_0) = -C_1, identity 2 at
+    x = B_0 gives -C_1 D_q P_2(B_0) = -(a_2 B_0 + b_2) C_1, so
+    b_2 = -B_0 - B_1; its x**2 coefficient gives
+    b_2 = 2 alpha (b_1 + B_1) - B_0 - B_1. So b_1 = -B_1 (alpha > 1), and
+    pi = (x - B_1)(x - B_0) - C_1 = P_2. Identity 2 then reads
+    P_2 (D_q P_2 - a_2 x - b_2) = c_2 P_1, whose sides have degree >= 2
+    and <= 1 unless both vanish, so c_2 = 0 and the fit is not exact."""
     if not fit.is_exact:
         raise ValueError("pearson_data requires an exact fit")
     a1, a2 = fit.a[1], fit.a[2]
@@ -479,14 +493,13 @@ def lemma_predicates(
         # C_1 is recoverable from phi(0) = frak_b B_0 - (frak_a + alpha) C_1
         # whenever frak_a != -alpha (B_0 = -psi(0)).
         witness = {"frak_a": fr(pd.frak_a), "alpha": fr(ctx.alpha)}
+        # frak_a = -alpha leaves cheb False, as alpha > 1 gives -alpha != alpha.
         cheb = pd.frak_a == ctx.alpha
         if pd.frak_a + ctx.alpha != 0:
             B0 = -pd.psi.coeff(0)
             C1 = (pd.frak_b * B0 - pd.phi.coeff(0)) / (pd.frak_a + ctx.alpha)
             witness["C1"] = fr(C1)
             cheb = cheb and C1 == Fraction(1, 2)
-        else:
-            cheb = False
         ledger["chebyshev-data"] = PredicateRecord(cheb, witness)
         minus_two_u = -2 * u
         k_pair = aux.k1 == minus_two_u and aux.k2 == 2 * u
@@ -582,8 +595,8 @@ def recover_qjacobi_params(
     2. B_0. If B_n = 0 to N, then p_a = p_b, and F is symmetric, so
        B_0^F = 0. Otherwise the first recovery formula holds for the input
        and for F with the same p_a - p_b, b_hat and
-       r_1 = t_1 + 1 = r_1^F, which is nonzero (`pearson_data` raises
-       DegenerateR1 when C_1 r_1 = a_1 C_1 + c_1 vanishes); so B_0 = B_0^F.
+       r_1 = t_1 + 1 = r_1^F, which is nonzero (C_1 r_1 = a_1 C_1 + c_1,
+       nonzero for an exact fit, see `pearson_data`); so B_0 = B_0^F.
     3. pi. Identity 1 reads pi = (a_1 x + b_1)(x - B_0) + c_1, so pi = pi^F.
     4. P_0..P_N. For fixed pi and (a_n, b_n, c_n), identity n fixes monic
        P_n given P_{n-1}: f -> pi D_q f - (a_n x + b_n) f sends x**k to
@@ -685,6 +698,8 @@ def recover_qjacobi_params(
         Qn *= qn_step
         Qd *= qd_step
         denom_ab = Qd * abd - Qn * abn  # 1 - q**(n+(a+b)/2)
+        # it vanishes with r_n = b_hat q**(-n/2) (1 - q**n p_a p_b), which
+        # is nonzero at n = 1 (C_1 r_1 = a_1 C_1 + c_1, see `pearson_data`)
         if not denom_ab:
             raise ConstraintViolated(f"degenerate denominator at n = {n}")
         denom_shift = Qd * absd - Qn * absn  # 1 - q**(n+(a+b-1)/2)
@@ -752,10 +767,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         aux = _aux(ctx, ttrr, fit, 1)
     except RecurrenceViolated as exc:
         return not_characterized("aux-recurrence", str(exc))
-    try:
-        pd = pearson_data(ctx, ttrr, fit)
-    except DegenerateR1 as exc:
-        return not_characterized("pearson-regularity", str(exc))
+    pd = pearson_data(ctx, ttrr, fit)  # an exact fit never raises DegenerateR1
     ledger.update(lemma_predicates(ctx, aux, pd, deg))
     failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops).failures()
     if failures:

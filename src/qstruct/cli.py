@@ -195,7 +195,6 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
     """The report of `verify` for checks `which` (one of CHECK_NAMES), its
     checks sorted as `verify` writes them."""
     from qstruct.characterize import (
-        DegenerateR1,
         RecurrenceViolated,
         aux_sequences,
         pearson_check,
@@ -222,12 +221,8 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
         except RecurrenceViolated as exc:
             report = report.merged(Report((Check("system:aux", exc.n, False, str(exc)),)))
     if wants("pearson"):
-        try:
-            pd = pearson_data(ctx, ttrr, fit)
-            order = min(N, ttrr.n_max - 2)
-            report = report.merged(pearson_check(ctx, ttrr, pd, order, ops=ops))
-        except DegenerateR1 as exc:
-            report = report.merged(Report((Check("pearson", None, False, str(exc)),)))
+        pd = pearson_data(ctx, ttrr, fit)  # an exact fit never raises DegenerateR1
+        report = report.merged(pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops))
     if wants("five-term"):
         report = report.merged(five_term(ctx, ops, fit).report)
     return report.sorted()

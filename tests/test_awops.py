@@ -332,4 +332,5 @@ def test_images_are_the_rows_summed_with_poly_arithmetic(t, coeffs, parity):
         for k, c in enumerate(f.coeffs):
             want = want + c * Poly.from_ints(*rows[k])
         assert den == (rows[deg][1] if deg >= drop else 1) * f.den
+        assert len(nums) == max(deg + 1 - drop, 0)  # one numerator per power, none past the degree
         assert Poly.from_ints(nums, den) == want

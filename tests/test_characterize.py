@@ -898,27 +898,80 @@ def test_recovery_names_a_regularity_factor_that_vanishes_just_past_n(p_a, p_b, 
 def cq_jacobi_from_yz(p_a, p_b, n_max):
     """B_n = (p_a t + 1/(p_a t) - y_n - z_n)/2 and C_{n+1} = y_n z_{n+1}/4 at
     CTX, taken from the per-n oracle; unlike the generator it accepts any
-    nonzero parameters."""
+    nonzero parameters: Fractions, or `Surd`s whose B_n and C_n come out
+    rational."""
     t = CTX.t
     yz = [cq_jacobi_yz(CTX, p_a, p_b, n) for n in range(n_max + 1)]
     edge = p_a * t + 1 / (p_a * t)
-    bs = [(edge - y - z) / 2 for y, z in yz]
-    return TTRRSpec.from_lists(bs, [yz[n - 1][0] * yz[n][1] / 4 for n in range(1, n_max + 1)])
+    bs = [rational((edge - y - z) / 2) for y, z in yz]
+    cs = [rational(yz[n - 1][0] * yz[n][1] / 4) for n in range(1, n_max + 1)]
+    return TTRRSpec.from_lists(bs, cs)
+
+
+def rational(value):
+    """A Fraction, or the rational value of a `Surd` with no root part."""
+    if isinstance(value, Surd):
+        assert value.b == 0, value
+        return value.a
+    return value
+
+
+class Surd:
+    """a + b sqrt(D) in Q(sqrt(D)), for a rational D that is not a square:
+    the arithmetic `cq_jacobi_yz` needs, exact."""
+
+    def __init__(self, a, b, D):
+        self.a, self.b, self.D = F(a), F(b), F(D)
+
+    def _lift(self, other):
+        return other if isinstance(other, Surd) else Surd(other, 0, self.D)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Surd(self.a + other.a, self.b + other.b, self.D)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Surd(-self.a, -self.b, self.D)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return Surd(self.a * o.a + self.D * self.b * o.b, self.a * o.b + self.b * o.a, self.D)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        norm = o.a * o.a - self.D * o.b * o.b
+        return self * Surd(o.a / norm, -o.b / norm, self.D)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __repr__(self):
+        return f"Surd({self.a}, {self.b}, {self.D})"
 
 
 def cq_jacobi_symmetric(s, n_max):
     """Continuous q-Jacobi with p_a = p_b = p at CTX, written in s = p**2:
     B_n = 0, and in C_n = y_{n-1} z_n / 4 the factor p t of y_{n-1}'s
     denominator cancels the one of z_n's numerator, so p need not be
-    rational."""
+    rational. The factors 1 - q**n s and 1 + q**n s of y_{n-1}'s numerator
+    cancel e_{2n} = 1 - q**(2n) s**2 of its denominator, and likewise in
+    z_n, so C_n keeps its limit where e_{2n} vanishes, at s = q**(-n)."""
     t = CTX.t
     cs = []
     for n in range(1, n_max + 1):
         m = 4 * n
-        y = (1 - t**m * s) * (1 - t**m * s * s) * (1 + t ** (m - 2) * s) * (1 + t**m * s)
-        y /= (1 - t ** (2 * m - 4) * s * s) * (1 - t ** (2 * m) * s * s)
-        z = (1 - t**m) * (1 - t**m * s) * (1 + t**m * s) * (1 + t ** (m + 2) * s)
-        z /= (1 - t ** (2 * m) * s * s) * (1 - t ** (2 * m + 4) * s * s)
+        y = (1 - t**m * s * s) * (1 + t ** (m - 2) * s) / (1 - t ** (2 * m - 4) * s * s)
+        z = (1 - t**m) * (1 + t ** (m + 2) * s) / (1 - t ** (2 * m + 4) * s * s)
         cs.append(y * z / 4)
     return TTRRSpec.from_lists([F(0)] * (n_max + 1), cs)
 
@@ -949,13 +1002,26 @@ def test_symmetric_helper_is_the_family_at_rational_p(p):
                 "quadratic with sum 0, product 3 has non-square discriminant 3",
             ],
         ),
+        (
+            # p_a = (1/3 + sqrt(1/2))/2 and p_b = (sqrt(1/2) - 1/3)/2: the
+            # recurrence is invariant under (p_a, p_b) -> (-p_b, -p_a), the
+            # map that sqrt(1/2) -> -sqrt(1/2) performs, so it is rational
+            cq_jacobi_from_yz(
+                (F(1, 3) + Surd(0, 1, F(1, 2))) / 2, (Surd(0, 1, F(1, 2)) - F(1, 3)) / 2, N
+            ),
+            [
+                "quadratic with sum 1/3, product -7/72 has non-square discriminant 1/2",
+                "quadratic with sum -24/7, product -72/7 has non-square discriminant 2592/49",
+            ],
+        ),
     ],
-    ids=["negative-p-a", "p-squared-one-third"],
+    ids=["negative-p-a", "p-squared-one-third", "conjugate-irrational"],
 )
 def test_recovery_witnesses_of_family_members_with_parameters_outside_q_plus(ttrr, details):
-    # both recurrences are continuous q-Jacobi (p_a = -1/3, p_b = 2/5; and
-    # p_a = p_b = sqrt(1/3)) and fit exactly at deg pi = 2, but recovery
-    # reads positive rational parameters only, so they are not characterized
+    # each recurrence is continuous q-Jacobi (p_a = -1/3, p_b = 2/5;
+    # p_a = p_b = sqrt(1/3); and a conjugate pair in Q(sqrt(1/2))) and fits
+    # exactly at deg pi = 2, but recovery reads positive rational parameters
+    # only, so they are not characterized
     result = classify(CTX, ttrr, N)
     assert result.family == FAMILY_NOT_CHARACTERIZED
     assert result.predicates["fit-deg-2"].holds
@@ -963,6 +1029,35 @@ def test_recovery_witnesses_of_family_members_with_parameters_outside_q_plus(ttr
         record = result.predicates[f"qjacobi-recovery-{base}"]
         assert not record.holds
         assert record.witness == {"detail": detail}
+
+
+@pytest.mark.parametrize("n0", [4, 6])
+def test_recovery_names_the_vanishing_factor_1_minus_q_n_p_a_p_b(n0):
+    # p_a = p_b = q**(-n0/2): 1 - q**n p_a p_b vanishes at n = n0, where the
+    # family's formula for C_n0 is 0/0 and r_n0 = 0; its limit, the
+    # symmetric helper, is regular to 2 n0 - 1 and fits exactly at deg pi = 2
+    n = 2 * n0 - 1
+    result = classify(CTX, cq_jacobi_symmetric(CTX.t ** (-4 * n0), n), n)
+    assert result.family == FAMILY_NOT_CHARACTERIZED
+    assert sorted(result.predicates) == [
+        "chebyshev-data",
+        "fit-deg-0",
+        "fit-deg-1",
+        "fit-deg-2",
+        "k-pair-is-minus-plus-2u",
+        "pearson",
+        "qjacobi-recovery",
+        "qjacobi-recovery-q",
+        "qjacobi-recovery-q-inverse",
+        "regularity-product-nonzero",
+        "t-equals-minus-two-gamma",
+    ]
+    assert result.predicates["fit-deg-2"].holds and result.predicates["pearson"].holds
+    for base in ("q", "q-inverse"):
+        assert result.predicates[f"qjacobi-recovery-{base}"].to_json() == {
+            "holds": False,
+            "witness": {"detail": f"degenerate denominator at n = {n0}"},
+        }
 
 
 def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():

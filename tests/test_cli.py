@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import runpy
 import subprocess
 import sys
 import weakref
@@ -426,6 +427,73 @@ def test_non_integer_nmax_exits_2(tmp_path, capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert_bad_input(code, err)
     assert "QSTRUCT_NMAX" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "verify"])
+def test_q_quarter_that_is_not_a_string_exits_2(tmp_path, capsys, command):
+    path = write_doc(tmp_path, dict(CHEB_DOC, q_quarter=0.5))
+    code, out, err = run(capsys, command, path)
+    assert (code, out, err) == (2, "", f'error: {path}: "q_quarter" must be a rational string\n')
+
+
+@pytest.mark.parametrize("given", [["--p-a", "1/3"], ["--p-b", "2/5"]], ids=["p-a", "p-b"])
+def test_generate_continuous_q_jacobi_without_both_parameters_exits_2(capsys, given):
+    code, out, err = run(capsys, "generate", "--family", "continuous-q-jacobi", *given)
+    assert (code, out, err) == (2, "", "error: continuous-q-jacobi requires --p-a and --p-b\n")
+
+
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qstruct", "generate", "--family", "chebyshev-t", "-N", "2"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(cli.__file__, run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "B": ["0", "0", "0"],
+        "C": ["1/2", "1/4"],
+        "q_quarter": "1/2",
+    }
+
+
+# Identities 1..3 hold at deg pi = 1 with c_3 = 0: C_1 solves identity 3
+# with c_3 = 0 once B_0, B_1 are chosen, and B_2, C_2 follow.
+DEGENERATE_C_DOC = {
+    "q_quarter": "1/2",
+    "B": ["4299/8956450", "-4299/8956450", "102375/23698", "0"],
+    "C": ["530763989202/340926485560625", "-703125/201433", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "deg_pi, expected",
+    [
+        (
+            "auto",
+            {
+                "attempts": {
+                    "0": {"noSolution": 2},
+                    "1": {"degenerateC": 3},
+                    "2": {"noSolution": 3},
+                },
+                "error": "no-exact-fit",
+            },
+        ),
+        (
+            "1",
+            {
+                "a": ["0", "0", "0", "0"],
+                "b": ["0", "1", "17/4", "273/16"],
+                "c": ["0", "-246924396/76129825", "-1875/136", "0"],
+                "pi": ["-1875/578", "1"],
+                "status": {"degenerateC": 3},
+            },
+        ),
+    ],
+)
+def test_fit_reports_a_vanishing_c_n_as_degenerate_c(tmp_path, capsys, deg_pi, expected):
+    path = write_doc(tmp_path, DEGENERATE_C_DOC)
+    code, out, _ = run(capsys, "fit", path, "-N", "3", "--deg-pi", deg_pi)
+    assert code == 1
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["fit", "classify", "verify"])

@@ -10,6 +10,9 @@ from qstruct.families import (
     IrregularParameters,
     OPSTable,
     TTRRSpec,
+    cq_jacobi_powers,
+    cq_jacobi_scan,
+    cq_jacobi_terms,
     generate_ops,
     moments,
     ttrr_alsalam_chihara,
@@ -136,8 +139,8 @@ def cq_jacobi_terms_oracle(t, p_a, p_b, qm, ns):
 def cq_jacobi_yz(ctx, p_a, p_b, n, *, inverse=False):
     """The (y_n, z_n) building blocks of the continuous q-Jacobi recurrence,
     each power of q**(1/4) taken afresh: the per-n oracle that the
-    generator's shared powers and factors are checked against."""
-    p_a, p_b = F(p_a), F(p_b)
+    generator's shared powers and factors are checked against. p_a and p_b
+    may be of any type that does field arithmetic with Fractions."""
     t = 1 / ctx.t if inverse else ctx.t  # q**(1/4) of the chosen base
     pp = p_a * p_a * p_b * p_b  # q**(a+b)
     ab = p_a * p_b  # q**((a+b)/2)
@@ -306,6 +309,53 @@ def test_cq_jacobi_regularity_errors():
     # inverse base with small parameters hits q^{-(...)} = 1 factors
     with pytest.raises(IrregularParameters):
         ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16), inverse=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool),
+    st.integers(1, 10),
+)
+def test_cq_jacobi_terms_are_invariant_under_the_reflection_of_the_parameters(t, p_a, p_b, n_max):
+    # B_n and C_{n+1} = y_n z_{n+1} / 4 at (p_a, p_b) equal those at
+    # (-p_b, -p_a); the scan is the same at both, and e_0 = 0 at p_a p_b = -1
+    powers = cq_jacobi_powers(t, n_max)
+    try:
+        cq_jacobi_scan(powers, p_a, p_b, n_max)
+    except IrregularParameters:
+        assume(False)
+    assume(p_a * p_b != -1)
+
+    def recurrence(p_a, p_b):
+        terms = cq_jacobi_terms(t, p_a, p_b, powers, range(n_max + 1))
+        bs = [F(*b) for b, _, _ in terms]
+        cs = [
+            F(yn * zn, 4 * yd * zd)  # C_{n+1} = y_n z_{n+1} / 4
+            for (_, (yn, yd), _), (_, _, (zn, zd)) in zip(terms, terms[1:])
+        ]
+        return bs, cs
+
+    assert recurrence(p_a, p_b) == recurrence(-p_b, -p_a)
+
+
+def test_family_spec_refuses_a_missing_parameter_and_an_unknown_family():
+    with pytest.raises(KeyError) as info:
+        FamilySpec("continuous-q-jacobi", (("p_a", F(1, 3)),)).to_ttrr(CTX)
+    assert info.value.args == ("p_b",)
+    with pytest.raises(ValueError, match="^unknown family 'jacobi'$"):
+        FamilySpec("jacobi").to_ttrr(CTX)
+
+
+def test_expand_and_ratio_refuse_degrees_past_what_they_hold():
+    ttrr = ttrr_qhermite(CTX, n_max=3)
+    ops = generate_ops(ttrr, 3)
+    assert ops.expand(Poly.zero()) == []
+    with pytest.raises(ValueError, match="^table only reaches degree 3, need 4$"):
+        ops.expand(Poly((0, 0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="^moments known to order 3, need 4$"):
+        moments(ttrr, 3).ratio([0, 0, 0, 0, 1], 1)
 
 
 @st.composite

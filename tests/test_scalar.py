@@ -1,9 +1,11 @@
 import gc
 import weakref
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
+from qstruct.poly import Poly
 from qstruct.report import Check, Report
 from qstruct.scalar import (
     QContext,
@@ -152,6 +154,10 @@ def test_a_record_repr_names_its_public_fields():
     assert repr(check) == text
     assert repr(Report((check,))) == f"Report(checks=({text},))"
     assert repr(QContext(F(1, 2))) == "QContext(t=Fraction(1, 2))"  # no __weakref__
+    assert repr(Poly((F(1, 2), 1))) == "Poly((Fraction(1, 2), Fraction(1, 1)))"
+    # equality with another type is left to the other operand
+    assert (QContext(F(1, 2)) == "1/2") is False
+    assert QContext(F(1, 2)) == mock.ANY
 
 
 @pytest.mark.parametrize("t", [F(1, 2), F(2, 3), F(13, 29), F(28, 29)])

@@ -504,6 +504,13 @@ def test_degenerate_c_status():
     assert res2 != Poly.zero()
 
 
+def test_five_term_refuses_a_table_too_short_for_any_index():
+    ttrr = ttrr_qhermite(CTX)
+    fit = fit_structure(CTX, ops_for(ttrr), 0, N)
+    with pytest.raises(ValueError, match="^OPS table too short for any five-term index$"):
+        five_term(CTX, OPSTable(ttrr, 1), fit)
+
+
 def test_fit_rejects_bad_arguments():
     ops = ops_for(ttrr_qhermite(CTX))
     with pytest.raises(ValueError):
