@@ -1014,13 +1014,26 @@ def test_symmetric_helper_is_the_family_at_rational_p(p):
                 "quadratic with sum -24/7, product -72/7 has non-square discriminant 2592/49",
             ],
         ),
+        (
+            # p_a = p_b = q**(-3): 1 - q**n p_a p_b vanishes at n = 6, where
+            # the family's formula for C_6 is 0/0; its limit, the symmetric
+            # helper, is regular to 11 and fits exactly at deg pi = 2
+            cq_jacobi_symmetric(CTX.t**-24, N),
+            ["degenerate denominator at n = 6"] * 2,
+        ),
     ],
-    ids=["negative-p-a", "p-squared-one-third", "conjugate-irrational"],
+    ids=[
+        "negative-p-a",
+        "p-squared-one-third",
+        "conjugate-irrational",
+        "vanishing-1-minus-q-n-p-a-p-b",
+    ],
 )
 def test_recovery_witnesses_of_family_members_with_parameters_outside_q_plus(ttrr, details):
     # each recurrence is continuous q-Jacobi (p_a = -1/3, p_b = 2/5;
-    # p_a = p_b = sqrt(1/3); and a conjugate pair in Q(sqrt(1/2))) and fits
-    # exactly at deg pi = 2, but recovery reads positive rational parameters
+    # p_a = p_b = sqrt(1/3); a conjugate pair in Q(sqrt(1/2)); and the
+    # limit at p_a = p_b = q**(-3)) and fits exactly at deg pi = 2, but
+    # recovery reads positive rational parameters of a regular recurrence
     # only, so they are not characterized
     result = classify(CTX, ttrr, N)
     assert result.family == FAMILY_NOT_CHARACTERIZED
@@ -1029,35 +1042,6 @@ def test_recovery_witnesses_of_family_members_with_parameters_outside_q_plus(ttr
         record = result.predicates[f"qjacobi-recovery-{base}"]
         assert not record.holds
         assert record.witness == {"detail": detail}
-
-
-@pytest.mark.parametrize("n0", [4, 6])
-def test_recovery_names_the_vanishing_factor_1_minus_q_n_p_a_p_b(n0):
-    # p_a = p_b = q**(-n0/2): 1 - q**n p_a p_b vanishes at n = n0, where the
-    # family's formula for C_n0 is 0/0 and r_n0 = 0; its limit, the
-    # symmetric helper, is regular to 2 n0 - 1 and fits exactly at deg pi = 2
-    n = 2 * n0 - 1
-    result = classify(CTX, cq_jacobi_symmetric(CTX.t ** (-4 * n0), n), n)
-    assert result.family == FAMILY_NOT_CHARACTERIZED
-    assert sorted(result.predicates) == [
-        "chebyshev-data",
-        "fit-deg-0",
-        "fit-deg-1",
-        "fit-deg-2",
-        "k-pair-is-minus-plus-2u",
-        "pearson",
-        "qjacobi-recovery",
-        "qjacobi-recovery-q",
-        "qjacobi-recovery-q-inverse",
-        "regularity-product-nonzero",
-        "t-equals-minus-two-gamma",
-    ]
-    assert result.predicates["fit-deg-2"].holds and result.predicates["pearson"].holds
-    for base in ("q", "q-inverse"):
-        assert result.predicates[f"qjacobi-recovery-{base}"].to_json() == {
-            "holds": False,
-            "witness": {"detail": f"degenerate denominator at n = {n0}"},
-        }
 
 
 def test_chebyshev_t_recorded_exactly_when_input_matches_to_n():

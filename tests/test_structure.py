@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cli import DEGENERATE_C_DOC
 from test_poly import evaluate
 from test_scalar import gamma_n, qpow
 
@@ -495,13 +496,16 @@ def test_a_residual_left_only_in_x0_fails_its_index():
 
 
 def test_degenerate_c_status():
-    # an artificial exact-fit family with c_1 = 0 would be flagged; build one
-    # by bypassing the fitter: structure_residual must still be usable
-    ops = ops_for(ttrr_qhermite(CTX))
-    res = structure_residual(CTX, ops, Poly.one(), F(0), F(0), gamma_n(CTX, 3), 3)
-    assert res == Poly.zero()
-    res2 = structure_residual(CTX, ops, Poly.one(), F(0), F(0), gamma_n(CTX, 3) + 1, 3)
-    assert res2 != Poly.zero()
+    # identities 1..3 hold at deg pi = 1 with c_3 = 0: every residual
+    # vanishes, and only the zero c_3 keeps the fit from being exact
+    ttrr = TTRRSpec.from_lists(DEGENERATE_C_DOC["B"], DEGENERATE_C_DOC["C"])
+    ops = generate_ops(ttrr, 3)
+    fit = fit_structure(CTX, ops, 1, 3)
+    assert (fit.status, fit.failure_n) == (STATUS_DEGENERATE_C, 3)
+    assert not fit.is_exact and fit.c[3] == 0
+    for n in range(1, 4):
+        res = structure_residual(CTX, ops, fit.pi, fit.a[n], fit.b[n], fit.c[n], n)
+        assert res == Poly.zero()
 
 
 def test_five_term_refuses_a_table_too_short_for_any_index():

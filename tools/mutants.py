@@ -1,6 +1,6 @@
 """Run the test suite against a fixed list of mutants of src/qstruct/.
 
-    python tools/mutants.py [--list] [-k SUBSTRING]
+    python tools/mutants.py
 
 Each mutant changes one thing in one function: the integer kernels
 `poly.int_three_term`, `awops._image` and `structure._pin` get every
@@ -21,14 +21,11 @@ the mutant is killed when that run fails or times out. It prints one
 line per mutant and exits 1 when a mutant off EQUIVALENT survives. The
 mutants in EQUIVALENT compute what the original computes, each for the
 reason given there, so no test can kill them; they run anyway, and a kill
-there is reported. --list prints the mutants without running them, and -k
-runs only those whose name contains SUBSTRING. Each surviving mutant costs
-one full run of the suite.
+there is reported. Each surviving mutant costs one full run of the suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -304,16 +301,8 @@ def run_suite(work: str) -> bool:
     return done.returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", action="store_true", help="print the mutants, run none")
-    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    args = parser.parse_args(argv)
-    mutants = [m for m in (*kernel_mutants(), *pinned_mutants()) if args.k in m[0]]
-    if args.list:
-        for name, _, _ in mutants:
-            print(name + ("  (equivalent)" if name in EQUIVALENT else ""))
-        return 0
+def main() -> int:
+    mutants = [*kernel_mutants(), *pinned_mutants()]
     survivors = []
     with tempfile.TemporaryDirectory() as work:
         for part in COPIED:
@@ -348,4 +337,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

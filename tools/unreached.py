@@ -1,8 +1,8 @@
 """List the statements of src/qstruct/ that the test suite never runs.
 
-    python tools/unreached.py [pytest arguments]
+    python tools/unreached.py
 
-Runs the test suite (by default `tests/`, quietly) in this process under a
+Runs the whole test suite, `tests/`, quietly in this process under a
 line tracer built on `sys.settrace` and `threading.settrace`, so threads the
 tests start are traced too; child processes are not. A statement counts as
 executable when the compiled module holds bytecode on one of its lines,
@@ -153,13 +153,13 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(code), seen
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     if "qstruct" in sys.modules:
         raise SystemExit("qstruct was imported before the tracer started")
-    code, seen = run_traced(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+    code, seen = run_traced(["-q", "-p", "no:cacheprovider", "tests"])
     if code != 0:
         print(f"the tests failed (pytest exit code {code})", file=sys.stderr)
         return 2
@@ -188,4 +188,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
