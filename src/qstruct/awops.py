@@ -32,7 +32,8 @@ The rows are memoized per context, so every call within one problem shares
 them; they grow to the degree a call needs and are dropped when the context
 is collected. `operator_rows` hands them out: they are the monomial images,
 which the Pearson check reads directly. The D rows also give the images
-D_q P_n that the fits and `verify` read. The S rows serve the Pearson
+D_q P_n that `verify` reads, and their top entries the windows of
+D_q P_n that the fits read (see `structure`). The S rows serve the Pearson
 check and `sq_apply` callers only: the five-term check takes pi S_q P_n
 from the D_q P_n images by the product rule above (see `structure`).
 

@@ -233,7 +233,8 @@ def int_three_term(lhs, p, q, a, b, c) -> tuple[list[int], int]:
     integer numerators over a positive denominator, not normalized: the rhs
     is taken over lcm(den a, den b) den p, joined with den c den q by one
     more lcm, and cross-multiplied with lhs, all in one pass with no gcd
-    over the coefficients. It is zero exactly when every numerator is."""
+    over the coefficients; an empty lhs is skipped, and the result is over
+    that rhs denominator. It is zero exactly when every numerator is."""
     nums, den = lhs
     p_nums, p_den = p
     m = lcm(a.denominator, b.denominator)
@@ -246,6 +247,9 @@ def int_three_term(lhs, p, q, a, b, c) -> tuple[list[int], int]:
         common = lcm(rhs_den, c_den)
         scale, c_num = common // rhs_den, c.numerator * (common // c_den)
         a, b, rhs_den = a * scale, b * scale, common
+    if not nums:  # an empty lhs, as in the OPS step: nothing to scale
+        streams = zip_longest((0, *p_nums), p_nums, q_nums, fillvalue=0)
+        return [-a * u - b * v - c_num * w for u, v, w in streams], rhs_den
     g = gcd(rhs_den, den)
     left, right = rhs_den // g, den // g
     a, b, c_num = a * right, b * right, c_num * right

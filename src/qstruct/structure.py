@@ -2,43 +2,83 @@
 
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
-for a monic OPS table, with pi monic of degree 0, 1, or 2. Every identity
-is decided by one integer residual. Its lhs pi * D_q P_n is one integer
-convolution of pi with the table's unnormalized image (`_times`); P_n and
-P_{n-1} are monic, so the coefficients of x**(n+1), x**n and x**(n-1) of
-the lhs give a_n, b_n and c_n by back-substitution (`_coefficients`); and
-lhs - (a_n x + b_n) P_n - c_n P_{n-1} is the one integer three-term step
-`poly.int_three_term`, which also builds the OPS table and serves
-`five_term`. Identity n holds exactly when every numerator is zero. A gcd
-is taken only for what is kept or printed: a_n, b_n, c_n, pi, and a
-failing residual's witness. That residual is linear in pi and has degree
-at most n - 2. The fitter pins pi on the residual coefficients of
-identities 2 and 3, at most three equations in the d lower coefficients of
-pi, each identity's numerators scaled to integer rows. Identity 2 is one
-equation, inconsistent exactly when all of its coefficients vanish and its
-rhs does not: then the fit fails at 2 with pi zero. Otherwise one
+for a monic OPS table, with pi monic of degree 0, 1, or 2. P_n and P_{n-1}
+are monic, so the coefficients of x**(n+1), x**n and x**(n-1) of the lhs
+pi * D_q P_n give a_n, b_n and c_n by back-substitution, and identity n
+holds exactly when the residual R_n = lhs - (a_n x + b_n) P_n - c_n P_{n-1},
+of degree at most n - 2 and linear in pi, vanishes.
+
+The fit reads windows (`_windows`): the top seven coefficients of P_n, of
+x**n .. x**(n-6), and of D_q P_n, of x**(n-1) .. x**(n-7), each as integer
+numerators over a denominator of its own. Read in y = 1/x, the window of
+P_n is the series x**-n P_n cut after y**6, and the recurrence reads
+P_{n+1} = (1 - B_n y) P_n - C_n y**2 P_{n-1}: one step of
+`poly.int_three_term` with y in the place of x, normalized once. Entry j of
+D_q P_n's window sums P_n's entries i <= j of the parity of j against the
+top entries of the context's memoized operator rows D_q x**(n-i), which
+have degree n - i - 1 and its parity. pi times that window gives the lhs
+coefficients of x**(n+1) .. x**(n-5); `_residual` back-substitutes a_n, b_n,
+c_n from the first three and forms R_n's coefficients of x**(n-2) ..
+x**(n-5) from the rest, as integer numerators over one denominator.
+Entries of negative degree are zero throughout, so at n <= 6 a window is
+the whole polynomial. So each index costs a fixed number of integer
+operations, whatever n, and a gcd is taken only for what is kept: a
+window of P_n, and a_n, b_n, c_n and pi once they hold.
+
+Lemma: identity n holds exactly when R_n's coefficients of x**(n-2) ..
+x**(n-5), those of degree >= 0, all vanish, once identities 1..n-1 hold.
+Write L_k = pi D_q P_k and M_k = pi S_q P_k, with L_{-1} = M_{-1} = 0 and
+C_0 = 0. The product rules of `awops` at f = P_k, with
+x P_k = P_{k+1} + B_k P_k + C_k P_{k-1}, give
+
+    L_{k+1} = M_k + (alpha x - B_k) L_k - C_k L_{k-1},
+    M_{k+1} = (alpha x - B_k) M_k - C_k M_{k-1} + (alpha**2 - 1)(x**2 - 1) L_k.
+
+Write <i..j> for span{P_i, ..., P_j}, with P_k = 0 for k < 0; x maps <i..j>
+into <i-1..j+1>. Identity k says L_k lies in <k-1..k+1>, and identity 0
+always holds (L_0 = 0). If identities 1..n-1 hold, then for k <= n-2 the
+first rule gives M_k = L_{k+1} - (alpha x - B_k) L_k + C_k L_{k-1} in
+<k-2..k+2>. The second rule at k = n-2 then puts M_{n-1} in <n-5..n+1>,
+and the first at k = n-1 puts L_n there too, and with it R_n. As
+deg R_n <= n - 2, R_n lies in <n-5..n-2>, and since each P_k is monic of
+degree k, its coordinates there follow from its coefficients of x**(n-2)
+.. x**(n-5) by a unitriangular solve: R_n = 0 exactly when those vanish.
+The proof uses neither c_n != 0 nor deg pi = 2. The fit decides the
+indices in increasing order and stops at the first that fails, so the
+hypothesis holds whenever it decides one.
+
+The fitter pins pi on the residual coefficients of identities 2 and 3, at
+most three equations in the d lower coefficients of pi, each identity's
+numerators scaled to integer rows; at n <= 3 the windows are the whole
+polynomials, so these are all of R_2's and R_3's coefficients. Identity 2
+is one equation, inconsistent exactly when all of its coefficients vanish
+and its rhs does not: then the fit fails at 2 with pi zero. Otherwise one
 fraction-free elimination over the equations of 2..3 solves them (`_pin`),
 or the fit fails at 3 with pi zero, when a leftover equation has a nonzero
 rhs or a column has no pivot (by the proof below, a consistent system has
 no free column). Identity 1 leaves no residual coefficient, so these
 equations are consistent exactly when the identities n = 1..3 hold
 together for some (a_n, b_n, c_n), and their solution is the pi shown
-unique below. With pi fixed, the fitter decides each index in turn by its
-residual; the first index that fails is the reported failure index.
-`verify_structure` decides each index by the same residual and normalizes
-it only for a failing one, as its witness. `fit_structure` fits one
-degree; `fit_auto` tries 0, 1, 2 in order and stops at the first exact
-fit, computing each residual of x**j * D_q P_n (j <= 2, n = 2, 3) that the
-pins read once for all three attempts. The fits and `verify_structure`
-read P_n and D_q P_n from the OPS table, which builds each of them the
-first time it is read and keeps it (`OPSTable.dq`). So the degree attempts
-and a later verify on the same table share one set of images. A fit grows
-the context's operator rows to degree 3 for its pin and to the horizon
-only once pi pins, so a recurrence whose fits all fail at n = 3 pays for
-P_0..P_3, D_q P_0..D_q P_3 and the rows to degree 3 only, whatever the
-horizon. `five_term` reads the same images: the direct side of its check,
-pi * S_q P_n, follows from them by the product rule
-D_q(x f) = S_q f + alpha x D_q f and the recurrence, as one more
+unique below. With pi fixed, the fitter decides each index in turn by the
+lemma; the first index that fails is the reported failure index.
+`fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
+stops at the first exact fit, and its attempts share the windows and the
+residuals of x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read. A fit
+reads no entry of the OPS table: it builds no P_n and no D_q P_n image,
+only windows, and it grows the context's operator rows to degree 3 for its
+pin and to the horizon only once pi pins, so a recurrence whose fits all
+fail at n = 3 pays for the windows to 3 and the rows to degree 3 only,
+whatever the horizon.
+
+`verify_structure` decides every index again from the whole power-basis
+residual: the lhs is one integer convolution of pi with the table's
+unnormalized image D_q P_n (`_times`), and R_n one `int_three_term` step,
+normalized only for a failing index, as its witness. It reads P_n and
+D_q P_n from the OPS table, which builds each of them the first time it
+is read and keeps it (`OPSTable.dq`), so it checks the windows and the
+lemma rather than repeating them. `five_term` reads the same images: the
+direct side of its check, pi * S_q P_n, follows from them by the product
+rule D_q(x f) = S_q f + alpha x D_q f and the recurrence, as one more
 three-term step, so no S_q image of a P_n is formed.
 
 Why n = 1..3 always pins pi. The table comes from a recurrence
@@ -83,10 +123,10 @@ which `verify_structure` accepts happily since it only checks residuals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from qstruct.awops import operator_rows
-from qstruct.families import OPSTable
+from qstruct.families import OPSTable, TTRRSpec
 from qstruct.poly import Poly, int_convolution, int_three_term, poly_to_json
 from qstruct.report import Check, Report
 from qstruct.scalar import Frozen, QContext, Ratio, format_rational
@@ -106,6 +146,11 @@ __all__ = [
 STATUS_EXACT = "exact"
 STATUS_NO_SOLUTION = "no-solution"
 STATUS_DEGENERATE_C = "degenerate-c"
+
+# The fit's windows hold the top seven coefficients of P_n and of D_q P_n:
+# the three that give a_n, b_n, c_n and the four of the lemma in the module
+# docstring (its proof fixes the size)
+_WINDOW = 7
 
 
 class StructureFit(Frozen):
@@ -196,103 +241,154 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
     _check_horizon(ops, N)
-    return _fit(ctx, ops, deg_pi, N, {})
+    return _fit(ctx, ops.ttrr, deg_pi, N, [], {})
 
 
 def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
     exact one. Each entry equals fit_structure(ctx, ops, d, N); the attempts
-    share the table's D_q P_n images and the pin residuals."""
+    share the windows and the pin residuals."""
     _check_horizon(ops, N)
+    windows: list = []
     residuals: dict[int, list] = {}
     fits = []
     for d in (0, 1, 2):
-        fits.append(_fit(ctx, ops, d, N, residuals))
+        fits.append(_fit(ctx, ops.ttrr, d, N, windows, residuals))
         if fits[-1].is_exact:
             break
     return fits
 
 
-def _pin_rows(ctx: QContext, P: OPSTable, d: int, n: int, residuals: dict[int, list]):
+def _windows(rows: tuple, ttrr: TTRRSpec, windows: list, n: int) -> list:
+    """windows extended through index n and returned, reading the D rows
+    of the context's operator rows, which reach degree n: windows[k] is the
+    pair (P_k, D_q P_k) of windows (see the module docstring), each a list
+    of _WINDOW integer numerators, from the top coefficient down, over a
+    positive denominator; D_q P_0 = 0 is None. P_k's window is in normal
+    form, and its first numerator is its denominator, as P_k is monic.
+    D_q P_k's is not normalized: entry j, the coefficient of x**(k-1-j),
+    sums P_k's entry i times the x**(k-1-j) entry of the operator row
+    D_q x**(k-i), for i <= j of the parity of j, over the denominator of
+    row k times that of P_k's window."""
+    if not windows:
+        windows.append((([1] + [0] * (_WINDOW - 1), 1), None))
+    b, c = ttrr.b, ttrr.c
+    for k in range(len(windows), n + 1):
+        # P_k = (1 - B_{k-1} y) P_{k-1} - C_{k-1} y**2 P_{k-2} in y = 1/x
+        q, c_k = None, 0
+        if k > 1:
+            (qw, qd), c_k = windows[k - 2][0], c[k - 2]
+            q = (0, 0, *qw[: _WINDOW - 2]), qd
+        nums, den = int_three_term(((), 1), windows[k - 1][0], q, b[k - 1], -1, c_k)
+        g = gcd(*nums[:_WINDOW])  # nums[0] is den, as P_k is monic
+        pw, pd = [v // g for v in nums[:_WINDOW]], den // g
+        # row k - i holds x**(k-i-1), x**(k-i-3), ... over row_den, which divides top
+        top, image = rows[k][1], [0] * _WINDOW
+        for i in range(min(_WINDOW, k)):
+            row, row_den = rows[k - i]
+            m = pw[i] * (top // row_den)
+            if m:
+                for j in range(i, min(_WINDOW, k), 2):
+                    image[j] += m * row[k - 1 - j]
+        windows.append(((pw, pd), (image, top * pd)))
+    return windows
+
+
+def _residual(lhs: list[int], den: int, p: tuple, q: tuple):
+    """The numerators of a_n, b_n, c_n over den, den pd and den pd**2, and
+    the residual's coefficients of x**(n-2) .. x**(n-5) as numerators over
+    den pd**2 qd, for the window lhs of pi * D_q P_n (its coefficients of
+    x**(n+1) .. x**(n-5) over den) and the windows p = (pw, pd) of P_n and
+    q = (qw, qd) of P_{n-1}. P_n and P_{n-1} are monic, so lhs[0..2], the
+    coefficients of x**(n+1), x**n and x**(n-1), give a_n, b_n and c_n by
+    back-substitution. In y = 1/x the residual
+    lhs - (a_n x + b_n) P_n - c_n P_{n-1} reads
+    lhs - (a_n + b_n y) P_n - c_n y**2 P_{n-1}, so its entry j (of
+    x**(n+1-j)) reads entries j of lhs and P_n, j - 1 of P_n and j - 2 of
+    P_{n-1}; it vanishes for j <= 2 by construction, and this forms
+    j = 3..6, all on integers with no gcd."""
+    lhs_a, lhs_b, lhs_c = lhs[:3]
+    (pw, pd), (qw, qd) = p, q
+    b_num = lhs_b * pd - lhs_a * pw[1]
+    c_num = (lhs_c * pd - lhs_a * pw[2]) * pd - b_num * pw[1]
+    scale, a_pd, b_qd = pd * pd * qd, lhs_a * pd * qd, b_num * qd
+    res = [
+        v * scale - a_pd * u - b_qd * w - c_num * z
+        for v, u, w, z in zip(lhs[3:], pw[3:], pw[2:], qw[1:])
+    ]
+    return (lhs_a, b_num, c_num), (res, den * scale)
+
+
+def _pin_rows(windows: list, d: int, n: int, residuals: dict[int, list]):
     """Integer augmented rows for `_pin`, one per coefficient of x**0 ..
     x**(n-2), saying that the residual of identity n with lhs pi * D_q P_n
     vanishes; the unknowns are pi's lower coefficients p_0..p_{d-1}, and
     the monic part goes to the rhs, so identity 2 gives one row and
-    identity 3 two. residuals[n] holds the residuals of x**j * D_q P_n
-    computed so far, j = 0, 1, ..., each as its numerators of x**0 ..
-    x**(n-2) over its denominator; it is extended to j = d, so the degree
-    attempts of one problem compute each (j, n) once. The rows of identity
-    n are those numerators scaled to the lcm of the d + 1 denominators."""
+    identity 3 two. windows reaches index n, and at n <= 3 its windows are
+    the whole polynomials. residuals[n] holds the residuals of
+    x**j * D_q P_n computed so far, j = 0, 1, ..., each as its numerators of
+    x**0 .. x**(n-2) over its denominator; it is extended to j = d, so the
+    degree attempts of one problem compute each (j, n) once. The rows of
+    identity n are those numerators scaled to the lcm of the d + 1
+    denominators."""
     res = residuals.setdefault(n, [])
     if len(res) <= d:
-        image, den = P.dq(ctx, n)
-        p, prev = P[n], P[n - 1]
+        (p, (image, den)), q = windows[n], windows[n - 1][0]
         for j in range(len(res), d + 1):
-            nums = [0] * j + image
-            abc = _coefficients(nums, den, p, n)
-            r, r_den = int_three_term((nums, den), (p.nums, p.den), (prev.nums, prev.den), *abc)
-            res.append((r[: n - 1], r_den))
+            # x**j D_q P_n, from x**(n+1) down
+            _, (r, r_den) = _residual(([0] * (2 - j) + image)[:_WINDOW], den, p, q)
+            res.append((r[n - 2 :: -1], r_den))
     common = lcm(*(den for _, den in res[: d + 1]))
     cols = [[v * (common // den) for v in r] for r, den in res[: d + 1]]
     return [[col[i] for col in cols[:d]] + [-cols[d][i]] for i in range(n - 1)]
 
 
 def _fit(
-    ctx: QContext, P: OPSTable, d: int, N: int, residuals: dict[int, list]
+    ctx: QContext, ttrr: TTRRSpec, d: int, N: int, windows: list, residuals: dict[int, list]
 ) -> StructureFit:
-    """fit_structure for degree d, reading P_n and D_q P_n from the table
-    in increasing n and the pin residuals from residuals (see `_pin_rows`).
-    The row of identity 2 alone decides failure at 2; D_q P_3 is read only
-    past it, and one `_pin` over the rows of 2..3 pins pi or fails at 3.
-    The context's operator rows grow in one step to degree 3 for the pin
-    and in one more to N once pi pins."""
-    operator_rows(ctx, 3)
-    rows = _pin_rows(ctx, P, d, 2, residuals)
+    """fit_structure for degree d, reading the windows in increasing n and
+    the pin residuals from residuals (see `_pin_rows`). The row of
+    identity 2 alone decides failure at 2; one `_pin` over the rows of 2..3
+    pins pi or fails at 3. Identity n is then decided by the residual's
+    coefficients of x**(n-2) .. x**(n-5), which the lemma of the module
+    docstring shows to be enough once identities 1..n-1 hold. The
+    context's operator rows grow in one step to degree 3 for the pin and in
+    one more to N once pi pins."""
+    _windows(operator_rows(ctx, 3)[0], ttrr, windows, 3)
+    rows = _pin_rows(windows, d, 2, residuals)
     *coeffs, rhs = rows[0]
     if rhs and not any(coeffs):
         return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 2, N)
-    solution = _pin(rows + _pin_rows(ctx, P, d, 3, residuals))
+    solution = _pin(rows + _pin_rows(windows, d, 3, residuals))
     if solution is None:
         return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 3, N)
     pi = Poly(tuple(solution) + (Fraction(1),))
 
-    operator_rows(ctx, N)
+    d_rows = operator_rows(ctx, N)[0]
+    pi_y = [0] * (2 - d) + list(reversed(pi.nums))  # x**-2 pi in y = 1/x
     a, b, c = [Fraction(0)], [Fraction(0)], [Fraction(0)]
     for n in range(1, N + 1):
-        lhs, p, prev = _times(pi, P.dq(ctx, n)), P[n], P[n - 1]
-        a_n, b_n, c_n = _coefficients(*lhs, p, n)
-        if any(int_three_term(lhs, (p.nums, p.den), (prev.nums, prev.den), a_n, b_n, c_n)[0]):
+        (p, (image, den)), q = _windows(d_rows, ttrr, windows, n)[n], windows[n - 1][0]
+        lhs, den = int_convolution(pi_y, image)[:_WINDOW], pi.den * den
+        (a_num, b_num, c_num), (r, _) = _residual(lhs, den, p, q)
+        if any(r):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
-        a.append(a_n)
-        b.append(b_n)
-        c.append(c_n)
+        a.append(Fraction(a_num, den))
+        b.append(Fraction(b_num, den * p[1]))
+        c.append(Fraction(c_num, den * p[1] ** 2))
 
     zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
     status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
     return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
 
 
-def _coefficients(nums: list[int], den: int, p: Poly, n: int):
-    """(a_n, b_n, c_n) for lhs = sum(nums[k] x**k) / den, n >= 1, such
-    that lhs - (a_n x + b_n) P_n - c_n P_{n-1} has degree at most n - 2:
-    P_n = p and P_{n-1} are monic, so the coefficients of x**(n+1), x**n
-    and x**(n-1) of lhs give a_n, b_n and c_n by back-substitution, done
-    on integers and normalized once per coefficient."""
-    top = [*nums[n - 1 : n + 2]]
-    lhs_c, lhs_b, lhs_a = top + [0] * (3 - len(top))
-    pd, p1 = p.den, p.nums[n - 1]  # p.nums[n] == pd, as p is monic
-    p2 = p.nums[n - 2] if n >= 2 else 0
-    b_num = lhs_b * pd - lhs_a * p1  # b_n = b_num / (den pd)
-    c_num = (lhs_c * pd - lhs_a * p2) * pd - b_num * p1  # c_n = c_num / (den pd**2)
-    return Fraction(lhs_a, den), Fraction(b_num, den * pd), Fraction(c_num, den * pd * pd)
-
-
 def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     """Check every identity of an exact fit again. The report holds one
-    structure-residual check per n = 0..horizon, decided by the fit's own
-    integer residual; a failing check carries that residual, normalized,
-    as its witness. The images D_q P_n are read from ops, so a verify on
-    the table the fit was made on reuses the fit's images."""
+    structure-residual check per n = 0..horizon, decided by the whole
+    power-basis residual, every coefficient of it, where the fit read
+    windows; a failing check carries that residual, normalized, as its
+    witness. The images D_q P_n are read from ops, which builds and keeps
+    them, so `five_term` on the same table reuses them."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
     checks = []
@@ -326,8 +422,9 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
         pi S_q P_n = L_{n+1} - (alpha x - B_n) L_n - (-C_n) L_{n-1},
 
     one `int_three_term` step over L_k = pi * D_q P_k (`_times`) and
-    L_{-1} = 0, from the images the table holds: the fit stored
-    D_q P_0..D_q P_N, and every k <= horizon + 1 <= N. Each coefficient is
+    L_{-1} = 0, from the images D_q P_k, k <= horizon + 1 <= N, that the
+    table holds (`verify_structure` on the same table builds them) or
+    builds when they are read here. Each coefficient is
     formed as an unreduced `Ratio` and normalized once. The check subtracts
     r1_n P_{n+2} + r2_n P_{n+1}, then r3_n P_n + r4_n P_{n-1}, then
     r5_n P_{n-2} from pi * S_q P_n by three more steps with a = 0, all on

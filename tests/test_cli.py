@@ -608,10 +608,11 @@ def test_classify_reports_qjacobi_recovery_failure(tmp_path, capsys):
 
 
 def test_verify_applies_each_operator_image_once(monkeypatch):
-    # the fits carry their D_q P_n images to verify_structure and the
-    # five-term check, which takes pi S_q P_n from them by the product rule,
-    # and the Pearson check reads the monomial images from the operator
-    # rows, so verify at N = 10 applies D_q once per P_0..P_10 and S_q to no
+    # verify_structure builds the D_q P_n images in the table and the
+    # five-term check reads them, taking pi S_q P_n from them by the product
+    # rule; the fits build none (they read windows), and the Pearson check
+    # reads the monomial images from the operator rows, so verify at N = 10
+    # applies D_q once per P_0..P_10 and S_q to no
     # P_n (33 and 21 calls when every check made its own images, 11 and 10
     # when the five-term check applied S_q to each P_n). The table builds
     # its images by dq_image, which dq_apply also runs, so that is counted
@@ -638,10 +639,12 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
 
 @pytest.mark.parametrize("entry", ["verify", "classify", "reject"])
 def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
-    # the fit, the five-term expansion and the Pearson moments read one table
-    # (classify and verify built P_0..P_N for the fit and again for the
-    # moments), which reaches P_{N+1}: no Pearson dot product reads
-    # mu_{N+2}, and a recurrence whose fits all fail by n = 3 builds P_0..P_3
+    # verify_structure, the five-term expansion and the Pearson moments read
+    # one table (classify and verify built P_0..P_N for the fit and again
+    # for the moments), which reaches P_{N+1}: no Pearson dot product reads
+    # mu_{N+2}. The fits read no entry of it (they decide each index from
+    # windows), so a recurrence whose fits all fail builds no P_n (P_0..P_3
+    # while the pin read the table)
     built = []
     grow = OPSTable._grow
 
@@ -663,7 +666,7 @@ def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
             [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(22)],
         )
         assert not classify(ctx, ttrr, 20).characterized
-    assert sorted(built) == list(range(1, 4 if entry == "reject" else 12))
+    assert sorted(built) == ([] if entry == "reject" else list(range(1, 12)))
 
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])
@@ -713,15 +716,19 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
         assert fit_structure(ctx, OPSTable(ttrr, n), d, n).failure_n <= 3
         assert len(awops._ROWS[ctx][0]) == 4
 
-    # no index past the pin is decided, so every identity residual is a pin's
-    reduced = []
-    reduce = structure.int_three_term
-    monkeypatch.setattr(
-        structure, "int_three_term", lambda *args: reduced.append(args) or reduce(*args)
-    )
+    # no index past the pin is decided, so every identity residual is a pin's;
+    # the three-term steps build the windows of P_1, P_2 and P_3, which the
+    # attempts also share
+    calls = {"int_three_term": [], "_residual": []}
+    for name, seen in calls.items():
+        fn = getattr(structure, name)
+        monkeypatch.setattr(
+            structure, name, lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args)
+        )
     fits = fit_auto(ctx, OPSTable(ttrr, n), n)
     assert [fit.failure_n for fit in fits] == [2, 3, 3]
-    assert len(reduced) == 6
+    assert len(calls["_residual"]) == 6
+    assert len(calls["int_three_term"]) == 3
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,7 +1,9 @@
 """Bounded, derandomized property tests.
 
-fit_auto shares one set of D_q P_n images across its degree attempts;
-fit_structure, which computes its own images, is the reference. The
+fit_auto shares one set of windows and pin residuals across its degree
+attempts; fit_structure, which builds its own, is the reference. The
+fit's windows are the top seven coefficients of P_n and of D_q P_n; the
+table's P_n and dq_apply are the reference for them. The
 Al-Salam-Chihara recovery takes its root in closed form; the rational
 square root of the discriminant is the reference. D_q and S_q apply rows
 memoized per context; the literal z-substitution quotients and the closed
@@ -53,7 +55,9 @@ from hypothesis import strategies as st
 from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
 from test_poly import FractionPoly, evaluate
 from test_structure import (
+    coefficients_oracle,
     pin_oracle,
+    pin_rows,
     reference_fit,
     reference_joint_system,
     reference_solve,
@@ -64,7 +68,7 @@ from test_structure import (
 )
 
 from qstruct import awops, cli, structure
-from qstruct.awops import dq_apply, dq_image, sq_apply
+from qstruct.awops import dq_apply, dq_image, operator_rows, sq_apply
 from qstruct.characterize import (
     Classification,
     RecurrenceViolated,
@@ -88,7 +92,6 @@ from qstruct.poly import Poly, int_three_term
 from qstruct.report import Check
 from qstruct.scalar import QContext, format_rational, parse_rational
 from qstruct.structure import (
-    STATUS_NO_SOLUTION,
     fit_auto,
     fit_structure,
     five_term,
@@ -253,16 +256,15 @@ def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(cas
 @given(fit_cases())
 def test_fit_auto_on_a_lazy_table_matches_fit_structure_on_an_eager_one(case):
     # equal fits have the same pi, failure_n, a/b/c prefixes, status and
-    # horizon; the lazy table holds the images D_q P_0.. up to the last
-    # index any fit read
+    # horizon; the fits read no entry of the lazy table, exact or not: it
+    # holds P_0 only and no D_q P_n image (it held the images D_q P_0.. up
+    # to the last index any fit read while the fits read the table)
     ctx, ops, N = case
     table = OPSTable(ops.ttrr, N)
     fits = fit_auto(ctx, table, N)
     reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
     assert fits == reference[: len(fits)]
-    last = max(fit.failure_n if fit.status == STATUS_NO_SOLUTION else N for fit in fits)
-    stored = tuple(Poly.from_ints(*image) for image in table._images[ctx])
-    assert stored == tuple(dq_apply(ctx, p) for p in ops.polys[: last + 1])
+    assert table._built == (Poly.one(),) and table._images == {}
 
 
 @BOUNDED
@@ -375,6 +377,24 @@ def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
 
 @BOUNDED
 @given(fit_cases())
+def test_windows_are_the_top_coefficients_of_p_n_and_d_q_p_n(case):
+    # P_n's window holds the coefficients of x**n .. x**(n-6) in normal
+    # form, D_q P_n's those of x**(n-1) .. x**(n-7); a negative power reads 0
+    ctx, ops, N = case
+    windows = structure._windows(operator_rows(ctx, N)[0], ops.ttrr, [], N)
+    assert len(windows) == N + 1 and windows[0][1] is None
+    for n, ((pw, pd), image) in enumerate(windows):
+        assert pd > 0 and pw[0] == pd and gcd(pd, *pw) == 1
+        assert [F(v, pd) for v in pw] == [ops[n].coeff(n - j) for j in range(7)]
+        if n:
+            nums, den = image
+            assert den > 0
+            dq = dq_apply(ctx, ops[n])
+            assert [F(v, den) for v in nums] == [dq.coeff(n - 1 - j) for j in range(7)]
+
+
+@BOUNDED
+@given(fit_cases())
 def test_stored_images_normalize_to_dq_apply(case):
     ctx, ops, N = case
     table = OPSTable(ops.ttrr, N)
@@ -414,7 +434,7 @@ def test_one_pass_identity_residual_matches_the_poly_oracle(case, drawn):
             L = [((), 1)] + [structure._times(pi, ops.dq(ctx, k)) for k in range(N + 1)]
             for n in range(N + 1):
                 lhs = L[n + 1]
-                a_n, b_n, c_n = structure._coefficients(*lhs, P(n), n) if n else (0, 0, 0)
+                a_n, b_n, c_n = coefficients_oracle(*lhs, P(n), n) if n else (0, 0, 0)
                 for abc in ((a_n, b_n, c_n), (a_n, b_n + delta, c_n), (0, b_n, c_n), (a_n, b_n, 0)):
                     abc = tuple(F(v) for v in abc)
                     res, res_den = int_three_term(lhs, vec(P(n)), vec(P(n - 1)), *abc)
@@ -443,12 +463,12 @@ def test_pin_rows_are_the_oracle_residual_rows_up_to_one_scale(case):
             for j in range(d + 1):
                 monomial = Poly((F(0),) * j + (F(1),))
                 nums, den = structure._times(monomial, ops.dq(ctx, n))
-                abc = structure._coefficients(nums, den, ops[n], n)
+                abc = coefficients_oracle(nums, den, ops[n], n)
                 residuals.append(residual_oracle(ctx, ops, monomial, *abc, n))
             expected = [
                 [r.coeff(i) for r in residuals[:d]] + [-residuals[d].coeff(i)] for i in range(n - 1)
             ]
-            assert up_to_scale(structure._pin_rows(ctx, ops, d, n, {}), expected)
+            assert up_to_scale(pin_rows(ctx, ops.ttrr, d, n), expected)
 
 
 pin_entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**80), 2**80))

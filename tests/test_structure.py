@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +8,7 @@ from test_cli import DEGENERATE_C_DOC
 from test_poly import evaluate
 from test_scalar import gamma_n, qpow
 
-from qstruct.awops import dq_apply, sq_apply
+from qstruct.awops import dq_apply, operator_rows, sq_apply
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
@@ -160,6 +161,85 @@ def reference_fit(ctx, ops, d, n_fit):
     return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, n_fit)
 
 
+def coefficients_oracle(nums, den, p, n):
+    """(a_n, b_n, c_n) for lhs = sum(nums[k] x**k) / den and P_n = p, by
+    the back-substitution the fit ran on whole polynomials: P_n and P_{n-1}
+    are monic, so the coefficients of x**(n+1), x**n and x**(n-1) of the
+    lhs give a_n, b_n and c_n."""
+    top = [*nums[n - 1 : n + 2]]
+    lhs_c, lhs_b, lhs_a = top + [0] * (3 - len(top))
+    pd, p1 = p.den, p.nums[n - 1]  # p.nums[n] == pd, as p is monic
+    p2 = p.nums[n - 2] if n >= 2 else 0
+    b_num = lhs_b * pd - lhs_a * p1  # b_n = b_num / (den pd)
+    c_num = (lhs_c * pd - lhs_a * p2) * pd - b_num * p1  # c_n = c_num / (den pd**2)
+    return F(lhs_a, den), F(b_num, den * pd), F(c_num, den * pd * pd)
+
+
+def pin_rows_oracle(ctx, ops, d, n, residuals):
+    """The pin rows of identity n as the fit formed them from the table's
+    whole P_n and D_q P_n: one row per coefficient of x**0 .. x**(n-2) of
+    the residuals of x**j * D_q P_n, j <= d, scaled to the lcm of their
+    denominators, with the monic part's on the rhs. residuals[n] keeps the
+    residuals of the lower j across calls."""
+    res = residuals.setdefault(n, [])
+    if len(res) <= d:
+        image, den = ops.dq(ctx, n)
+        p, prev = ops[n], ops[n - 1]
+        for j in range(len(res), d + 1):
+            nums = [0] * j + image
+            abc = coefficients_oracle(nums, den, p, n)
+            r, r_den = int_three_term((nums, den), vec(p), vec(prev), *abc)
+            res.append((r[: n - 1], r_den))
+    common = lcm(*(den for _, den in res[: d + 1]))
+    cols = [[v * (common // den) for v in r] for r, den in res[: d + 1]]
+    return [[col[i] for col in cols[:d]] + [-cols[d][i]] for i in range(n - 1)]
+
+
+def fit_oracle(ctx, ops, d, N, residuals=None):
+    """fit_structure as it ran before the windows: pi pinned by the same
+    rows from the table's whole P_n and D_q P_n, then each index n = 1..N
+    decided by every coefficient of its power-basis residual."""
+    residuals = {} if residuals is None else residuals
+    rows = pin_rows_oracle(ctx, ops, d, 2, residuals)
+    *coeffs, rhs = rows[0]
+    if rhs and not any(coeffs):
+        return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 2, N)
+    solution = structure._pin(rows + pin_rows_oracle(ctx, ops, d, 3, residuals))
+    if solution is None:
+        return StructureFit(Poly.zero(), (), (), (), STATUS_NO_SOLUTION, 3, N)
+    pi = Poly(tuple(solution) + (F(1),))
+
+    a, b, c = [F(0)], [F(0)], [F(0)]
+    for n in range(1, N + 1):
+        lhs, p, prev = structure._times(pi, ops.dq(ctx, n)), ops[n], ops[n - 1]
+        a_n, b_n, c_n = coefficients_oracle(*lhs, p, n)
+        if any(int_three_term(lhs, vec(p), vec(prev), a_n, b_n, c_n)[0]):
+            return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
+        a.append(a_n)
+        b.append(b_n)
+        c.append(c_n)
+
+    zero_c = next((n for n in range(1, N + 1) if c[n] == 0), None)
+    status = STATUS_EXACT if zero_c is None else STATUS_DEGENERATE_C
+    return StructureFit(pi, tuple(a), tuple(b), tuple(c), status, zero_c, N)
+
+
+def fit_auto_oracle(ctx, ops, N):
+    """fit_oracle for d = 0, 1, 2 up to and including the first exact fit."""
+    residuals, fits = {}, []
+    for d in (0, 1, 2):
+        fits.append(fit_oracle(ctx, ops, d, N, residuals))
+        if fits[-1].is_exact:
+            break
+    return fits
+
+
+def pin_rows(ctx, ttrr, d, n):
+    """The package's pin rows of identity n (n = 2, 3), from fresh windows."""
+    windows = structure._windows(operator_rows(ctx, 3)[0], ttrr, [], 3)
+    return structure._pin_rows(windows, d, n, {})
+
+
 def residual_oracle(ctx, ops, pi, a_n, b_n, c_n, n):
     """Reference structure residual pi * D_q P_n - (a_n x + b_n) P_n
     - c_n P_{n-1}, in normalized Poly arithmetic instead of the package's
@@ -289,14 +369,20 @@ def test_each_pin_branch_fails_where_the_reference_fit_fails():
     # d = 0 pins and fails at 4
     ttrr = TTRRSpec.from_lists([0] * 7, [F(1, 4), F(1, 2), 1, 1, 1, 1])
     ops = generate_ops(ttrr, 6)
-    # the rows of one identity are integers, scaled by one positive factor
-    assert up_to_scale(structure._pin_rows(CTX, ops, 1, 2, {}), [[0, F(-17, 16)]])
-    assert up_to_scale(structure._pin_rows(CTX, ops, 2, 2, {}), [[0, F(17, 16), 0]])
-    rows = structure._pin_rows(CTX, ops, 2, 3, {})
-    assert up_to_scale(rows, [[0, 0, F(-273, 128)], [0, F(273, 32), 0]])
+    # the rows of one identity are integers, scaled by one positive factor,
+    # read off the windows and off the table's whole polynomials alike
+    expected = {
+        (1, 2): [[0, F(-17, 16)]],
+        (2, 2): [[0, F(17, 16), 0]],
+        (2, 3): [[0, 0, F(-273, 128)], [0, F(273, 32), 0]],
+    }
+    for (d, n), rows in expected.items():
+        assert up_to_scale(pin_rows(CTX, ttrr, d, n), rows)
+        assert up_to_scale(pin_rows_oracle(CTX, ops, d, n, {}), rows)
     fits = [fit_structure(CTX, ops, d, 6) for d in (0, 1, 2)]
     assert [(fit.status, fit.failure_n) for fit in fits] == [(STATUS_NO_SOLUTION, n) for n in (4, 2, 3)]
     assert fits == [reference_fit(CTX, ops, d, 6) for d in (0, 1, 2)]
+    assert fits == [fit_oracle(CTX, ops, d, 6) for d in (0, 1, 2)]
     assert fit_auto(CTX, OPSTable(ttrr, 6), 6) == fits
 
 
@@ -317,17 +403,20 @@ def test_verify_structure_passes_and_detects_perturbation():
 
 def test_one_table_keeps_its_images_per_context():
     # the Chebyshev-T recurrence does not depend on q, so one table serves
-    # two contexts; each keeps its own D_q P_n images, and a verify on the
-    # table reads the images of its own context
+    # two contexts; the fits read no entry of it (they decide each index
+    # from windows), each verify builds its own context's D_q P_n images,
+    # and a verify on the table reads the images of its own context
     ops = OPSTable(ttrr_chebyshev_t(n_max=N), N)
     contexts = (QContext(F(1, 2)), QContext(F(2, 3)))
     fits = [fit_auto(ctx, ops, N)[-1] for ctx in contexts]
     assert all(fit.is_exact and fit.pi.degree == 2 for fit in fits)
+    assert ops._built == (Poly.one(),) and ops._images == {}
+    for ctx, fit in zip(contexts, fits):
+        assert verify_structure(ctx, ops, fit).ok
     assert set(ops._images) == set(contexts)
     for ctx, fit in zip(contexts, fits):
         stored = tuple(Poly.from_ints(*image) for image in ops._images[ctx])
         assert stored == tuple(dq_apply(ctx, p) for p in generate_ops(ops.ttrr, N).polys)
-        assert verify_structure(ctx, ops, fit).ok
     assert fits[0] != fits[1]
     assert not verify_structure(contexts[1], ops, fits[0]).ok
 
@@ -644,3 +733,82 @@ def test_five_term_names_k_minus_one_for_an_out_of_range_coefficient():
         (0, "five-term mismatch at n = 0, basis index k = 0"),
         (1, "five-term mismatch at n = 1, basis index k = -1"),
     ]
+
+
+# ------------------------------------------------------------- the windows
+#
+# The fit decides each index from windows of seven coefficients; fit_oracle
+# decides it from the whole power-basis residual. A window shifted by one,
+# an image read from the wrong parity or a residual window cut short gives
+# a different fit on some input below.
+
+FAMILIES = ("q-hermite", "alsalam-chihara", "chebyshev-t", "continuous-q-jacobi")
+small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+def assert_fits_equal_the_oracle(ctx, ttrr, N):
+    ops = generate_ops(ttrr, N)
+    oracle = [fit_oracle(ctx, ops, d, N) for d in (0, 1, 2)]
+    assert [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)] == oracle
+    assert fit_auto(ctx, OPSTable(ttrr, N), N) == fit_auto_oracle(ctx, ops, N)
+    return oracle
+
+
+@st.composite
+def family_points(draw, n_max):
+    """(ctx, ttrr): a regular point of one of the four families, in either
+    base, with Al-Salam-Chihara taking c/d = q**(+-1/2), which fits."""
+    ctx = QContext(draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)))
+    family = draw(st.sampled_from(FAMILIES))
+    params = ()
+    if family == "alsalam-chihara":
+        d = draw(small.filter(bool))
+        params = (("c", d * ctx.t ** draw(st.sampled_from([2, -2]))), ("d", d))
+    elif family == "continuous-q-jacobi":
+        positive = st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9)
+        params = (("p_a", draw(positive)), ("p_b", draw(positive)))
+    try:
+        spec = FamilySpec(family, params, draw(st.sampled_from(["q", "q-inverse"])))
+        return ctx, spec.to_ttrr(ctx, n_max=n_max)
+    except IrregularParameters:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+        st.lists(small, min_size=n + 1, max_size=n + 1),
+        st.lists(small.filter(bool), min_size=n, max_size=n),
+    )
+))
+def test_the_windowed_fit_is_the_whole_residual_fit_on_random_ttrrs(case):
+    t, b, c = case
+    assert_fits_equal_the_oracle(QContext(t), TTRRSpec.from_lists(b, c), len(c))
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=16).flatmap(family_points),
+    st.sampled_from([F(1, 1000), F(-3), F(5, 7), F(-1, 2)]),
+)
+def test_the_windowed_fit_is_the_whole_residual_fit_on_every_single_move(case, delta):
+    # B_k for k = 0..N and C_k for k = 1..N, each moved by delta in turn
+    ctx, ttrr = case
+    N = ttrr.n_max
+    assert_fits_equal_the_oracle(ctx, ttrr, N)
+    for field in ("b", "c"):
+        for i in range(len(getattr(ttrr, field))):
+            b, c = list(ttrr.b), list(ttrr.c)
+            moved = b if field == "b" else c
+            moved[i] += delta
+            if moved[i]:
+                assert_fits_equal_the_oracle(ctx, TTRRSpec.from_lists(b, c), N)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.sampled_from([48, 64]).flatmap(family_points))
+def test_the_windowed_fit_is_the_whole_residual_fit_at_long_horizons(case):
+    ctx, ttrr = case
+    fits = assert_fits_equal_the_oracle(ctx, ttrr, ttrr.n_max)
+    assert any(fit.is_exact for fit in fits)
