@@ -281,11 +281,11 @@ def pearson_data(ctx: QContext, ttrr: TTRRSpec, fit: StructureFit) -> PearsonDat
     return PearsonData(frak_a, frak_b, phi, psi)
 
 
-def pearson_check(
-    ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int, *, ops: OPSTable | None = None
-) -> Report:
+def pearson_check(ctx: QContext, ttrr: TTRRSpec, pd: PearsonData, N: int) -> Report:
     """Check -<u, phi D_q x**n> = <u, psi S_q x**n> for 0 <= n <= N, using
-    exact moments to order N + 1. The monomial images are the context's
+    exact moments to order N + 1, which `moments` computes from
+    B_0..B_{N//2} and C_1..C_{(N+1)//2} alone, with no P_n; N + 1 > n_max
+    raises IndexError. The monomial images are the context's
     operator rows, and each side is one dot product of a row with the
     moments of phi u or psi u. The report holds one pearson check per
     order; a failing one carries both sides as its witness.
@@ -296,12 +296,9 @@ def pearson_check(
 
     Each side stays an unreduced (numerator, denominator) pair, and the
     two are compared by cross-multiplying; only a failing order builds
-    their `Fraction`s, for its witness.
-
-    ops, when given, is the OPS table of ttrr the moments are read from; it
-    must reach degree N + 1 (see `moments`)."""
+    their `Fraction`s, for its witness."""
     fr = format_rational
-    mom = moments(ttrr, N + 1, ops=ops)
+    mom = moments(ttrr, N + 1)
     phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
     d_rows, s_rows = operator_rows(ctx, N)
     checks = []
@@ -612,7 +609,7 @@ def recover_qjacobi_params(
 
     Only B_N is left: it first enters P_{N+1}, which neither the fit to N
     nor the Pearson check reads (the moments it needs stop at mu_{N+1},
-    and <u, P_N> = 0 leaves mu_{N+1} independent of B_N). A B_N off its
+    which reads B_0..B_{N//2} only; see `moments`). A B_N off its
     closed form keeps the witness "regenerated recurrence differs at B_N".
     Regularity is not implied: a factor of the generator's scan past N can
     vanish while every check to N passes (1 - q**(N+1) p_a**2 sits in y_N,
@@ -749,8 +746,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     if N < 6:
         raise ValueError(f"classification horizon must be at least 6, got N = {N}")
     ledger: dict[str, PredicateRecord] = {}
-    # the table spans the Pearson horizon min(N + 1, n_max); N > n_max raises here
-    ops = OPSTable(ttrr, min(N + 1, max(N, ttrr.n_max)))
+    ops = OPSTable(ttrr, N)  # N > n_max raises here
 
     fits = fit_auto(ctx, ops, N)
     for d, f in enumerate(fits):
@@ -769,7 +765,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
         return not_characterized("aux-recurrence", str(exc))
     pd = pearson_data(ctx, ttrr, fit)  # an exact fit never raises DegenerateR1
     ledger.update(lemma_predicates(ctx, aux, pd, deg))
-    failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops).failures()
+    failures = pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)).failures()
     if failures:
         return not_characterized("pearson", failures[0].witness)
     ledger["pearson"] = PredicateRecord(True, {})

@@ -204,7 +204,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
     from qstruct.report import Check, Report
     from qstruct.structure import fit_auto, five_term, verify_structure
 
-    ops = OPSTable(ttrr, min(N + 1, ttrr.n_max))
+    ops = OPSTable(ttrr, min(N + 1, ttrr.n_max))  # the five-term check reads P_{N+1}
     report = Report()
     fit = fit_auto(ctx, ops, N)[-1]
     if not fit.is_exact:
@@ -222,7 +222,7 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
             report = report.merged(Report((Check("system:aux", exc.n, False, str(exc)),)))
     if wants("pearson"):
         pd = pearson_data(ctx, ttrr, fit)  # an exact fit never raises DegenerateR1
-        report = report.merged(pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2), ops=ops))
+        report = report.merged(pearson_check(ctx, ttrr, pd, min(N, ttrr.n_max - 2)))
     if wants("five-term"):
         report = report.merged(five_term(ctx, ops, fit).report)
     return report.sorted()

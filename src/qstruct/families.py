@@ -438,7 +438,8 @@ class MomentVector(Frozen):
     """Moments mu_n = <u, x**n> of the regular functional normalized by
     mu_0 = 1, where u annihilates every P_n with n >= 1, stored as integer
     numerators over one common denominator: mu_n = nums[n] / den.
-    `moments` returns them with gcd(den, *nums) = 1."""
+    `moments` computes them from the recurrence coefficients, with no P_n,
+    and returns them with gcd(den, *nums) = 1."""
 
     __slots__ = ("nums", "den")
 
@@ -464,32 +465,55 @@ class MomentVector(Frozen):
         )
 
 
-def moments(ttrr: TTRRSpec, N: int, *, ops: OPSTable | None = None) -> MomentVector:
-    """mu_0..mu_N from <u, P_n> = 0 for n >= 1: P_n is monic, so
-    mu_n = -sum_{k<n} [x**k]P_n mu_k, a triangular solve on the integer
-    numerators of the OPS table. This forces <u, P_n> = 0 for n >= 1 and
-    <u, P_n**2> = C_1...C_n. The moments stay over their least common
-    denominator.
+def _join(n: int, d: int, tn: int, td: int) -> tuple[int, int]:
+    """n/d + tn/td over lcm(d, td), as an unreduced pair."""
+    g = gcd(d, td)
+    return n * (td // g) + tn * (d // g), d // g * td
 
-    ops, when given, is an OPS table of ttrr reaching degree N, whose
-    entries are read (and built if missing) in place of a new table; a
-    shorter one is a ValueError."""
-    if ops is None:
-        ops = OPSTable(ttrr, N)
-    elif ops.degree < N:
-        raise ValueError(f"OPS table reaches degree {ops.degree}, moments need {N}")
-    nums, den = [1], 1  # mu_k = nums[k] / den
-    for n in range(1, N + 1):
-        p = ops[n]
-        s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)
-        g = gcd(s, p.den * den)
-        mu_den = p.den * den // g
-        common = lcm(den, mu_den)
-        if common != den:
-            nums = [v * (common // den) for v in nums]
-        nums.append(s // g * (common // mu_den))
-        den = common
-    return MomentVector(tuple(nums), den)
+
+def moments(ttrr: TTRRSpec, N: int) -> MomentVector:
+    """mu_0..mu_N from the recurrence alone, with no OPS table.
+
+    Write x**l = sum_j e_j^(l) P_j. Then e^(0) = (1), and the recurrence
+    x P_j = P_{j+1} + B_j P_j + C_j P_{j-1} gives
+
+        e_j^(l+1) = e_{j-1}^(l) + B_j e_j^(l) + C_{j+1} e_{j+1}^(l).
+
+    <u, P_j> = 0 for j >= 1 and mu_0 = 1, so mu_l = e_0^(l). A step lowers
+    j by at most one, so e_j^(l) reaches mu_N only if j <= N - l; each
+    e^(l) is kept on j <= min(l, N - l). The terms read are then B_j e_j^(l)
+    with j <= min(l, N - l - 1) and C_{j+1} e_{j+1}^(l) with
+    j + 1 <= min(l, N - l), so mu_0..mu_N read only B_0..B_{(N-1)//2} and
+    C_1..C_{N//2}. N > n_max still raises IndexError, as every horizon of
+    a recurrence does, although fewer coefficients are read.
+
+    Each coordinate is its own reduced (numerator, denominator) pair: its
+    at most three terms are joined over the lcm of their denominators and
+    reduced once. The result is over the lcm of the reduced denominators of
+    mu_0..mu_N, which leaves gcd(den, *nums) = 1."""
+    if N > ttrr.n_max:
+        raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
+    b = [(v.numerator, v.denominator) for v in ttrr.b]
+    c = [(v.numerator, v.denominator) for v in ttrr.c]  # c[j] is C_{j+1}
+    e, mus = [(1, 1)], [(1, 1)]  # e[j] = e_j^(l) on the window, mus[l] = e_0^(l)
+    for l in range(N):
+        m, nxt = len(e), []
+        for j in range(min(l + 1, N - l - 1) + 1):
+            n, d = e[j - 1] if j else (0, 1)
+            if j < m:
+                (en, ed), (bn, bd) = e[j], b[j]
+                if en and bn:
+                    n, d = _join(n, d, bn * en, bd * ed)
+                if j + 1 < m:
+                    (en, ed), (cn, cd) = e[j + 1], c[j]
+                    if en:
+                        n, d = _join(n, d, cn * en, cd * ed)
+            g = gcd(n, d)
+            nxt.append((n // g, d // g))
+        e = nxt
+        mus.append(e[0])
+    den = lcm(*[d for _, d in mus])
+    return MomentVector(tuple(n * (den // d) for n, d in mus), den)
 
 
 def ttrr_equal(first: TTRRSpec, second: TTRRSpec, N: int) -> tuple[str, int] | None:

@@ -12,6 +12,7 @@ from test_families import (
     cq_jacobi_scan_oracle,
     cq_jacobi_terms_oracle,
     cq_jacobi_yz,
+    moments_oracle,
     replaced,
 )
 from test_scalar import gamma_n, qpow
@@ -45,7 +46,6 @@ from qstruct.families import (
     OPSTable,
     TTRRSpec,
     generate_ops,
-    moments,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
     ttrr_cq_jacobi,
@@ -181,16 +181,18 @@ def test_pearson_check_detects_wrong_phi():
     )
 
 
-def test_pearson_check_reads_a_given_table_reaching_n_plus_1():
-    # order 8 reads mu_0..mu_9: a table to P_9 is enough, one to P_8 is not
+def test_pearson_check_needs_a_horizon_reaching_n_plus_1():
+    # order 8 reads mu_0..mu_9: a recurrence to n_max = 9 is enough, one to
+    # n_max = 8 is not, although mu_9 reads only B_0..B_4 and C_1..C_5
     ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
     _, fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
-    table = OPSTable(ttrr, 9)
-    assert pearson_check(CTX, ttrr, pd, 8, ops=table) == pearson_check(CTX, ttrr, pd, 8)
-    assert moments(ttrr, 9, ops=table) == moments(ttrr, 9)
-    with pytest.raises(ValueError, match="OPS table reaches degree 8, moments need 9"):
-        pearson_check(CTX, ttrr, pd, 8, ops=OPSTable(ttrr, 8))
+    b, c = ttrr.b, ttrr.c
+    report = pearson_check(CTX, TTRRSpec(b[:10], c[:9]), pd, 8)
+    assert report.ok and [check.n for check in report.checks] == list(range(9))
+    assert report == pearson_check(CTX, ttrr, pd, 8)
+    with pytest.raises(IndexError, match="^N = 9 exceeds materialized horizon 8$"):
+        pearson_check(CTX, TTRRSpec(b[:9], c[:8]), pd, 8)
 
 
 @pytest.mark.parametrize(
@@ -1120,6 +1122,32 @@ def test_classify_applies_d_q_only_as_far_as_the_fits_read(dq_calls):
         assert dq_calls == []
 
 
+@pytest.mark.parametrize("base", ["q", "q-inverse"])
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("q-hermite", ()),
+        ("alsalam-chihara", (("c", F(1, 3) * CTX.t**2), ("d", F(1, 3)))),
+        ("chebyshev-t", ()),
+        ("continuous-q-jacobi", (("p_a", F(1, 3)), ("p_b", F(2, 5)))),
+    ],
+)
+def test_classify_builds_no_p_n_on_family_points_or_single_moves(
+    monkeypatch, dq_calls, family, params, base
+):
+    # the fits decide each index from windows and the Pearson moments come
+    # from the recurrence, so no classification reads the OPS table
+    grown = []
+    monkeypatch.setattr(OPSTable, "_grow", lambda table, n: grown.append(n))
+    n = 14
+    ttrr = FamilySpec(family, params, base).to_ttrr(CTX, n_max=n + 1)
+    assert classify(CTX, ttrr, n).characterized
+    for k in (1, n // 2, n):
+        classify(CTX, b_perturbed(ttrr, k), n)
+        classify(CTX, replaced(ttrr, c_overrides={k: 2 * ttrr.C(k)}), n)
+    assert grown == [] and dq_calls == []
+
+
 def test_classify_checks_its_horizon_before_building_anything():
     ttrr = ttrr_cq_jacobi(CTX, F(1, 3), F(2, 5), n_max=8)
     with pytest.raises(IndexError, match="^N = 9 exceeds materialized horizon 8$"):
@@ -1161,8 +1189,9 @@ def aux_oracle(ctx, ttrr, fit):
 
 
 def pearson_oracle(ctx, ttrr, pd, N):
-    """pearson_check with Fraction sides and moments to order N + 2."""
-    mom = moments(ttrr, N + 2)
+    """pearson_check with Fraction sides and moments to order N + 2, solved
+    from the OPS table."""
+    mom = moments_oracle(ttrr, N + 2)
     phi_u, psi_u = mom.weighted(pd.phi), mom.weighted(pd.psi)
     d_rows, s_rows = awops.operator_rows(ctx, N)
     checks = []
@@ -1308,7 +1337,6 @@ def test_post_fit_decisions_match_their_fraction_oracles(case):
             continue
         got = pearson_check(ctx, ttrr, pd, order)
         assert got == pearson_oracle(ctx, ttrr, pd, order)
-        assert got == pearson_check(ctx, ttrr, pd, order, ops=OPSTable(ttrr, order + 1))
     aux, pd = outcome(aux_sequences, ctx, ttrr, fit), outcome(pearson_data, ctx, ttrr, fit)
     assume(not isinstance(aux, tuple) and not isinstance(pd, tuple))
     for f in (fit, moved):

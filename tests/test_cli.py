@@ -639,12 +639,12 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
 
 @pytest.mark.parametrize("entry", ["verify", "classify", "reject"])
 def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
-    # verify_structure, the five-term expansion and the Pearson moments read
-    # one table (classify and verify built P_0..P_N for the fit and again
-    # for the moments), which reaches P_{N+1}: no Pearson dot product reads
-    # mu_{N+2}. The fits read no entry of it (they decide each index from
-    # windows), so a recurrence whose fits all fail builds no P_n (P_0..P_3
-    # while the pin read the table)
+    # verify_structure and the five-term expansion read one table, which
+    # reaches P_{N+1} (classify and verify built P_0..P_N for the fit and
+    # again for the moments). The fits read no entry of it (they decide each
+    # index from windows), and the Pearson moments come from the recurrence,
+    # so classify builds no P_n, exact fit or not (P_1..P_{N+1} while the
+    # moments were solved from the table, P_0..P_3 while the pin read it)
     built = []
     grow = OPSTable._grow
 
@@ -666,7 +666,7 @@ def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
             [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(22)],
         )
         assert not classify(ctx, ttrr, 20).characterized
-    assert sorted(built) == ([] if entry == "reject" else list(range(1, 12)))
+    assert sorted(built) == (list(range(1, 12)) if entry == "verify" else [])
 
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 from functools import cache
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from qstruct.families import (
     FamilySpec,
     IrregularParameters,
+    MomentVector,
     OPSTable,
     TTRRSpec,
     cq_jacobi_powers,
@@ -693,3 +696,142 @@ def test_ops_table_matches_the_poly_oracle_on_family_points(family, params, base
     for t in (F(1, 2), F(2, 3)):
         ttrr = FamilySpec(family, params, base).to_ttrr(QContext(t), n_max=32)
         assert normal_forms(generate_ops(ttrr, 32).polys) == normal_forms(ops_oracle(ttrr, 32))
+
+
+def moments_oracle(ttrr, N):
+    """The triangular solve that `moments` replaced: P_n is monic, so
+    mu_n = -sum_{k<n} [x**k]P_n mu_k, on the integer numerators of the OPS
+    table, over the least common denominator of mu_0..mu_n."""
+    ops = OPSTable(ttrr, N)
+    nums, den = [1], 1  # mu_k = nums[k] / den
+    for n in range(1, N + 1):
+        p = ops[n]
+        s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)
+        g = gcd(s, p.den * den)
+        mu_den = p.den * den // g
+        common = lcm(den, mu_den)
+        if common != den:
+            nums = [v * (common // den) for v in nums]
+        nums.append(s // g * (common // mu_den))
+        den = common
+    return MomentVector(tuple(nums), den)
+
+
+def reference_moments(ttrr, N):
+    """The Fraction recurrence: x**n expanded in the P_k basis through
+    x P_k = P_{k+1} + B_k P_k + C_k P_{k-1}; mu_n is the P_0 component."""
+    coords, mus = [F(1)], [F(1)]
+    for _ in range(N):
+        nxt = [F(0)] * (len(coords) + 1)
+        for k, dk in enumerate(coords):
+            nxt[k + 1] += dk
+            nxt[k] += dk * ttrr.B(k)
+            if k >= 1:
+                nxt[k - 1] += dk * ttrr.C(k)
+        coords = nxt
+        mus.append(coords[0])
+    return tuple(mus)
+
+
+def assert_moments_match_both_oracles(ttrr, N):
+    mom = moments(ttrr, N)
+    assert mom == moments_oracle(ttrr, N)
+    assert tuple(F(v, mom.den) for v in mom.nums) == reference_moments(ttrr, N)
+    assert gcd(mom.den, *mom.nums) == 1 and mom.den > 0
+
+
+@st.composite
+def moment_ttrrs(draw):
+    """(ttrr, N): a recurrence to a horizon of 1..24 whose B_k are signed
+    rationals, all zero or signed integers, and whose C_k are nonzero of
+    either sign, rational or integer alike; and 0 <= N <= n_max."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["rational", "b-zero", "integer"]))
+    values = st.integers(-9, 9) if kind == "integer" else rationals
+    b = [0] * (n + 1) if kind == "b-zero" else draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    c = draw(st.lists(values.filter(bool), min_size=n, max_size=n))
+    return TTRRSpec.from_lists(b, c, "random"), draw(st.integers(0, n))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(moment_ttrrs())
+def test_moments_match_the_table_solve_and_the_fraction_recurrence(case):
+    assert_moments_match_both_oracles(*case)
+
+
+# a point of each family that is regular in both bases at t = 1/2, 2/3, 1/3
+FAMILY_PARAMS = {
+    "q-hermite": (),
+    "alsalam-chihara": (("c", F(1, 3)), ("d", F(-2, 5))),
+    "chebyshev-t": (),
+    "continuous-q-jacobi": (("p_a", F(1, 3)), ("p_b", F(2, 5))),
+}
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILY_PARAMS)),
+    st.sampled_from(["q", "q-inverse"]),
+    st.sampled_from([F(1, 2), F(2, 3), F(1, 3)]),
+    st.integers(0, 64),
+)
+def test_moments_match_the_table_solve_and_the_fraction_recurrence_on_families(
+    family, base, t, N
+):
+    spec = FamilySpec(family, FAMILY_PARAMS[family], base)
+    ttrr = spec.to_ttrr(QContext(t), n_max=max(N, 1))
+    assert_moments_match_both_oracles(ttrr, N)
+
+
+@pytest.mark.parametrize("base", ["q", "q-inverse"])
+@pytest.mark.parametrize("family", FAMILY_PARAMS)
+def test_moments_match_the_table_solve_and_the_fraction_recurrence_at_n_64(family, base):
+    ttrr = FamilySpec(family, FAMILY_PARAMS[family], base).to_ttrr(CTX, n_max=64)
+    assert_moments_match_both_oracles(ttrr, 64)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(moment_ttrrs())
+def test_mu_n_reads_no_b_past_half_n_minus_1_and_no_c_past_half_n(case):
+    # B_k with k > (N - 1) // 2 and C_k with k > N // 2 do not enter mu_0..mu_N
+    ttrr, N = case
+    mom = moments(ttrr, N)
+    for k in range((N + 1) // 2, ttrr.n_max + 1):
+        assert moments(replaced(ttrr, b_overrides={k: ttrr.B(k) + 1}), N) == mom
+    for k in range(N // 2 + 1, ttrr.n_max + 1):
+        assert moments(replaced(ttrr, c_overrides={k: -2 * ttrr.C(k)}), N) == mom
+
+
+positives = st.fractions(min_value=F(1, 60), max_value=60, max_denominator=60)
+
+
+@st.composite
+def positive_ttrrs(draw):
+    """(ttrr, N): a recurrence to a horizon of 1..24 whose B_k and C_k are
+    all positive, and 1 <= N <= n_max."""
+    n = draw(st.integers(1, 24))
+    b = draw(st.lists(positives, min_size=n + 1, max_size=n + 1))
+    c = draw(st.lists(positives, min_size=n, max_size=n))
+    return TTRRSpec.from_lists(b, c, "positive"), draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(positive_ttrrs())
+def test_mu_n_reads_b_at_half_n_minus_1_and_c_at_half_n(case):
+    # mu_N sums a weight over paths of N steps from level 0 back to 0 (up,
+    # stay at j reading B_j, down from j reading C_j), a product of the
+    # coefficients read, so with every B_k and C_k positive, raising one
+    # that some path reads raises mu_N. B_{(N-1)//2} is read by the path
+    # that climbs to level (N-1)//2, stays there for the one or two steps N
+    # leaves and comes back, and C_{N//2} (N >= 2) by the one that climbs
+    # to level N//2 and comes back
+    ttrr, N = case
+
+    def mu_n(recurrence):
+        mom = moments(recurrence, N)
+        return F(mom.nums[N], mom.den)
+
+    top_b, top_c = (N - 1) // 2, N // 2
+    assert mu_n(replaced(ttrr, b_overrides={top_b: ttrr.B(top_b) + 1})) > mu_n(ttrr)
+    if top_c >= 1:
+        assert mu_n(replaced(ttrr, c_overrides={top_c: ttrr.C(top_c) + 1})) > mu_n(ttrr)

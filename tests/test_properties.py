@@ -53,6 +53,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_awops import dq_oracle, sq_oracle, t_basis_dq, t_basis_sq
+from test_families import reference_moments
 from test_poly import FractionPoly, evaluate
 from test_structure import (
     coefficients_oracle,
@@ -673,23 +674,6 @@ def test_r_meets_its_closed_form_on_every_exact_fit(case):
         return
     for n in range(N + 1):
         assert aux.r[n] == aux.a_hat * t ** (2 * n) + aux.b_hat * t ** (-2 * n)
-
-
-def reference_moments(ttrr, N):
-    """The Fraction recurrence that moments replaced: x**n expanded in the
-    P_k basis through x P_k = P_{k+1} + B_k P_k + C_k P_{k-1}; mu_n is the
-    P_0 component."""
-    coords, mus = [F(1)], [F(1)]
-    for _ in range(N):
-        nxt = [F(0)] * (len(coords) + 1)
-        for k, dk in enumerate(coords):
-            nxt[k + 1] += dk
-            nxt[k] += dk * ttrr.B(k)
-            if k >= 1:
-                nxt[k - 1] += dk * ttrr.C(k)
-        coords = nxt
-        mus.append(coords[0])
-    return tuple(mus)
 
 
 @BOUNDED

@@ -6,7 +6,8 @@ Each mutant changes one thing in one function: the integer kernels
 `poly.int_three_term`, `awops._image` and `structure._pin` get every
 mutant of the kinds below, each return or raise that a test pins gets
 one mutant of its own (MUTANTS_OF_PINNED), and so does each offset of the
-fit's windows (MUTANTS_OF_WINDOWS):
+fit's windows (MUTANTS_OF_WINDOWS) and each bound, index, term and
+reduction of the moments' recursion (MUTANTS_OF_MOMENTS):
 
 - each `lcm(x, y)` or `gcd(x, y)` replaced by x, by y, and by x * y or 1;
 - each sign flipped: a binary + or - swapped for the other, a unary minus
@@ -135,6 +136,32 @@ MUTANTS_OF_WINDOWS = (
     ("structure.py", "_fit", "if any(r):", "if any(r[:3]):"),
 )
 
+# (file, function, line, replacement) as above: the moments' coordinate
+# window narrowed and widened by one, the C index shifted by one, the B term
+# dropped and the reduction skipped
+MUTANTS_OF_MOMENTS = (
+    (
+        "families.py",
+        "moments",
+        "for j in range(min(l + 1, N - l - 1) + 1):",
+        "for j in range(min(l + 1, N - l - 1)):",
+    ),
+    (
+        "families.py",
+        "moments",
+        "for j in range(min(l + 1, N - l - 1) + 1):",
+        "for j in range(min(l + 1, N - l) + 1):",
+    ),
+    (
+        "families.py",
+        "moments",
+        "(en, ed), (cn, cd) = e[j + 1], c[j]",
+        "(en, ed), (cn, cd) = e[j + 1], c[j + 1]",
+    ),
+    ("families.py", "moments", "n, d = _join(n, d, bn * en, bd * ed)", "pass"),
+    ("families.py", "moments", "nxt.append((n // g, d // g))", "nxt.append((n, d))"),
+)
+
 _COMMON_MULTIPLE = "any common multiple keeps every value exact and every output the same"
 
 # mutant name: why it computes what the original computes
@@ -146,6 +173,12 @@ EQUIVALENT = {
     "awops.py _image: k - drop: sign -> +": "(k + drop) % 2 == (k - drop) % 2",
     "awops.py _image: out[j:k - drop + 1:2]: upper + 1":
         "j has the parity of k - drop, so the step-2 slice gains no index",
+    "families.py moments: for j in range(min(l + 1, N - l - 1) + 1):"
+    " -> for j in range(min(l + 1, N - l) + 1):": (
+        "the wider window also keeps e_{N-l+1}^(l), whose terms lie in the widened window too,"
+        " so every value stays exact, and a step lowers j by at most one, so it reaches no mu_k"
+        " with k <= N"
+    ),
 }
 
 # mutant name: why it survives though no proof shows it equivalent
@@ -312,9 +345,11 @@ def _span(tree: ast.Module, qualname: str) -> tuple[int, int]:
 
 
 def line_mutants():
-    """(name, file, mutated source) for MUTANTS_OF_PINNED and
-    MUTANTS_OF_WINDOWS."""
-    for name, qualname, line, replacement in MUTANTS_OF_PINNED + MUTANTS_OF_WINDOWS:
+    """(name, file, mutated source) for MUTANTS_OF_PINNED,
+    MUTANTS_OF_WINDOWS and MUTANTS_OF_MOMENTS."""
+    for name, qualname, line, replacement in (
+        MUTANTS_OF_PINNED + MUTANTS_OF_WINDOWS + MUTANTS_OF_MOMENTS
+    ):
         path = os.path.join(ROOT, "src", "qstruct", name)
         with open(path) as fh:
             source = fh.read()
