@@ -31,7 +31,6 @@ from fractions import Fraction
 from qstruct.awops import operator_rows
 from qstruct.families import (
     IrregularParameters,
-    OPSTable,
     TTRRSpec,
     cq_jacobi_powers,
     cq_jacobi_scan,
@@ -746,9 +745,7 @@ def classify(ctx: QContext, ttrr: TTRRSpec, N: int = 10) -> Classification:
     if N < 6:
         raise ValueError(f"classification horizon must be at least 6, got N = {N}")
     ledger: dict[str, PredicateRecord] = {}
-    ops = OPSTable(ttrr, N)  # N > n_max raises here
-
-    fits = fit_auto(ctx, ops, N)
+    fits = fit_auto(ctx, ttrr, N)  # N > n_max raises here
     for d, f in enumerate(fits):
         _record_fit(ledger, d, f)
     deg, fit = len(fits) - 1, fits[-1]

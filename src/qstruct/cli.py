@@ -23,7 +23,6 @@ from functools import cache
 from qstruct import __version__
 from qstruct.families import (
     FamilySpec,
-    OPSTable,
     generate_ops,
     ops_to_json,
     ttrr_from_json,
@@ -163,11 +162,10 @@ def cmd_fit(args) -> int:
 
     (ctx, ttrr), _ = _load_ttrr(args.ttrr)
     N = min(_capped_n(args.N), ttrr.n_max)
-    ops = OPSTable(ttrr, N)
     if args.deg_pi == "auto":
-        fits = fit_auto(ctx, ops, N)
+        fits = fit_auto(ctx, ttrr, N)
     else:
-        fits = [fit_structure(ctx, ops, int(args.deg_pi), N)]
+        fits = [fit_structure(ctx, ttrr, int(args.deg_pi), N)]
     fit = fits[-1]
     if fit.is_exact:
         print(f"deg pi = {fit.pi.degree}: pi = {fit.pi}", file=sys.stderr)
@@ -204,14 +202,15 @@ def _verify_checks(ctx, ttrr, N: int, which: str):
     from qstruct.report import Check, Report
     from qstruct.structure import fit_auto, five_term, verify_structure
 
-    ops = OPSTable(ttrr, min(N + 1, ttrr.n_max))  # the five-term check reads P_{N+1}
     report = Report()
-    fit = fit_auto(ctx, ops, N)[-1]
+    fit = fit_auto(ctx, ttrr, N)[-1]
     if not fit.is_exact:
         return Report(
             (Check("structure", None, False, "no exact fit for deg pi in {0, 1, 2}"),)
         )
     wants = lambda name: which in ("all", name)
+    if which in ("all", "structure", "five-term"):
+        ops = generate_ops(ttrr, min(N + 1, ttrr.n_max))  # the five-term check reads P_{N+1}
     if wants("structure"):
         report = report.merged(verify_structure(ctx, ops, fit))
     if wants("system"):

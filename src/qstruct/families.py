@@ -100,15 +100,13 @@ class TTRRSpec(Frozen):
             raise IndexError(f"C_{n} outside materialized horizon 1..{self.n_max}")
         return self.c[n - 1]
 
-    @classmethod
-    def from_lists(
-        cls, b_values: Sequence, c_values: Sequence, label: str = "explicit"
-    ) -> "TTRRSpec":
+    @staticmethod
+    def from_lists(b_values: Sequence, c_values: Sequence, label: str = "explicit") -> "TTRRSpec":
         """Explicit recurrence: b_values holds B_0..B_n, c_values holds
         C_1..C_n; lists of any other lengths raise ValueError."""
         if not c_values:
             raise ValueError("need at least B_0, B_1 and C_1")
-        return cls(
+        return TTRRSpec(
             tuple(as_fraction(v) for v in b_values),
             tuple(as_fraction(v) for v in c_values),
             label,
@@ -338,74 +336,49 @@ class FamilySpec(Frozen):
         raise ValueError(f"unknown family {self.family!r}")
 
 
-class OPSTable(Frozen):
-    """Monic P_0..P_degree of a TTRRSpec; each entry satisfies the recurrence
-    exactly by construction. The degree is fixed when the table is built,
-    and a degree beyond the TTRR's horizon raises IndexError.
+class OPSTable(TTRRSpec):
+    """A recurrence cut to degree N with its monic P_0..P_N: b holds
+    B_0..B_N and c holds C_1..C_N, so n_max is the degree and a table is
+    read wherever a TTRRSpec is, and polys holds P_0..P_N, built on
+    construction by the recurrence of `generate_ops`, each entry exact.
+    A degree outside 0..n_max of the given recurrence raises IndexError.
 
-    Entries are built on demand: reading P_n (``table[n]``) builds every
-    missing P_k with k <= n by the recurrence of `generate_ops` and keeps
-    them, and `polys` builds all of them. Each step is the one integer
-    three-term step of `poly.int_three_term`, the step every structure
-    residual takes, normalized once, with no `Poly` arithmetic. The
-    images D_q P_n are kept the same way, one prefix per context (`dq`),
-    so every identity of one problem reads one store of them. They are
-    kept unnormalized, as the integer sums `awops.dq_image` returns: each
-    reader multiplies an image by pi and decides on integers, so its gcd
-    would be read by no one (only `dq_apply` and `sq_apply` normalize).
-    A stored prefix is never changed: a longer one is built from a
-    snapshot of the shorter one and stored with one assignment, so
-    concurrent readers each hold a complete tuple, whichever of them
-    stores last."""
+    Each step is the one integer three-term step of `poly.int_three_term`,
+    the step every structure residual takes, normalized once, with no
+    `Poly` arithmetic. The images D_q P_n are kept per context (`dq`), as
+    the context comes only with the reader, so every identity of one
+    problem reads one store of them. They are kept unnormalized, as the
+    integer sums `awops.dq_image` returns: each reader multiplies an image
+    by pi and decides on integers, so its gcd would be read by no one (only
+    `dq_apply` and `sq_apply` normalize). A stored prefix is never changed:
+    a longer one is stored with one assignment, so concurrent readers each
+    hold a complete tuple, whichever of them stores last."""
 
-    __slots__ = ("ttrr", "degree", "_built", "_images")
+    __slots__ = ("polys", "_images")
 
-    def __init__(self, ttrr: TTRRSpec, degree: int):
-        if degree > ttrr.n_max:
-            raise IndexError(f"N = {degree} exceeds materialized horizon {ttrr.n_max}")
-        _init(self, "ttrr", ttrr)
-        _init(self, "degree", degree)
-        _init(self, "_built", (Poly.one(),))
+    def __init__(self, ttrr: TTRRSpec, N: int):
+        if not 0 <= N <= ttrr.n_max:
+            raise IndexError(f"degree {N} outside materialized horizon 0..{ttrr.n_max}")
+        super().__init__(ttrr.b[: N + 1], ttrr.c[:N], ttrr.label)
+        b, c, polys = self.b, (0, *self.c), [Poly.one()]  # c[k] is C_k
+        for k in range(N):  # P_{k+1} = 0 - (-x + B_k) P_k - C_k P_{k-1}, P_{-1} = 0
+            p, prev = polys[k], polys[k - 1] if k else Poly.zero()
+            step = int_three_term(((), 1), (p.nums, p.den), (prev.nums, prev.den), -1, b[k], c[k])
+            polys.append(Poly.from_ints(*step))
+        _init(self, "polys", tuple(polys))
         _init(self, "_images", {})
 
-    def __getitem__(self, n: int) -> Poly:
-        """P_n for 0 <= n <= degree."""
-        built = self._built
-        return built[n] if 0 <= n < len(built) else self._grow(n)[n]
-
-    @property
-    def polys(self) -> tuple[Poly, ...]:
-        """P_0..P_degree, all of them built."""
-        built = self._built
-        return built if len(built) > self.degree else self._grow(self.degree)
-
-    def _grow(self, n: int) -> tuple[Poly, ...]:
-        """The stored prefix extended through P_n:
-        P_{k+1} = 0 - (-x + B_k) P_k - C_k P_{k-1} with P_{-1} = 0, each one
-        `int_three_term` step normalized once."""
-        if not 0 <= n <= self.degree:
-            raise IndexError(f"P_{n} outside the table's degrees 0..{self.degree}")
-        polys, b, c = list(self._built), self.ttrr.b, self.ttrr.c
-        for k in range(len(polys) - 1, n):  # P_{k+1} from P_k and P_{k-1}
-            p, prev = polys[k], polys[k - 1] if k else Poly.zero()
-            c_k = c[k - 1] if k else 0
-            step = int_three_term(((), 1), (p.nums, p.den), (prev.nums, prev.den), -1, b[k], c_k)
-            polys.append(Poly.from_ints(*step))
-        built = tuple(polys)
-        _init(self, "_built", built)
-        return built
-
     def dq(self, ctx: QContext, n: int) -> tuple[list[int], int]:
-        """D_q P_n under ctx, for 0 <= n <= degree, as the pair (nums, den)
+        """D_q P_n under ctx, for 0 <= n <= n_max, as the pair (nums, den)
         of `dq_image`: integer numerators over a positive denominator, not
-        normalized. Reading it builds every missing D_q P_k with k <= n (and
-        the P_k they need) and keeps them."""
+        normalized. Reading it builds every missing D_q P_k with k <= n and
+        keeps them."""
         images = self._images.get(ctx, ())
         if 0 <= n < len(images):
             return images[n]
-        if not 0 <= n <= self.degree:
-            raise IndexError(f"D_q P_{n} outside the table's degrees 0..{self.degree}")
-        grown = images + tuple(dq_image(ctx, self[k]) for k in range(len(images), n + 1))
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"D_q P_{n} outside the table's degrees 0..{self.n_max}")
+        grown = images + tuple(dq_image(ctx, p) for p in self.polys[len(images) : n + 1])
         self._images[ctx] = grown
         return grown[n]
 
@@ -415,23 +388,21 @@ class OPSTable(Frozen):
         if not f:
             return []
         deg = f.degree
-        if deg > self.degree:
-            raise ValueError(f"table only reaches degree {self.degree}, need {deg}")
+        if deg > self.n_max:
+            raise ValueError(f"table only reaches degree {self.n_max}, need {deg}")
         out = [Fraction(0)] * (deg + 1)
         rem = f
         while rem:
             k, ck = rem.degree, rem.lead
             out[k] = ck
-            rem = rem - ck * self[k]
+            rem = rem - ck * self.polys[k]
         return out
 
 
 def generate_ops(ttrr: TTRRSpec, N: int) -> OPSTable:
-    """P_0 = 1, P_1 = x - B_0, P_{n+1} = (x - B_n) P_n - C_n P_{n-1}, as a
-    table of degree N with every entry already built."""
-    ops = OPSTable(ttrr, N)
-    ops._grow(N)
-    return ops
+    """P_0 = 1, P_1 = x - B_0, P_{n+1} = (x - B_n) P_n - C_n P_{n-1}: the
+    table of degree N of ttrr."""
+    return OPSTable(ttrr, N)
 
 
 class MomentVector(Frozen):

@@ -2,10 +2,11 @@
 
     pi(x) * D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1},   n = 0, 1, 2, ...
 
-for a monic OPS table, with pi monic of degree 0, 1, or 2. P_n and P_{n-1}
-are monic, so the coefficients of x**(n+1), x**n and x**(n-1) of the lhs
-pi * D_q P_n give a_n, b_n and c_n by back-substitution, and identity n
-holds exactly when the residual R_n = lhs - (a_n x + b_n) P_n - c_n P_{n-1},
+for the monic OPS of a three-term recurrence, with pi monic of degree 0, 1,
+or 2. P_n and P_{n-1} are monic, so the coefficients of x**(n+1), x**n and
+x**(n-1) of the lhs pi * D_q P_n give a_n, b_n and c_n by
+back-substitution, and identity n holds exactly when the residual
+R_n = lhs - (a_n x + b_n) P_n - c_n P_{n-1},
 of degree at most n - 2 and linear in pi, vanishes.
 
 The fit reads windows (`_windows`): the top seven coefficients of P_n, of
@@ -64,24 +65,25 @@ lemma; the first index that fails is the reported failure index.
 `fit_structure` fits one degree; `fit_auto` tries 0, 1, 2 in order and
 stops at the first exact fit, and its attempts share the windows and the
 residuals of x**j * D_q P_n (j <= 2, n = 2, 3) that the pins read. A fit
-reads no entry of the OPS table: it builds no P_n and no D_q P_n image,
-only windows, and it grows the context's operator rows to degree 3 for its
-pin and to the horizon only once pi pins, so a recurrence whose fits all
-fail at n = 3 pays for the windows to 3 and the rows to degree 3 only,
-whatever the horizon.
+takes the recurrence (a `TTRRSpec`; an OPS table is one) and builds no P_n
+and no D_q P_n image, only windows. It grows the context's operator rows
+to degree 3 for its pin and to the horizon only once pi pins, so a
+recurrence whose fits all fail at n = 3 pays for the windows to 3 and the
+rows to degree 3 only, whatever the horizon.
 
 `verify_structure` decides every index again from the whole power-basis
 residual: the lhs is one integer convolution of pi with the table's
 unnormalized image D_q P_n (`_times`), and R_n one `int_three_term` step,
-normalized only for a failing index, as its witness. It reads P_n and
-D_q P_n from the OPS table, which builds each of them the first time it
+normalized only for a failing index, as its witness. It reads P_n from the
+OPS table, which holds them from its construction, and D_q P_n from the
+table's store for the context, which builds each image the first time it
 is read and keeps it (`OPSTable.dq`), so it checks the windows and the
 lemma rather than repeating them. `five_term` reads the same images: the
 direct side of its check, pi * S_q P_n, follows from them by the product
 rule D_q(x f) = S_q f + alpha x D_q f and the recurrence, as one more
 three-term step, so no S_q image of a P_n is formed.
 
-Why n = 1..3 always pins pi. The table comes from a recurrence
+Why n = 1..3 always pins pi. The OPS comes from a recurrence
 P_{n+1} = (x - B_n) P_n - C_n P_{n-1} with every C_n != 0, and
 D_q P_n = gamma_n x**(n-1) + ... with gamma_n != 0 for n >= 1.
 
@@ -221,16 +223,16 @@ def _pin(rows: list[list[int]]) -> list[Fraction] | None:
     return [Fraction(row[width], row[col]) for col, row in enumerate(solved)]
 
 
-def _check_horizon(ops: OPSTable, N: int) -> None:
+def _check_horizon(ttrr: TTRRSpec, N: int) -> None:
     """Reject a horizon the fit cannot run to, before any work. The
     context's operator rows are grown by `_fit`, only as far as it reads."""
     if N < 3:
         raise ValueError(f"fit horizon must be at least 3, got N = {N}")
-    if ops.degree < N:
-        raise ValueError(f"OPS table reaches degree {ops.degree}, need {N}")
+    if N > ttrr.n_max:
+        raise IndexError(f"N = {N} exceeds materialized horizon {ttrr.n_max}")
 
 
-def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> StructureFit:
+def fit_structure(ctx: QContext, ttrr: TTRRSpec, deg_pi: int, N: int) -> StructureFit:
     """Fit monic pi of degree deg_pi and sequences (a_n, b_n, c_n) over
     n = 1..N (index 0 entries are forced to zero by the n = 0 identity).
 
@@ -240,20 +242,20 @@ def fit_structure(ctx: QContext, ops: OPSTable, deg_pi: int, N: int) -> Structur
     """
     if deg_pi not in (0, 1, 2):
         raise ValueError("deg_pi must be 0, 1, or 2")
-    _check_horizon(ops, N)
-    return _fit(ctx, ops.ttrr, deg_pi, N, [], {})
+    _check_horizon(ttrr, N)
+    return _fit(ctx, ttrr, deg_pi, N, [], {})
 
 
-def fit_auto(ctx: QContext, ops: OPSTable, N: int) -> list[StructureFit]:
+def fit_auto(ctx: QContext, ttrr: TTRRSpec, N: int) -> list[StructureFit]:
     """The fits for deg pi = 0, 1, 2 in order, up to and including the first
-    exact one. Each entry equals fit_structure(ctx, ops, d, N); the attempts
+    exact one. Each entry equals fit_structure(ctx, ttrr, d, N); the attempts
     share the windows and the pin residuals."""
-    _check_horizon(ops, N)
+    _check_horizon(ttrr, N)
     windows: list = []
     residuals: dict[int, list] = {}
     fits = []
     for d in (0, 1, 2):
-        fits.append(_fit(ctx, ops.ttrr, d, N, windows, residuals))
+        fits.append(_fit(ctx, ttrr, d, N, windows, residuals))
         if fits[-1].is_exact:
             break
     return fits
@@ -391,11 +393,10 @@ def verify_structure(ctx: QContext, ops: OPSTable, fit: StructureFit) -> Report:
     them, so `five_term` on the same table reuses them."""
     if not fit.is_exact:
         raise ValueError("verify_structure requires an exact fit")
-    checks = []
+    checks, P = [], [((), 1)] + [(p.nums, p.den) for p in ops.polys]  # P[n] is P_{n-1}
     for n in range(fit.horizon + 1):
-        lhs, p, prev = _times(fit.pi, ops.dq(ctx, n)), ops[n], ops[n - 1] if n else Poly.zero()
-        abc = fit.a[n], fit.b[n], fit.c[n]
-        res, res_den = int_three_term(lhs, (p.nums, p.den), (prev.nums, prev.den), *abc)
+        lhs = _times(fit.pi, ops.dq(ctx, n))
+        res, res_den = int_three_term(lhs, P[n + 1], P[n], fit.a[n], fit.b[n], fit.c[n])
         holds = not any(res)
         witness = "" if holds else str(Poly.from_ints(res, res_den))
         checks.append(Check("structure-residual", n, holds, witness))
@@ -434,16 +435,16 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     first nonzero coordinate (expansion is linear), or k = -1 when the
     coefficient of an out-of-range P_{n-1} or P_{n-2} is nonzero.
     Sequences with negative index are zero, matching C_0 = 0 and
-    a_0 = b_0 = c_0 = 0.
+    a_0 = b_0 = c_0 = 0; g and s run to the fit's horizon, or to the
+    table's degree where that is lower.
     """
     if not fit.is_exact:
         raise ValueError("five_term requires an exact fit")
     N = fit.horizon
-    ttrr = ops.ttrr
-    c_seq = (Fraction(0),) + ttrr.c[:N]  # C_0..C_N
-    g_seq = tuple(fit.b[n] + fit.a[n] * ttrr.b[n] for n in range(N + 1))
+    c_seq = (Fraction(0),) + ops.c[:N]  # C_0..C_N
+    g_seq = tuple(fit.b[n] + fit.a[n] * b_n for n, b_n in enumerate(ops.b[: N + 1]))
     s_seq = tuple(fit.c[n] + fit.a[n] * c_n for n, c_n in enumerate(c_seq))
-    horizon = min(N - 1, ops.degree - 2)
+    horizon = min(N - 1, ops.n_max - 2)
     if horizon < 0:
         raise ValueError("OPS table too short for any five-term index")
     # each sequence as Ratios from index -1 on (x[n + 1] is x_n), and the
@@ -454,19 +455,19 @@ def five_term(ctx: QContext, ops: OPSTable, fit: StructureFit) -> FiveTermExpans
     a = [nil] + [of(v) for v in fit.a]
     g = [nil] + [of(v) for v in g_seq]
     s = [nil] + [of(v) for v in s_seq]
-    B = [nil] + [of(v) for v in ttrr.b[: N + 1]]
-    C = [nil, nil] + [of(v) for v in ttrr.c[:N]]
+    B = [nil] + [of(v) for v in ops.b[: N + 1]]
+    C = [nil, nil] + [of(v) for v in ops.c[:N]]
     alpha_a = [alpha * v for v in a]
     alpha_g = [alpha * v for v in g]
     alpha_B = [alpha * v for v in B]
     # P_{n-2}..P_{n+2} and L_{n-1}..L_{n+1} as (nums, den) from index -2 and
     # -1 on, with P_{-2} = P_{-1} = L_{-1} = 0
-    P = [((), 1), ((), 1)] + [(ops[j].nums, ops[j].den) for j in range(horizon + 3)]
+    P = [((), 1), ((), 1)] + [(p.nums, p.den) for p in ops.polys[: horizon + 3]]
     L = [((), 1), _times(fit.pi, ops.dq(ctx, 0))]
     r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
     for n in range(horizon + 1):
         L.append(_times(fit.pi, ops.dq(ctx, n + 1)))
-        sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ttrr.b[n], -c_seq[n])
+        sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ops.b[n], -c_seq[n])
         am1, a0, a1 = a[n : n + 3]
         gm1, g0, g1 = g[n : n + 3]
         sm1, s0, s1 = s[n : n + 3]

@@ -45,7 +45,6 @@ from qstruct.families import (
     IrregularParameters,
     OPSTable,
     TTRRSpec,
-    generate_ops,
     ttrr_alsalam_chihara,
     ttrr_chebyshev_t,
     ttrr_cq_jacobi,
@@ -62,15 +61,14 @@ N = 10
 
 
 def fitted(ttrr, deg):
-    ops = generate_ops(ttrr, N)
-    fit = fit_structure(CTX, ops, deg, N)
+    fit = fit_structure(CTX, ttrr, deg, N)
     assert fit.is_exact
-    return ops, fit
+    return fit
 
 
 def test_aux_chebyshev_closed_forms():
     ttrr = ttrr_chebyshev_t()
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     u = CTX.u
     assert aux.k1 == -2 * u and aux.k2 == 2 * u
@@ -82,7 +80,7 @@ def test_aux_chebyshev_closed_forms():
 
 def test_aux_qhermite_t_sequence():
     ttrr = ttrr_qhermite(CTX)
-    _, fit = fitted(ttrr, 0)
+    fit = fitted(ttrr, 0)
     aux = aux_sequences(CTX, ttrr, fit)
     # t_n = c_n / C_n = 4 gamma_n / (1 - q^n) collapses to k2 q^{-n/2}
     assert aux.k1 == 0
@@ -96,7 +94,7 @@ def test_aux_qhermite_t_sequence():
 
 def test_aux_asc_k1k2_product():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     aux = aux_sequences(CTX, ttrr, fit)
     assert aux.k1 == 0  # the base-q branch
     assert aux.k2 == F(-8, 15)
@@ -109,7 +107,7 @@ def test_aux_geometric_pair_formulas():
         (ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16)), 2),
         (ttrr_cq_jacobi(CTX, F(1, 4), F(1, 4)), 2),
     ]:
-        _, fit = fitted(ttrr, deg)
+        fit = fitted(ttrr, deg)
         aux = aux_sequences(CTX, ttrr, fit)
         c1, c2 = fit.c[1], fit.c[2]
         C1, C2 = ttrr.C(1), ttrr.C(2)
@@ -124,7 +122,7 @@ def test_aux_geometric_pair_formulas():
 
 def test_pearson_data_chebyshev():
     ttrr = ttrr_chebyshev_t()
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
     assert pd.frak_a == CTX.alpha
     assert pd.psi.coeffs == (F(0), F(1))  # psi = x - B_0 = x
@@ -133,7 +131,7 @@ def test_pearson_data_chebyshev():
 def test_pearson_data_asc_k1_zero_branch():
     # when k1 = 0 (base-q branch), frak_a = -1/(2u) and frak_b = 0
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     pd = pearson_data(CTX, ttrr, fit)
     assert pd.frak_a == -1 / (2 * CTX.u)
     assert pd.frak_b == 0
@@ -143,7 +141,7 @@ def test_pearson_data_qjacobi_closed_form():
     # frak_a = -(1 + q^{a+b+2}) / (2u (1 - q^{a+b+2}))
     for p_a, p_b in [(F(1, 4), F(1, 4)), (F(1, 4), F(1, 16))]:
         ttrr = ttrr_cq_jacobi(CTX, p_a, p_b)
-        _, fit = fitted(ttrr, 2)
+        fit = fitted(ttrr, 2)
         pd = pearson_data(CTX, ttrr, fit)
         qab2 = (p_a * p_b) ** 2 * CTX.q**2
         assert pd.frak_a == -(1 + qab2) / (2 * CTX.u * (1 - qab2))
@@ -160,7 +158,7 @@ def test_pearson_data_qjacobi_closed_form():
     ],
 )
 def test_pearson_check_all_families(ttrr, deg):
-    _, fit = fitted(ttrr, deg)
+    fit = fitted(ttrr, deg)
     pd = pearson_data(CTX, ttrr, fit)
     report = pearson_check(CTX, ttrr, pd, 8)
     assert report.ok
@@ -169,7 +167,7 @@ def test_pearson_check_all_families(ttrr, deg):
 
 def test_pearson_check_detects_wrong_phi():
     ttrr = ttrr_chebyshev_t()
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
     bad = replace(pd, phi=pd.phi + 1)
     report = pearson_check(CTX, ttrr, bad, 8)
@@ -185,7 +183,7 @@ def test_pearson_check_needs_a_horizon_reaching_n_plus_1():
     # order 8 reads mu_0..mu_9: a recurrence to n_max = 9 is enough, one to
     # n_max = 8 is not, although mu_9 reads only B_0..B_4 and C_1..C_5
     ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     pd = pearson_data(CTX, ttrr, fit)
     b, c = ttrr.b, ttrr.c
     report = pearson_check(CTX, TTRRSpec(b[:10], c[:9]), pd, 8)
@@ -205,7 +203,7 @@ def test_pearson_check_needs_a_horizon_reaching_n_plus_1():
     ],
 )
 def test_difference_system_all_zero(ttrr, deg):
-    _, fit = fitted(ttrr, deg)
+    fit = fitted(ttrr, deg)
     aux = aux_sequences(CTX, ttrr, fit)
     report = verify_difference_system(CTX, ttrr, fit, aux)
     assert report.ok
@@ -218,7 +216,7 @@ def test_difference_system_all_zero(ttrr, deg):
 
 def test_difference_system_catches_perturbation():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     aux = aux_sequences(CTX, ttrr, fit)
     perturbed = replaced(ttrr, c_overrides={2: ttrr.C(2) + F(1, 1000)})
     report = verify_difference_system(CTX, perturbed, fit, aux)
@@ -398,7 +396,7 @@ def test_difference_system_matches_the_closure_oracle(case, entry):
 
 def test_lemma_predicates_deg1():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     ledger = lemma_predicates(CTX, aux, pd, 1)
@@ -408,7 +406,7 @@ def test_lemma_predicates_deg1():
 
 def test_lemma_predicates_chebyshev_branch():
     ttrr = ttrr_chebyshev_t()
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     ledger = lemma_predicates(CTX, aux, pd, 2)
@@ -421,7 +419,7 @@ def test_lemma_predicates_chebyshev_branch():
 
 def test_lemma_predicates_qjacobi_regularity():
     ttrr = ttrr_cq_jacobi(CTX, F(1, 4), F(1, 16))
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     ledger = lemma_predicates(CTX, aux, pd, 2)
@@ -449,7 +447,7 @@ def test_t_equals_minus_two_gamma_is_the_k_pair_rule(t, inverse, p_a, p_b):
         ttrr = ttrr_chebyshev_t()
     else:
         ttrr = ttrr_cq_jacobi(ctx, p_a, p_b, inverse=inverse)
-    fit = fit_structure(ctx, generate_ops(ttrr, N), 2, N)
+    fit = fit_structure(ctx, ttrr, 2, N)
     assert fit.is_exact
     aux = aux_sequences(ctx, ttrr, fit)
     ledger = lemma_predicates(ctx, aux, pearson_data(ctx, ttrr, fit), 2)
@@ -465,7 +463,7 @@ def test_t_equals_minus_two_gamma_is_the_k_pair_rule(t, inverse, p_a, p_b):
 
 def test_recover_asc_params_round_trip():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     c, d = recover_asc_params(CTX, ttrr, fit)
     assert {c, d} == {F(1, 4), F(1)}
     # the defining constraint c^2 + d^2 = 2 alpha c d
@@ -474,7 +472,7 @@ def test_recover_asc_params_round_trip():
 
 def test_recover_asc_constraint_violation():
     ttrr = ttrr_alsalam_chihara(CTX, F(1, 4), 1)
-    _, fit = fitted(ttrr, 1)
+    fit = fitted(ttrr, 1)
     perturbed = replaced(ttrr, c_overrides={1: ttrr.C(1) + F(1, 1000)})
     with pytest.raises(ConstraintViolated):
         recover_asc_params(CTX, perturbed, fit)
@@ -483,7 +481,7 @@ def test_recover_asc_constraint_violation():
 def test_recover_qjacobi_asymmetric():
     p_a, p_b = F(1, 4), F(1, 16)
     ttrr = ttrr_cq_jacobi(CTX, p_a, p_b)
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     got = recover_qjacobi_params(CTX, ttrr, fit, aux, pd)
@@ -505,7 +503,7 @@ def test_recover_qjacobi_names_the_first_fitted_coefficient_off_its_closed_form(
     inverse, p_a, p_b, n, field
 ):
     ttrr = ttrr_cq_jacobi(CTX, p_a, p_b, inverse=inverse)
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     assert recover_qjacobi_params(CTX, ttrr, fit, aux, pd, inverse=inverse) == (p_a, p_b)
@@ -521,7 +519,7 @@ def test_recover_qjacobi_names_the_first_fitted_coefficient_off_its_closed_form(
 def test_recover_qjacobi_symmetric():
     p = F(1, 4)
     ttrr = ttrr_cq_jacobi(CTX, p, p)
-    _, fit = fitted(ttrr, 2)
+    fit = fitted(ttrr, 2)
     aux = aux_sequences(CTX, ttrr, fit)
     pd = pearson_data(CTX, ttrr, fit)
     assert recover_qjacobi_params(CTX, ttrr, fit, aux, pd) == (p, p)
@@ -633,7 +631,7 @@ def test_classify_reports_ledger_on_failure():
 def test_inverse_base_families_satisfy_all_layers(ttrr, deg):
     # the operators are invariant under q -> 1/q, so the q-inverse families
     # fit exactly and clear every verification layer too
-    ops, fit = fitted(ttrr, deg)
+    fit = fitted(ttrr, deg)
     aux = aux_sequences(CTX, ttrr, fit)
     assert verify_difference_system(CTX, ttrr, fit, aux).ok
     pd = pearson_data(CTX, ttrr, fit)
@@ -663,7 +661,7 @@ def test_classify_across_contexts(tq):
 def test_degenerate_r1_raised_on_constructed_fit():
     # force a_1 C_1 + c_1 = 0 through a hand-built fit object
     ttrr = ttrr_qhermite(CTX)
-    _, fit = fitted(ttrr, 0)
+    fit = fitted(ttrr, 0)
     broken = replace(fit, c=(F(0), -fit.a[1] * ttrr.C(1)) + fit.c[2:])
     with pytest.raises(DegenerateR1):
         pearson_data(CTX, ttrr, broken)
@@ -852,7 +850,7 @@ def test_recovery_without_regeneration_matches_the_regenerating_oracle(case):
     # returned pair regenerates the input to N, and "differs at B_N" comes
     # exactly when the regeneration differs from the input at B_N alone
     ctx, ttrr, N = case
-    fits = fit_auto(ctx, OPSTable(ttrr, N), N)
+    fits = fit_auto(ctx, ttrr, N)
     assume(len(fits) == 3 and fits[-1].is_exact)
     fit = fits[-1]
     try:
@@ -1135,10 +1133,11 @@ def test_classify_applies_d_q_only_as_far_as_the_fits_read(dq_calls):
 def test_classify_builds_no_p_n_on_family_points_or_single_moves(
     monkeypatch, dq_calls, family, params, base
 ):
-    # the fits decide each index from windows and the Pearson moments come
-    # from the recurrence, so no classification reads the OPS table
+    # the fits take the recurrence and decide each index from windows, and
+    # the Pearson moments come from the recurrence, so no classification
+    # builds an OPS table
     grown = []
-    monkeypatch.setattr(OPSTable, "_grow", lambda table, n: grown.append(n))
+    monkeypatch.setattr(OPSTable, "__init__", lambda table, ttrr, n: grown.append(n))
     n = 14
     ttrr = FamilySpec(family, params, base).to_ttrr(CTX, n_max=n + 1)
     assert classify(CTX, ttrr, n).characterized
@@ -1315,7 +1314,7 @@ def post_fit_cases(draw):
         ttrr = TTRRSpec.from_lists(b, c)
     except IrregularParameters:
         assume(False)
-    fit = fit_auto(ctx, OPSTable(ttrr, N), N)[-1]
+    fit = fit_auto(ctx, ttrr, N)[-1]
     assume(fit.is_exact)
     field, n, delta = draw(st.sampled_from("bc")), draw(st.integers(1, N)), draw(deltas)
     values = list(getattr(fit, field))
@@ -1375,7 +1374,7 @@ def test_qjacobi_recovery_matches_its_oracle_over_wide_contexts(case):
     # the integer regularity scan and closed form of B_N against the
     # Fraction helpers, in both readings
     ctx, ttrr, N = case
-    fit = fit_auto(ctx, OPSTable(ttrr, N), N)[-1]
+    fit = fit_auto(ctx, ttrr, N)[-1]
     assert fit.is_exact
     aux, pd = aux_sequences(ctx, ttrr, fit), outcome(pearson_data, ctx, ttrr, fit)
     assume(not isinstance(pd, tuple))

@@ -15,7 +15,7 @@ import qstruct
 from qstruct import awops, cli, structure
 from qstruct.cli import main
 from qstruct.characterize import classify
-from qstruct.families import OPSTable, TTRRSpec, generate_ops, ttrr_cq_jacobi
+from qstruct.families import OPSTable, TTRRSpec, ttrr_cq_jacobi
 from qstruct.scalar import QContext
 from qstruct.structure import fit_auto, fit_structure
 
@@ -637,36 +637,51 @@ def test_verify_applies_each_operator_image_once(monkeypatch):
     assert list(counts.values()) == [11, 0]
 
 
-@pytest.mark.parametrize("entry", ["verify", "classify", "reject"])
-def test_each_p_n_is_built_once_and_only_when_read(monkeypatch, entry):
-    # verify_structure and the five-term expansion read one table, which
-    # reaches P_{N+1} (classify and verify built P_0..P_N for the fit and
-    # again for the moments). The fits read no entry of it (they decide each
-    # index from windows), and the Pearson moments come from the recurrence,
-    # so classify builds no P_n, exact fit or not (P_1..P_{N+1} while the
-    # moments were solved from the table, P_0..P_3 while the pin read it)
+REJECT_DOC = {
+    "q_quarter": "1/2",
+    "B": ["1", "-2", "3", "1/2", "0", "2", "-1"],
+    "C": ["1", "2", "1/3", "1", "5", "1/2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, tables",
+    [
+        ("classify {j} -N 10", 0, []),
+        ("classify {b10} -N 10", 3, []),  # exact fit, recovery rejects
+        ("classify {reject}", 3, []),
+        ("fit {j}", 0, []),
+        ("fit {j} --deg-pi 0", 1, []),
+        ("fit {j} --deg-pi 1", 1, []),
+        ("fit {j} --deg-pi 2", 0, []),
+        ("verify {j} -N 10 --checks system", 0, []),
+        ("verify {j} -N 10 --checks pearson", 0, []),
+        ("verify {reject}", 1, []),  # no exact fit
+        ("verify {j} -N 10 --checks structure", 0, [12]),
+        ("verify {j} -N 10 --checks five-term", 0, [12]),
+        ("verify {j} -N 10", 0, [12]),
+    ],
+)
+def test_only_verify_of_the_structure_or_five_term_check_builds_a_table(
+    tmp_path, capsys, monkeypatch, argv, code, tables
+):
+    # the fits take the recurrence and decide each index from windows, and
+    # the Pearson moments come from the recurrence, so the one OPS table of
+    # a process is verify's, built after an exact fit for the two checks
+    # that read P_n: P_0..P_{N+1}, as the five-term check reads P_{N+1}
     built = []
-    grow = OPSTable._grow
+    init = OPSTable.__init__
 
-    def counted(table, n):
-        built.extend(range(len(table._built), n + 1))
-        return grow(table, n)
+    def counted(table, ttrr, N):
+        init(table, ttrr, N)
+        built.append(len(table.polys))
 
-    monkeypatch.setattr(OPSTable, "_grow", counted)
-    ctx = QContext(F(1, 2))
-    ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
-    if entry == "verify":
-        assert cli._verify_checks(ctx, ttrr, 10, "all").ok
-    elif entry == "classify":
-        assert classify(ctx, ttrr, 10).characterized
-    else:
-        rng = Random(20)
-        ttrr = TTRRSpec.from_lists(
-            [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(23)],
-            [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(22)],
-        )
-        assert not classify(ctx, ttrr, 20).characterized
-    assert sorted(built) == (list(range(1, 12)) if entry == "verify" else [])
+    monkeypatch.setattr(OPSTable, "__init__", counted)
+    j = gen_file(tmp_path, "j.json", "generate", *CQ_JACOBI_ARGS, "--q-quarter", "1/2", "-N", "12")
+    paths = {"j": j, "b10": perturbed_file(tmp_path, CQ_JACOBI_ARGS, "B", 10)}
+    paths["reject"] = write_doc(tmp_path, REJECT_DOC)
+    assert run(capsys, *argv.format(**paths).split())[0] == code
+    assert built == tables
 
 
 @pytest.mark.parametrize("through_verify", [False, True], ids=["fit_auto", "verify"])
@@ -691,7 +706,7 @@ def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_veri
     if through_verify:
         assert cli._verify_checks(ctx, ttrr, 10, "all").ok
     else:
-        assert fit_auto(ctx, generate_ops(ttrr, 12), 10)[-1].is_exact
+        assert fit_auto(ctx, ttrr, 10)[-1].is_exact
     assert len(calls) == 2
     assert len(awops._ROWS[ctx][0]) == 10 + 1
 
@@ -713,7 +728,7 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
     assert not classify(ctx, ttrr, n).characterized
     assert len(awops._ROWS[ctx][0]) == 4
     for d in (0, 1, 2):
-        assert fit_structure(ctx, OPSTable(ttrr, n), d, n).failure_n <= 3
+        assert fit_structure(ctx, ttrr, d, n).failure_n <= 3
         assert len(awops._ROWS[ctx][0]) == 4
 
     # no index past the pin is decided, so every identity residual is a pin's;
@@ -725,7 +740,7 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
         monkeypatch.setattr(
             structure, name, lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args)
         )
-    fits = fit_auto(ctx, OPSTable(ttrr, n), n)
+    fits = fit_auto(ctx, ttrr, n)
     assert [fit.failure_n for fit in fits] == [2, 3, 3]
     assert len(calls["_residual"]) == 6
     assert len(calls["int_three_term"]) == 3

@@ -613,31 +613,35 @@ def test_horizon_guard():
         ttrr_to_json(CTX, t, 6)
 
 
-def test_table_reads_below_index_0_raise():
-    # a negative index must not read the last stored entry
-    ops = OPSTable(ttrr_chebyshev_t(n_max=10), 10)
+def test_a_table_and_its_d_q_reads_refuse_indices_outside_its_degrees():
+    # a degree outside the recurrence's horizon builds no table, and a
+    # negative index must not read the last stored image
+    ttrr = ttrr_chebyshev_t(n_max=10)
+    for N in (-1, 11):
+        with pytest.raises(IndexError, match=rf"^degree {N} outside materialized horizon 0\.\.10$"):
+            OPSTable(ttrr, N)
+    ops = OPSTable(ttrr, 10)
     for built in (0, 5):
         ops.dq(CTX, built)
-        for read in (ops.__getitem__, lambda n: ops.dq(CTX, n)):
-            for n in (-1, -2, 11):
-                with pytest.raises(IndexError):
-                    read(n)
+        for n in (-1, -2, 11):
+            with pytest.raises(IndexError):
+                ops.dq(CTX, n)
 
 
 def test_reading_d_q_past_the_tables_degree_builds_no_image():
     # D_q P_n with n past the degree is refused up front, naming D_q P_n,
-    # with no P_k or D_q P_k built for the read and the stored prefix kept
+    # with no D_q P_k built for the read and the stored prefix kept
     ops = OPSTable(ttrr_chebyshev_t(n_max=10), 8)
     ctx = QContext(F(3, 7))
     for n in (9, 11):
         with pytest.raises(IndexError, match=rf"^D_q P_{n} outside the table's degrees 0\.\.8$"):
             ops.dq(ctx, n)
-    assert ctx not in ops._images and len(ops._built) == 1
+    assert ctx not in ops._images
     ops.dq(ctx, 2)
     images = ops._images[ctx]
     with pytest.raises(IndexError, match=r"^D_q P_11 outside"):
         ops.dq(ctx, 11)
-    assert ops._images[ctx] is images and len(images) == len(ops._built) == 3
+    assert ops._images[ctx] is images and len(images) == 3
 
 
 def ops_oracle(ttrr, n):
@@ -669,16 +673,13 @@ def random_ttrrs(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(random_ttrrs(), st.lists(st.integers(0, 24), max_size=4))
-def test_ops_table_matches_the_poly_oracle_in_stages_and_in_one_step(ttrr, stages):
-    # the integer step stores the same normal form as Poly arithmetic,
-    # whether the table grows entry by entry, in random stages or at once
+def test_ops_tables_of_any_degree_match_the_poly_oracle(ttrr, degrees):
+    # the integer step stores the same normal form as Poly arithmetic, and
+    # a table of lower degree holds a prefix of the same entries
     N = ttrr.n_max
     expected = normal_forms(ops_oracle(ttrr, N))
-    for reads in ((1, 2, 3, N), (*stages, N), (N,)):
-        table = OPSTable(ttrr, N)
-        for n in (min(k, N) for k in reads):
-            assert (table[n].nums, table[n].den) == expected[n]
-        assert normal_forms(table.polys) == expected
+    for n in (0, 1, *(min(k, N) for k in degrees), N):
+        assert normal_forms(OPSTable(ttrr, n).polys) == expected[: n + 1]
     assert normal_forms(generate_ops(ttrr, N).polys) == expected
 
 
@@ -705,7 +706,7 @@ def moments_oracle(ttrr, N):
     ops = OPSTable(ttrr, N)
     nums, den = [1], 1  # mu_k = nums[k] / den
     for n in range(1, N + 1):
-        p = ops[n]
+        p = ops.polys[n]
         s = -sum(map(mul, p.nums[:-1], nums))  # mu_n = s / (p.den * den)
         g = gcd(s, p.den * den)
         mu_den = p.den * den // g

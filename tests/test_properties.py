@@ -144,9 +144,8 @@ def family_ttrrs(draw, n_max=7):
 
 def assert_fit_auto_is_reference_prefix(ctx, ttrr):
     N = ttrr.n_max
-    ops = generate_ops(ttrr, N)
-    fits = fit_auto(ctx, ops, N)
-    reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
+    fits = fit_auto(ctx, ttrr, N)
+    reference = [fit_structure(ctx, ttrr, d, N) for d in (0, 1, 2)]
     assert fits == reference[: len(fits)]
     exact = [f.is_exact for f in reference]
     assert len(fits) == (exact.index(True) + 1 if True in exact else 3)
@@ -166,7 +165,7 @@ def test_fit_auto_matches_fit_structure_on_family_points(case):
 
 @st.composite
 def fit_cases(draw):
-    """A regular TTRR with horizon N in 3..12, as its OPS table: random, a
+    """(ctx, ttrr, N): a regular TTRR with horizon N in 3..12, random, a
     family point, or a family point with one B_k or C_k shifted, 1 <= k <= N."""
     N = draw(st.integers(min_value=3, max_value=12))
     kind = draw(st.sampled_from(["random", "family", "perturbed"]))
@@ -183,58 +182,67 @@ def fit_cases(draw):
             ttrr = TTRRSpec.from_lists(b, c, label="perturbed")
         except IrregularParameters:
             assume(False)
-    return ctx, generate_ops(ttrr, N), N
+    return ctx, ttrr, N
 
 
 @BOUNDED
 @given(fit_cases())
 def test_fit_structure_matches_the_gauss_jordan_reference(case):
-    ctx, ops, N = case
+    ctx, ttrr, N = case
+    ops = generate_ops(ttrr, N)
     for d in (0, 1, 2):
-        assert fit_structure(ctx, ops, d, N) == reference_fit(ctx, ops, d, N)
+        assert fit_structure(ctx, ttrr, d, N) == reference_fit(ctx, ops, d, N)
 
 
 @BOUNDED
 @given(fit_cases())
 def test_consistent_pin_system_leaves_no_free_column(case):
-    ctx, ops, _ = case
-    dq = [dq_apply(ctx, p) for p in ops.polys[:4]]
+    ctx, ttrr, _ = case
+    ops = generate_ops(ttrr, 3)
+    dq = [dq_apply(ctx, p) for p in ops.polys]
     for d in (0, 1, 2):
         consistent, _, determined = reference_solve(*reference_joint_system(ops, dq, d, 3))
         assert not consistent or all(determined)
 
 
 @BOUNDED
-@given(random_ttrrs(max_n=12), st.randoms(use_true_random=False))
-def test_lazy_table_read_in_any_order_matches_generate_ops(case, rnd):
-    _, ttrr = case
-    N = ttrr.n_max
-    eager = generate_ops(ttrr, N).polys
-    table = OPSTable(ttrr, N)
-    order = list(range(N + 1))
-    rnd.shuffle(order)
-    assert [table[n] for n in order] == [eager[n] for n in order]
-    assert table.polys == eager
+@given(st.one_of(random_ttrrs(max_n=10), family_ttrrs(n_max=10)), st.data())
+def test_a_table_is_its_recurrence_cut_to_its_degree(case, data):
+    # so a fit takes a table wherever it takes the recurrence, as a caller
+    # that builds one table for a fit and the checks after it passes it
+    ctx, ttrr = case
+    N = data.draw(st.integers(0, ttrr.n_max))
+    table = generate_ops(ttrr, N)
+    assert (table.n_max, table.label, len(table.polys)) == (N, ttrr.label, N + 1)
+    assert (table.b, table.c) == (ttrr.b[: N + 1], ttrr.c[:N])
+    for n in range(3, N + 1):
+        assert fit_auto(ctx, table, n) == fit_auto(ctx, ttrr, n)
+        for d in (0, 1, 2):
+            assert fit_structure(ctx, table, d, n) == fit_structure(ctx, ttrr, d, n)
+    if N >= 2:
+        with pytest.raises(IndexError, match=f"^N = {N + 1} exceeds materialized horizon {N}$"):
+            fit_auto(ctx, table, N + 1)
+    for degree in (ttrr.n_max + 1, -1, -ttrr.n_max - 1):
+        with pytest.raises(IndexError):
+            generate_ops(ttrr, degree)
 
 
 @BOUNDED
-@given(random_ttrrs(max_n=12), st.booleans())
-def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(case, images):
+@given(random_ttrrs(max_n=12))
+def test_threads_reading_one_fresh_table_see_the_single_threaded_images(case):
     # readers in opposite orders, with a switch interval short enough that
-    # they interleave inside the table's growth step; they read P_n, or
-    # D_q P_n, which also grows the table's image prefix (stored as the
-    # unnormalized pair of dq_image, so the pairs are compared as they are)
+    # they interleave inside the growth step of the table's image prefix
+    # (stored as the unnormalized pair of dq_image, so the pairs are
+    # compared as they are)
     ctx, ttrr = case
     N = ttrr.n_max
-    eager = generate_ops(ttrr, N).polys
     table = OPSTable(ttrr, N)
-    entry = (lambda n: table.dq(ctx, n)) if images else table.__getitem__
-    expected = tuple(dq_image(ctx, p) for p in eager) if images else eager
+    expected = tuple(dq_image(ctx, p) for p in table.polys)
     seen = [None] * 4
 
     def read(i):
         order = range(N + 1) if i % 2 else range(N, -1, -1)
-        seen[i] = {n: entry(n) for n in order}
+        seen[i] = {n: table.dq(ctx, n) for n in order}
 
     threads = [Thread(target=read, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -249,23 +257,7 @@ def test_threads_reading_one_fresh_table_see_the_single_threaded_polynomials(cas
     assert not any(thread.is_alive() for thread in threads)
     for values in seen:
         assert tuple(values[n] for n in range(N + 1)) == expected
-    assert tuple(entry(n) for n in range(N + 1)) == expected
-    assert table.polys == eager
-
-
-@BOUNDED
-@given(fit_cases())
-def test_fit_auto_on_a_lazy_table_matches_fit_structure_on_an_eager_one(case):
-    # equal fits have the same pi, failure_n, a/b/c prefixes, status and
-    # horizon; the fits read no entry of the lazy table, exact or not: it
-    # holds P_0 only and no D_q P_n image (it held the images D_q P_0.. up
-    # to the last index any fit read while the fits read the table)
-    ctx, ops, N = case
-    table = OPSTable(ops.ttrr, N)
-    fits = fit_auto(ctx, table, N)
-    reference = [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)]
-    assert fits == reference[: len(fits)]
-    assert table._built == (Poly.one(),) and table._images == {}
+    assert tuple(table.dq(ctx, n) for n in range(N + 1)) == expected
 
 
 @BOUNDED
@@ -279,7 +271,7 @@ def test_asc_closed_form_root_matches_discriminant_root(t, d, half_power, base):
         ttrr = FamilySpec("alsalam-chihara", (("c", c), ("d", d)), base).to_ttrr(ctx, n_max=4)
     except IrregularParameters:
         assume(False)
-    fit = fit_structure(ctx, generate_ops(ttrr, 4), 1, 4)
+    fit = fit_structure(ctx, ttrr, 1, 4)
     assert fit.is_exact
 
     q = 1 / ctx.q if inverse else ctx.q
@@ -334,13 +326,13 @@ def test_perturbed_fit_fails_exactly_where_the_index_enters(case, field, k, delt
     ctx, ttrr = case
     N = ttrr.n_max - 2
     ops = generate_ops(ttrr, ttrr.n_max)
-    fit = fit_auto(ctx, ops, N)[-1]
+    fit = fit_auto(ctx, ttrr, N)[-1]
     assume(fit.is_exact)  # Al-Salam-Chihara needs c/d = q**(+-1/2)
     values = list(getattr(fit, field))
     values[k] += delta
     broken = replace(fit, **{field: tuple(values)})
 
-    structure = verify_structure(ctx, ops, broken)  # the images the fit read
+    structure = verify_structure(ctx, ops, broken)  # builds the images five_term reads
     assert verify_structure(ctx, OPSTable(ttrr, ttrr.n_max), broken) == structure
     assert len(structure.checks) == N + 1
     assert [check.n for check in structure.failures()] == [k]
@@ -361,19 +353,20 @@ def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
     # pi is each degree's fitted pi (zero where the fit never pinned it),
     # that pi with its lower coefficients moved by the drawn ones (a broken
     # fit), or the drawn monic pi itself
-    ctx, ops, N = case
+    ctx, ttrr, N = case
+    ops = generate_ops(ttrr, N)
     for d in (0, 1, 2):
         moved = Poly(tuple(lower[:d]))
-        fitted = fit_structure(ctx, ops, d, N).pi
+        fitted = fit_structure(ctx, ttrr, d, N).pi
         drawn = moved + Poly((F(0),) * d + (F(1),))
         for pi in [drawn] + ([fitted, fitted + moved] if fitted else []):
             # L_{k-1} = pi D_q P_{k-1} from k = 0 on, L_{-1} = 0
             L = [((), 1)] + [structure._times(pi, ops.dq(ctx, k)) for k in range(N + 1)]
             for n in range(N):
-                c_n = ops.ttrr.c[n - 1] if n else F(0)
-                sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ops.ttrr.b[n], -c_n)
+                c_n = ops.c[n - 1] if n else F(0)
+                sq = int_three_term(L[n + 2], L[n + 1], L[n], ctx.alpha, -ops.b[n], -c_n)
                 assert sq[1] > 0
-                assert Poly.from_ints(*sq) == pi * sq_apply(ctx, ops[n])
+                assert Poly.from_ints(*sq) == pi * sq_apply(ctx, ops.polys[n])
 
 
 @BOUNDED
@@ -381,28 +374,29 @@ def test_pi_sq_from_the_dq_images_matches_applying_the_s_rows(case, lower):
 def test_windows_are_the_top_coefficients_of_p_n_and_d_q_p_n(case):
     # P_n's window holds the coefficients of x**n .. x**(n-6) in normal
     # form, D_q P_n's those of x**(n-1) .. x**(n-7); a negative power reads 0
-    ctx, ops, N = case
-    windows = structure._windows(operator_rows(ctx, N)[0], ops.ttrr, [], N)
+    ctx, ttrr, N = case
+    ops = generate_ops(ttrr, N)
+    windows = structure._windows(operator_rows(ctx, N)[0], ttrr, [], N)
     assert len(windows) == N + 1 and windows[0][1] is None
     for n, ((pw, pd), image) in enumerate(windows):
         assert pd > 0 and pw[0] == pd and gcd(pd, *pw) == 1
-        assert [F(v, pd) for v in pw] == [ops[n].coeff(n - j) for j in range(7)]
+        assert [F(v, pd) for v in pw] == [ops.polys[n].coeff(n - j) for j in range(7)]
         if n:
             nums, den = image
             assert den > 0
-            dq = dq_apply(ctx, ops[n])
+            dq = dq_apply(ctx, ops.polys[n])
             assert [F(v, den) for v in nums] == [dq.coeff(n - 1 - j) for j in range(7)]
 
 
 @BOUNDED
 @given(fit_cases())
 def test_stored_images_normalize_to_dq_apply(case):
-    ctx, ops, N = case
-    table = OPSTable(ops.ttrr, N)
+    ctx, ttrr, N = case
+    table = OPSTable(ttrr, N)
     for n in range(N + 1):
         nums, den = table.dq(ctx, n)
         assert den > 0
-        assert Poly.from_ints(nums, den) == dq_apply(ctx, table[n])
+        assert Poly.from_ints(nums, den) == dq_apply(ctx, table.polys[n])
 
 
 def three_term_oracle(lhs, p, q, a, b, c):
@@ -418,19 +412,20 @@ def test_one_pass_identity_residual_matches_the_poly_oracle(case, drawn):
     # with b_n moved, and with a_n or c_n set to zero (then with no P_{n-1});
     # and the step's other shapes: the OPS recurrence (empty lhs, a = -1)
     # and pi S_q P_n from L_k = pi D_q P_k (a = alpha, b = -B_n, c = -C_n)
-    ctx, ops, N = case
+    ctx, ttrr, N = case
+    ops = generate_ops(ttrr, N)
     *lower, delta = drawn
-    B, C = ops.ttrr.b, (F(0),) + ops.ttrr.c
+    B, C = ops.b, (F(0),) + ops.c
 
     def P(k):
-        return ops[k] if k >= 0 else Poly.zero()
+        return ops.polys[k] if k >= 0 else Poly.zero()
 
     for n in range(N):
         step = int_three_term(((), 1), vec(P(n)), vec(P(n - 1)), -1, B[n], C[n])
         assert step[1] > 0
         assert Poly.from_ints(*step) == three_term_oracle(0, P(n), P(n - 1), -1, B[n], C[n])
     for d in (0, 1, 2):
-        fitted = fit_structure(ctx, ops, d, N).pi
+        fitted = fit_structure(ctx, ttrr, d, N).pi
         for pi in [Poly(tuple(lower[:d]) + (F(1),))] + ([fitted] if fitted else []):
             L = [((), 1)] + [structure._times(pi, ops.dq(ctx, k)) for k in range(N + 1)]
             for n in range(N + 1):
@@ -457,19 +452,20 @@ def test_one_pass_identity_residual_matches_the_poly_oracle(case, drawn):
 def test_pin_rows_are_the_oracle_residual_rows_up_to_one_scale(case):
     # row i of identity n reads coefficient i of the residuals of x**j D_q P_n,
     # j < d, and minus that of x**d D_q P_n; one positive factor per identity
-    ctx, ops, N = case
+    ctx, ttrr, _ = case
+    ops = generate_ops(ttrr, 3)
     for d in (0, 1, 2):
         for n in (2, 3):
             residuals = []
             for j in range(d + 1):
                 monomial = Poly((F(0),) * j + (F(1),))
                 nums, den = structure._times(monomial, ops.dq(ctx, n))
-                abc = coefficients_oracle(nums, den, ops[n], n)
+                abc = coefficients_oracle(nums, den, ops.polys[n], n)
                 residuals.append(residual_oracle(ctx, ops, monomial, *abc, n))
             expected = [
                 [r.coeff(i) for r in residuals[:d]] + [-residuals[d].coeff(i)] for i in range(n - 1)
             ]
-            assert up_to_scale(pin_rows(ctx, ops.ttrr, d, n), expected)
+            assert up_to_scale(pin_rows(ctx, ttrr, d, n), expected)
 
 
 pin_entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**80), 2**80))
@@ -586,8 +582,8 @@ def test_reflection_covariance(case):
     ctx, ttrr = case
     N = 10
     mirror = reflected(ttrr)
-    fits = fit_auto(ctx, generate_ops(ttrr, N), N)
-    assert fit_auto(ctx, generate_ops(mirror, N), N) == [
+    fits = fit_auto(ctx, ttrr, N)
+    assert fit_auto(ctx, mirror, N) == [
         reflected_fit(f, d) for d, f in enumerate(fits)
     ]
 
@@ -644,10 +640,10 @@ def test_exact_fits_hold_at_oracle_sample_points(case, z):
     # pi D_q P_n = (a_n x + b_n) P_n + c_n P_{n-1} at x = (z + 1/z)/2, with
     # D_q P_n from the literal quotient and every value from the reference
     # polynomial: nothing here touches the operator rows
-    ctx, ops, N = case
+    ctx, ttrr, N = case
     x0 = (z + 1 / z) / 2
-    P = [FractionPoly(p.coeffs) for p in ops.polys]
-    for fit in fit_auto(ctx, ops, N):
+    P = [FractionPoly(p.coeffs) for p in generate_ops(ttrr, N).polys]
+    for fit in fit_auto(ctx, ttrr, N):
         if fit.is_exact:
             pi = FractionPoly(fit.pi.coeffs).eval(x0)
             for n in range(1, N + 1):
@@ -661,15 +657,15 @@ def test_exact_fits_hold_at_oracle_sample_points(case, z):
 def test_r_meets_its_closed_form_on_every_exact_fit(case):
     # r_n - t_n = a_n - a_{n-1} is (a_hat - k1) q**(n/2) + (b_hat - k2) q**(-n/2)
     # for every exact fit, so aux_sequences needs no check of r_n of its own
-    ctx, ops, N = case
-    fit = fit_auto(ctx, ops, N)[-1]
+    ctx, ttrr, N = case
+    fit = fit_auto(ctx, ttrr, N)[-1]
     assume(fit.is_exact)
     t, u, a1 = ctx.t, ctx.u, fit.a[1]
     for n in range(1, N + 1):
         step = u * a1 * (1 - t**-2) * t ** (2 * n) - u * a1 * (1 - t**2) * t ** (-2 * n)
         assert fit.a[n] - fit.a[n - 1] == step
     try:
-        aux = aux_sequences(ctx, ops.ttrr, fit)
+        aux = aux_sequences(ctx, ttrr, fit)
     except RecurrenceViolated:
         return
     for n in range(N + 1):

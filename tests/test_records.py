@@ -89,8 +89,9 @@ def test_records_that_build_their_data_compare_by_their_public_fields():
     assert ttrr != TTRRSpec(b, c, "other") and ttrr != TTRRSpec(b, (F(1), F(3)))
     table = OPSTable(ttrr, 2)
     assert table == OPSTable(TTRRSpec(b, c), 2) and table != OPSTable(ttrr, 1)
-    table.polys  # the private slots hold what was built, and are not fields
-    assert table == OPSTable(ttrr, 2) and "_built" not in repr(table)
+    assert table._fields == ("b", "c", "label", "polys")  # the recurrence, then P_0..P_2
+    table.dq(QContext(F(1, 2)), 2)  # the image store is private, and not a field
+    assert table == OPSTable(ttrr, 2) and "_images" not in repr(table)
     for value in (ttrr, table, FamilySpec("q-hermite")):
         with pytest.raises(TypeError):
             hash(value)

@@ -184,7 +184,7 @@ def pin_rows_oracle(ctx, ops, d, n, residuals):
     res = residuals.setdefault(n, [])
     if len(res) <= d:
         image, den = ops.dq(ctx, n)
-        p, prev = ops[n], ops[n - 1]
+        p, prev = ops.polys[n], ops.polys[n - 1]
         for j in range(len(res), d + 1):
             nums = [0] * j + image
             abc = coefficients_oracle(nums, den, p, n)
@@ -211,7 +211,7 @@ def fit_oracle(ctx, ops, d, N, residuals=None):
 
     a, b, c = [F(0)], [F(0)], [F(0)]
     for n in range(1, N + 1):
-        lhs, p, prev = structure._times(pi, ops.dq(ctx, n)), ops[n], ops[n - 1]
+        lhs, p, prev = structure._times(pi, ops.dq(ctx, n)), ops.polys[n], ops.polys[n - 1]
         a_n, b_n, c_n = coefficients_oracle(*lhs, p, n)
         if any(int_three_term(lhs, vec(p), vec(prev), a_n, b_n, c_n)[0]):
             return StructureFit(pi, tuple(a), tuple(b), tuple(c), STATUS_NO_SOLUTION, n, N)
@@ -244,8 +244,8 @@ def residual_oracle(ctx, ops, pi, a_n, b_n, c_n, n):
     """Reference structure residual pi * D_q P_n - (a_n x + b_n) P_n
     - c_n P_{n-1}, in normalized Poly arithmetic instead of the package's
     integer residual."""
-    res = pi * dq_apply(ctx, ops[n]) - Poly((b_n, a_n)) * ops[n]
-    return res - c_n * ops[n - 1] if n else res
+    res = pi * dq_apply(ctx, ops.polys[n]) - Poly((b_n, a_n)) * ops.polys[n]
+    return res - c_n * ops.polys[n - 1] if n else res
 
 
 def pin_oracle(rows):
@@ -275,8 +275,8 @@ def structure_residual(ctx, ops, pi, a_n, b_n, c_n, n):
     """pi * D_q P_n - (a_n x + b_n) P_n - c_n P_{n-1}, as a full polynomial,
     by the package's integer step."""
     lhs = structure._times(pi, ops.dq(ctx, n))
-    prev = ops[n - 1] if n else Poly.zero()
-    return Poly.from_ints(*int_three_term(lhs, vec(ops[n]), vec(prev), a_n, b_n, c_n))
+    prev = ops.polys[n - 1] if n else Poly.zero()
+    return Poly.from_ints(*int_three_term(lhs, vec(ops.polys[n]), vec(prev), a_n, b_n, c_n))
 
 
 def test_qhermite_fit_deg0():
@@ -383,7 +383,7 @@ def test_each_pin_branch_fails_where_the_reference_fit_fails():
     assert [(fit.status, fit.failure_n) for fit in fits] == [(STATUS_NO_SOLUTION, n) for n in (4, 2, 3)]
     assert fits == [reference_fit(CTX, ops, d, 6) for d in (0, 1, 2)]
     assert fits == [fit_oracle(CTX, ops, d, 6) for d in (0, 1, 2)]
-    assert fit_auto(CTX, OPSTable(ttrr, 6), 6) == fits
+    assert fit_auto(CTX, ttrr, 6) == fits
 
 
 def test_verify_structure_passes_and_detects_perturbation():
@@ -403,20 +403,20 @@ def test_verify_structure_passes_and_detects_perturbation():
 
 def test_one_table_keeps_its_images_per_context():
     # the Chebyshev-T recurrence does not depend on q, so one table serves
-    # two contexts; the fits read no entry of it (they decide each index
+    # two contexts; the fits on it build no image (they decide each index
     # from windows), each verify builds its own context's D_q P_n images,
     # and a verify on the table reads the images of its own context
     ops = OPSTable(ttrr_chebyshev_t(n_max=N), N)
     contexts = (QContext(F(1, 2)), QContext(F(2, 3)))
     fits = [fit_auto(ctx, ops, N)[-1] for ctx in contexts]
     assert all(fit.is_exact and fit.pi.degree == 2 for fit in fits)
-    assert ops._built == (Poly.one(),) and ops._images == {}
+    assert ops._images == {}
     for ctx, fit in zip(contexts, fits):
         assert verify_structure(ctx, ops, fit).ok
     assert set(ops._images) == set(contexts)
     for ctx, fit in zip(contexts, fits):
         stored = tuple(Poly.from_ints(*image) for image in ops._images[ctx])
-        assert stored == tuple(dq_apply(ctx, p) for p in generate_ops(ops.ttrr, N).polys)
+        assert stored == tuple(dq_apply(ctx, p) for p in ops.polys)
     assert fits[0] != fits[1]
     assert not verify_structure(contexts[1], ops, fits[0]).ok
 
@@ -610,7 +610,7 @@ def test_fit_rejects_bad_arguments():
         fit_structure(CTX, ops, 3, N)
     with pytest.raises(ValueError):
         fit_structure(CTX, ops, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError, match=rf"^N = {N + 5} exceeds materialized horizon {N}$"):
         fit_structure(CTX, ops, 1, N + 5)
 
 
@@ -628,13 +628,12 @@ def reference_five_term(ctx, ops, fit):
     coefficient of an out-of-range P_{n-1} or P_{n-2})."""
     N = fit.horizon
     alpha = ctx.alpha
-    ttrr = ops.ttrr
     zero = F(0)
-    a, B, C = padded(fit.a), padded(ttrr.b), padded((zero,) + ttrr.c)
+    a, B, C = padded(fit.a), padded(ops.b), padded((zero,) + ops.c)
     g_seq = tuple(fit.b[n] + fit.a[n] * B(n) for n in range(N + 1))
     s_seq = tuple(fit.c[n] + fit.a[n] * C(n) for n in range(N + 1))
     g, s = padded(g_seq), padded(s_seq)
-    horizon = min(N - 1, ops.degree - 2)
+    horizon = min(N - 1, ops.n_max - 2)
     r1, r2, r3, r4, r5, checks = [], [], [], [], [], []
     for n in range(horizon + 1):
         v1 = a(n + 1) - alpha * a(n)
@@ -654,7 +653,7 @@ def reference_five_term(ctx, ops, fit):
             formula[n - 1] = v4
         if n >= 2:
             formula[n - 2] = v5
-        expanded = ops.expand(fit.pi * sq_apply(ctx, ops[n]))
+        expanded = ops.expand(fit.pi * sq_apply(ctx, ops.polys[n]))
         expanded += [zero] * (n + 3 - len(expanded))
         k = next((k for k in range(n + 3) if formula[k] != expanded[k]), None)
         if k is None and ((n == 0 and v4 != 0) or (n < 2 and v5 != 0)):
@@ -750,7 +749,7 @@ def assert_fits_equal_the_oracle(ctx, ttrr, N):
     ops = generate_ops(ttrr, N)
     oracle = [fit_oracle(ctx, ops, d, N) for d in (0, 1, 2)]
     assert [fit_structure(ctx, ops, d, N) for d in (0, 1, 2)] == oracle
-    assert fit_auto(ctx, OPSTable(ttrr, N), N) == fit_auto_oracle(ctx, ops, N)
+    assert fit_auto(ctx, ttrr, N) == fit_auto_oracle(ctx, ops, N)
     return oracle
 
 

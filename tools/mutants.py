@@ -92,7 +92,7 @@ MUTANTS_OF_PINNED = (
     (
         "families.py",
         "OPSTable.expand",
-        'raise ValueError(f"table only reaches degree {self.degree}, need {deg}")',
+        'raise ValueError(f"table only reaches degree {self.n_max}, need {deg}")',
         'raise ValueError(f"table only reaches degree {deg}")',
     ),
     (
