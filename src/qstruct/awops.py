@@ -28,14 +28,14 @@ its last stored vectors. An image is summed as one integer vector over
 the power of ad of the highest row it reads, which every lower row's
 denominator divides.
 
-The rows are memoized per context, so every call within one problem shares
-them; they grow to the degree a call needs and are dropped when the context
-is collected. `operator_rows` hands them out: they are the monomial images,
+The rows are stored on their context, so every call within one problem
+shares them; they grow to the degree a call needs and live as long as the
+context. `operator_rows` hands them out: they are the monomial images,
 which the Pearson check reads directly. The D rows also give the images
-D_q P_n that `verify` reads, and their top entries the windows of
-D_q P_n that the fits read (see `structure`). The S rows serve the Pearson
-check and `sq_apply` callers only: the five-term check takes pi S_q P_n
-from the D_q P_n images by the product rule above (see `structure`).
+D_q P_n that `verify` reads, and their top entries the windows of D_q P_n
+that the fits read (see `structure`). The S rows serve the Pearson check
+and `sq_apply` callers only: the five-term check takes pi S_q P_n from the
+D_q P_n images by the product rule above (see `structure`).
 
 Only `dq_apply` and `sq_apply` normalize an image. The OPS table stores
 D_q P_n as `dq_image` returns it, with no gcd: every reader multiplies it
@@ -47,37 +47,32 @@ D_q T_k = gamma_k U*_{k-1} (Ismail, ch. 12), are the test suite's reference
 for the rows. The tests also evaluate the defining quotients literally at
 rational sample points z, sharing no code with either route.
 
-All functions are pure; nothing here mutates its inputs, and the row memo
-changes no result.
+All functions are pure; nothing here mutates its inputs, and the rows a
+context keeps change no result.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from qstruct.poly import Poly
 from qstruct.scalar import QContext
 
 __all__ = ["operator_rows", "dq_image", "dq_apply", "sq_apply"]
 
-
-# Rows per live context, keyed weakly so that they die with it; see `operator_rows`.
-_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _DEGREE_0 = ((((), 1),), (((1,), 1),))  # D_q 1 = 0, S_q 1 = 1
 
 
 def operator_rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
     """(D, S) with D[k] = D_q x**k and S[k] = S_q x**k for k = 0..n at least,
-    from this context's memo. Each row is a pair (nums, den), integer
-    numerators over a power of ad, not normalized: D[k] is
+    from the rows stored on this context. Each row is a pair (nums, den),
+    integer numerators over a power of ad, not normalized: D[k] is
     (dt_k, ad**(k-1)), over 1 at k = 0, and S[k] is (st_k, ad**k), built by
     the integer recurrence of the module docstring.
 
     A stored table is never changed: a longer one is built from a snapshot
-    of the shorter one and stored with one assignment, so concurrent callers
-    each hold a complete table, whichever of them stores last.
+    of the shorter one and stored on the context with one assignment, so
+    concurrent callers each hold a complete table, whichever stores last.
     """
-    table = _ROWS.get(ctx, _DEGREE_0)
+    table = getattr(ctx, "_rows", _DEGREE_0)
     if len(table[0]) > n:
         return table
     d_rows, s_rows = list(table[0]), list(table[1])
@@ -95,7 +90,7 @@ def operator_rows(ctx: QContext, n: int) -> tuple[tuple, tuple]:
         power *= ad
         s_rows.append((st, power))
     table = (tuple(d_rows), tuple(s_rows))
-    _ROWS[ctx] = table
+    object.__setattr__(ctx, "_rows", table)
     return table
 
 
@@ -125,12 +120,12 @@ def dq_image(ctx: QContext, f: Poly) -> tuple[list[int], int]:
 def dq_apply(ctx: QContext, f: Poly) -> Poly:
     """Askey-Wilson divided difference of f. Exact; degree drops by one and
     the leading coefficient picks up the factor gamma_{deg f}. Computed as
-    sum_k f_k D_q x**k over the context's memoized rows."""
+    sum_k f_k D_q x**k over the context's rows."""
     return Poly.from_ints(*dq_image(ctx, f))
 
 
 def sq_apply(ctx: QContext, f: Poly) -> Poly:
     """Averaging operator. Degree is preserved; the leading coefficient is
     scaled by alpha_{deg f}. Computed as sum_k f_k S_q x**k over the
-    context's memoized rows."""
+    context's rows."""
     return Poly.from_ints(*_image(operator_rows(ctx, len(f.nums) - 1)[1], f, 0))

@@ -666,7 +666,7 @@ def recover_qjacobi_params(
     #   b_n = (p_a - p_b) gamma_n (1 + q**n s (p_a p_b)**2) / (2 p_a p_b t (1 - q**n p_a p_b)),
     #   c_n = -(1 + 1/(p_a p_b s)) gamma_n (1 - q**n p_a**2) (1 - q**n p_b**2)
     #         (1 - q**n (p_a p_b)**2) / (4 (1 - q**n p_a p_b / s) (1 - q**n p_a p_b)**2),
-    # compared on integers: q**n = Qn/Qd with Qn, Qd running powers, and
+    # compared on integers: q**n = Qn/Qd = num[n]/den[n] of `cq_jacobi_powers`, and
     # gamma_n = G_n / Ad**(n-1) with 2 alpha = An/Ad, by the recurrence
     # gamma_{n+1} = 2 alpha gamma_n - gamma_{n-1}, which reads
     # G_{n+1} = An G_n - Ad**2 G_{n-1}. Each factor 1 - q**n x with x = xn/xd
@@ -683,16 +683,14 @@ def recover_qjacobi_params(
     two_alpha = 2 * ctx.alpha
     An, Ad = two_alpha.numerator, two_alpha.denominator
     Ad2 = Ad * Ad
-    qn_step, qd_step = tq.numerator**4, tq.denominator**4
     # the factors of the closed forms that do not depend on n
     b_num, b_den = b_factor.numerator * abd, b_factor.denominator * ppsd
     c_num = c_factor.numerator * absd * abd * abd
     c_den = c_factor.denominator * aad * bbd * ppd
-    Qn, Qd = 1, 1  # q**0
+    powers = num, den = cq_jacobi_powers(tq, N)
     G_prev, G, Gd = 0, 1, 1  # G_0, G_1 and Ad**0: gamma_1 = 1
     for n in range(1, N + 1):
-        Qn *= qn_step
-        Qd *= qd_step
+        Qn, Qd = num[n], den[n]
         denom_ab = Qd * abd - Qn * abn  # 1 - q**(n+(a+b)/2)
         # it vanishes with r_n = b_hat q**(-n/2) (1 - q**n p_a p_b), which
         # is nonzero at n = 1 (C_1 r_1 = a_1 C_1 + c_1, see `pearson_data`)
@@ -715,7 +713,6 @@ def recover_qjacobi_params(
 
     # What the checks above leave open (see the docstring): the family's
     # regularity to N, and B_N.
-    powers = cq_jacobi_powers(tq, N)
     try:
         cq_jacobi_scan(powers, p_a, p_b, N)
     except IrregularParameters as exc:

@@ -176,16 +176,16 @@ class QContext(Frozen):
     alpha is pinned by the operator action D_q x**2 = 2*alpha*x, and u by
     u * (q**(1/2) - q**(-1/2)) = 1; both identities are asserted in the test
     suite. Values are immutable and all operations on them are pure, so a
-    context can be shared freely across threads. The operator rows that
-    `awops` builds for a context live only as long as the context; equal
-    contexts alive at the same time share them, which is why a context
-    compares and hashes by t and can be weakly referenced. The hash of t and
-    the derived constants are computed once, at construction, since every
-    lookup of those rows needs the hash and the layers above read the
-    constants many times per context.
+    context can be shared freely across threads. A context compares and
+    hashes by t. It holds the operator rows that `awops` grows for it in
+    `_rows`, unset until their first read, and they live exactly as long
+    as the context. The hash of t and the derived constants are computed
+    once, at construction, since an OPS table looks up its images by
+    context on every read and the layers above read the constants many
+    times per context.
     """
 
-    __slots__ = ("t", "_hash", "_q", "_q_half", "_alpha", "_u", "__weakref__")
+    __slots__ = ("t", "_hash", "_q", "_q_half", "_alpha", "_u", "_rows")
 
     def __init__(self, t: Fraction) -> None:
         t = as_fraction(t)
@@ -199,11 +199,6 @@ class QContext(Frozen):
         put(self, "_q_half", s)
         put(self, "_alpha", (s + 1 / s) / 2)
         put(self, "_u", 1 / (s - 1 / s))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QContext):
-            return NotImplemented
-        return self.t == other.t
 
     def __hash__(self) -> int:
         return self._hash

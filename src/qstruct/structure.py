@@ -16,7 +16,7 @@ P_n is the series x**-n P_n cut after y**6, and the recurrence reads
 P_{n+1} = (1 - B_n y) P_n - C_n y**2 P_{n-1}: one step of
 `poly.int_three_term` with y in the place of x, normalized once. Entry j of
 D_q P_n's window sums P_n's entries i <= j of the parity of j against the
-top entries of the context's memoized operator rows D_q x**(n-i), which
+top entries of the context's operator rows D_q x**(n-i), which
 have degree n - i - 1 and its parity. pi times that window gives the lhs
 coefficients of x**(n+1) .. x**(n-5); `_residual` back-substitutes a_n, b_n,
 c_n from the first three and forms R_n's coefficients of x**(n-2) ..

@@ -1,7 +1,9 @@
-import gc
+import importlib
+import pkgutil
 import random
 import sys
 import threading
+from collections import abc
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from test_poly import evaluate, monomial
 from test_scalar import alpha_n, gamma_n
 
+import qstruct
 from qstruct import awops
 from qstruct.awops import dq_apply, dq_image, operator_rows, sq_apply
 from qstruct.characterize import classify
@@ -215,20 +218,22 @@ def test_product_rules_with_g_equal_x():
         ) * dq_apply(CTX, x)
 
 
-def test_rows_die_with_their_contexts():
-    # the memo is per live context: classifying on fresh contexts and
-    # dropping them must leave nothing behind, whatever t they had
-    ts = [F(1, 4), F(2, 5), F(3, 5)]  # held by no other live context
-    gc.collect()
-    before = len(awops._ROWS)
-    contexts = [QContext(ts[k % len(ts)]) for k in range(30)]
-    for ctx in contexts:
-        ttrr = ttrr_cq_jacobi(ctx, F(1, 4), F(1, 16), n_max=16)
-        assert classify(ctx, ttrr, 16).family == "continuous-q-jacobi"
-    assert len(awops._ROWS) == before + len(ts)  # equal live contexts share rows
-    del contexts, ctx
-    gc.collect()
-    assert len(awops._ROWS) == before
+def test_each_context_grows_and_keeps_its_own_rows():
+    # the rows live on the context they were grown for: an equal live
+    # context grows a table of its own, equal in value, and no module of the
+    # package binds a mutable container through which contexts could share
+    first, second = QContext(F(2, 5)), QContext(F(2, 5))
+    ttrr = ttrr_cq_jacobi(first, F(1, 4), F(1, 16), n_max=16)
+    assert classify(first, ttrr, 16).family == "continuous-q-jacobi"
+    assert first == second and not hasattr(second, "_rows")
+    rows = operator_rows(second, len(first._rows[0]) - 1)
+    assert second._rows is rows and rows is not first._rows and rows == first._rows
+    assert operator_rows(second, 3) is rows  # a shorter read grows nothing
+    mutable = (abc.MutableMapping, abc.MutableSequence, abc.MutableSet)
+    for info in pkgutil.iter_modules(qstruct.__path__):
+        module = importlib.import_module(f"qstruct.{info.name}")
+        bound = [n for n, v in vars(module).items() if isinstance(v, mutable)]
+        assert [n for n in bound if not n.startswith("__")] == [], info.name
 
 
 def test_concurrent_growth_gives_single_threaded_images():
@@ -243,7 +248,6 @@ def test_concurrent_growth_gives_single_threaded_images():
     ]
     reference = QContext(t)
     expected = [(dq_apply(reference, f), sq_apply(reference, f)) for f in polys]
-    del reference
 
     def worker(ctx, start, order, seen):
         start.wait(timeout=60)
@@ -254,9 +258,7 @@ def test_concurrent_growth_gives_single_threaded_images():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            gc.collect()
             ctx = QContext(t)
-            assert ctx not in awops._ROWS
             orders = [list(range(len(polys))) for _ in range(4)]
             orders[1].reverse()
             rng.shuffle(orders[2])
@@ -273,7 +275,6 @@ def test_concurrent_growth_gives_single_threaded_images():
             assert not any(th.is_alive() for th in threads)
             for seen in images:
                 assert [seen.get(i) for i in range(len(polys))] == expected
-            del ctx
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -301,7 +302,7 @@ def test_rows_match_the_poly_oracle_in_stages_and_in_one_step(ab, N, stages):
     ad = ctx.alpha.denominator
     d_want, s_want = map(normal_forms, rows_oracle(ctx, max(3, N, *stages)))
     for reads in ((1, 2, 3, N), (*stages, N), (N,)):
-        awops._ROWS.pop(ctx, None)  # grow from degree 0, even if an equal context holds rows
+        ctx = QContext(F(*ab))  # grows from degree 0
         for n in reads:
             d_rows, s_rows = operator_rows(ctx, n)
             assert len(d_rows) == len(s_rows) > n

@@ -1,10 +1,8 @@
-import gc
 import json
 import os
 import runpy
 import subprocess
 import sys
-import weakref
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -691,24 +689,22 @@ def test_fit_grows_a_fresh_contexts_operator_rows_once(monkeypatch, through_veri
     # after it in verify needs a longer table (growing them per D_q P_n
     # image would take N steps, and up front to N before the pin would
     # build rows that a rejected recurrence never reads)
-    calls = []
+    stores = []
+    slot = QContext._rows
 
-    class CountedRows(weakref.WeakKeyDictionary):
-        def __setitem__(self, ctx, table):  # every growth stores one table
-            calls.append(ctx)
-            super().__setitem__(ctx, table)
+    def store(ctx, table):  # every growth stores one longer table
+        stores.append(len(table[0]) - 1)
+        slot.__set__(ctx, table)
 
-    monkeypatch.setattr(awops, "_ROWS", CountedRows())
-    gc.collect()
-    ctx = QContext(F(7, 13))  # held by no other live context
-    assert ctx not in awops._ROWS
+    monkeypatch.setattr(QContext, "_rows", property(slot.__get__, store))
+    ctx = QContext(F(1, 2))
     ttrr = ttrr_cq_jacobi(ctx, F(1, 3), F(2, 5), n_max=12)
     if through_verify:
         assert cli._verify_checks(ctx, ttrr, 10, "all").ok
     else:
         assert fit_auto(ctx, ttrr, 10)[-1].is_exact
-    assert len(calls) == 2
-    assert len(awops._ROWS[ctx][0]) == 10 + 1
+    assert stores == [3, 10]
+    assert len(ctx._rows[0]) == 10 + 1
 
 
 def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypatch):
@@ -722,14 +718,12 @@ def test_a_rejected_recurrence_grows_the_rows_to_degree_3_and_pins_once(monkeypa
         [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)],
         [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)],
     )
-    gc.collect()
-    ctx = QContext(F(3, 11))  # held by no other live context
-    assert ctx not in awops._ROWS
+    ctx = QContext(F(1, 2))
     assert not classify(ctx, ttrr, n).characterized
-    assert len(awops._ROWS[ctx][0]) == 4
+    assert len(ctx._rows[0]) == 4
     for d in (0, 1, 2):
         assert fit_structure(ctx, ttrr, d, n).failure_n <= 3
-        assert len(awops._ROWS[ctx][0]) == 4
+        assert len(ctx._rows[0]) == 4
 
     # no index past the pin is decided, so every identity residual is a pin's;
     # the three-term steps build the windows of P_1, P_2 and P_3, which the
